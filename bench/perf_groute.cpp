@@ -20,6 +20,13 @@
 //   * incremental reroute after the perturbation >= 5x a from-scratch route
 //     of the new placement AND bitwise identical to it
 //
+// A second case routes the configuration the flow actually uses: cpu@1
+// placed by the flow's own synthesis/floorplan/place steps at 0.6 GHz, on
+// the flow's 32x32 grid with run_route's capacity model
+// (flow::route_options). It gates serial == 8-thread parallel and
+// incremental == from-scratch, both bitwise, and reports the kernel's speed
+// against the reference router without gating it.
+//
 // The parallel *speed* floor only makes sense where the host can actually
 // run the pool in parallel: it applies in full on >= 4 hardware threads,
 // relaxes to 1.2x on 2-3, and is waived (reported, not gated) on a
@@ -42,6 +49,7 @@
 #include <vector>
 
 #include "exec/executor.hpp"
+#include "flow/tools.hpp"
 #include "netlist/design_view.hpp"
 #include "netlist/generators.hpp"
 #include "place/placer.hpp"
@@ -91,6 +99,101 @@ bool grids_identical(const route::GridGraph& a, const route::GridGraph& b) {
     if (a.usage(e) != b.usage(e) || a.history(e) != b.history(e)) return false;
   }
   return true;
+}
+
+/// `pl` with `n_moves` random non-I/O cells moved to snapped in-core sites
+/// (a local ECO / sizing-style perturbation).
+place::Placement perturbed(const place::Placement& pl, std::size_t n_moves, std::uint64_t seed) {
+  const netlist::Netlist& nl = pl.netlist();
+  const place::Floorplan& fp = pl.floorplan();
+  std::vector<netlist::InstanceId> movable;
+  for (std::size_t i = 0; i < nl.instance_count(); ++i) {
+    const auto id = static_cast<netlist::InstanceId>(i);
+    const auto f = nl.master_of(id).function;
+    if (f != netlist::CellFunction::Input && f != netlist::CellFunction::Output) {
+      movable.push_back(id);
+    }
+  }
+  place::Placement out = pl;
+  util::Rng rng{seed};
+  const auto& core = fp.core();
+  for (std::size_t i = 0; i < n_moves; ++i) {
+    const auto id = movable[rng.below(movable.size())];
+    geom::Point cand{
+        core.lo.x + static_cast<geom::Dbu>(
+                        rng.below(static_cast<std::uint64_t>(std::max<geom::Dbu>(core.width(), 1)))),
+        core.lo.y + static_cast<geom::Dbu>(rng.below(
+                        static_cast<std::uint64_t>(std::max<geom::Dbu>(core.height(), 1))))};
+    cand.x = std::clamp(cand.x, core.lo.x, core.hi.x - fp.site_width());
+    cand.y = std::clamp(cand.y, core.lo.y, core.hi.y - 1);
+    out.set_loc(id, fp.snap(cand));
+  }
+  return out;
+}
+
+/// What the flow-grid case measured.
+struct FlowGridCase {
+  std::size_t grid = 0;
+  std::size_t segments = 0;
+  int rounds_used = 0;
+  double reference_ms = 0.0;
+  double kernel_ms = 0.0;
+  bool parallel_bitwise = false;
+  bool incremental_bitwise = false;
+};
+
+/// cpu@1 through the flow's own steps, routed on run_route's 32x32 grid.
+FlowGridCase run_flow_grid(const netlist::CellLibrary& lib, exec::RunExecutor& pool) {
+  flow::DesignState ds;
+  ds.lib = &lib;
+  flow::DesignSpec spec;
+  spec.kind = flow::DesignSpec::Kind::CpuLike;
+  spec.name = "cpu_s1";
+  flow::ToolContext ctx;
+  ctx.target_ghz = 0.6;
+  FlowGridCase out;
+  if (!flow::run_synthesis(ds, spec, ctx).ok || !flow::run_floorplan(ds, ctx).ok ||
+      !flow::run_place(ds, ctx).ok) {
+    std::fputs("FAIL: flow-grid design did not place\n", stderr);
+    return out;
+  }
+  const place::Placement& pl = *ds.pl;
+  route::RouteOptions ro = flow::route_options(*ds.fp, {});
+  ro.keep_state = true;
+  out.grid = ro.gcells_x;
+
+  out.reference_ms = bench_ms(1, 1, [&] {
+    route::GridGraph g;
+    util::Rng r{42};
+    (void)route::global_route_reference(pl, ro, g, r);
+  });
+  netlist::DesignView view{pl.netlist()};
+  route::RouteResult serial;
+  route::GridGraph serial_grid;
+  out.kernel_ms = bench_ms(3, 1, [&] {
+    route::GridGraph g;
+    serial = route::global_route(pl, view, ro, g);
+    serial_grid = std::move(g);
+  });
+  out.segments = serial.state.seg_from.size();
+  out.rounds_used = serial.rounds_used;
+
+  route::RouteOptions ro_par = ro;
+  ro_par.executor = &pool;
+  route::GridGraph par_grid;
+  const auto par = route::global_route(pl, view, ro_par, par_grid);
+  out.parallel_bitwise = results_identical(serial, par) && grids_identical(serial_grid, par_grid);
+
+  const std::size_t n_moves = std::max<std::size_t>(1, pl.netlist().instance_count() / 100);
+  const place::Placement pl2 = perturbed(pl, n_moves, 77);
+  netlist::DesignView view_full{pl.netlist()};
+  route::GridGraph full_grid;
+  const auto full = route::global_route(pl2, view_full, ro, full_grid);
+  netlist::DesignView view_incr{pl.netlist()};
+  route::GridGraph incr_grid;
+  const auto incr = route::global_route_incremental(pl2, view_incr, ro, incr_grid, serial, {});
+  out.incremental_bitwise = results_identical(full, incr) && grids_identical(full_grid, incr_grid);
+  return out;
 }
 
 }  // namespace
@@ -201,29 +304,8 @@ int main(int argc, char** argv) {
   route::GridGraph base_grid;
   const route::RouteResult base = route::global_route(pl, view, ro_state, base_grid);
 
-  place::Placement pl2 = pl;
-  util::Rng perturb_rng{99};
-  const auto& core = fp.core();
-  std::vector<netlist::InstanceId> movable;
-  for (std::size_t i = 0; i < nl.instance_count(); ++i) {
-    const auto id = static_cast<netlist::InstanceId>(i);
-    const auto f = nl.master_of(id).function;
-    if (f != netlist::CellFunction::Input && f != netlist::CellFunction::Output) {
-      movable.push_back(id);
-    }
-  }
   const std::size_t n_moves = std::max<std::size_t>(1, nl.instance_count() / 300);  // ~0.3%
-  for (std::size_t i = 0; i < n_moves; ++i) {
-    const auto id = movable[perturb_rng.below(movable.size())];
-    geom::Point cand{
-        core.lo.x + static_cast<geom::Dbu>(perturb_rng.below(
-                        static_cast<std::uint64_t>(std::max<geom::Dbu>(core.width(), 1)))),
-        core.lo.y + static_cast<geom::Dbu>(perturb_rng.below(
-                        static_cast<std::uint64_t>(std::max<geom::Dbu>(core.height(), 1))))};
-    cand.x = std::clamp(cand.x, core.lo.x, core.hi.x - fp.site_width());
-    cand.y = std::clamp(cand.y, core.lo.y, core.hi.y - 1);
-    pl2.set_loc(id, fp.snap(cand));
-  }
+  const place::Placement pl2 = perturbed(pl, n_moves, 99);
 
   netlist::DesignView view_full{nl};
   route::RouteResult full_res;
@@ -253,12 +335,24 @@ int main(int argc, char** argv) {
   std::printf("incremental bitwise-identical to from-scratch: %s\n",
               incr_bitwise ? "OK" : "FAIL");
 
+  // ------------------------------------- flow grid: what the flow routes
+  const FlowGridCase fg = run_flow_grid(lib, pool);
+  const double fg_speedup = fg.kernel_ms > 0.0 ? fg.reference_ms / fg.kernel_ms : 0.0;
+  std::printf("flow grid (cpu@1, %zux%zu, run_route capacities): %zu segments, %d rounds\n",
+              fg.grid, fg.grid, fg.segments, fg.rounds_used);
+  std::printf("  reference %.1f ms, kernel %.1f ms (%.1fx, reported, not gated)\n",
+              fg.reference_ms, fg.kernel_ms, fg_speedup);
+  std::printf("  parallel bitwise-identical to serial: %s\n", fg.parallel_bitwise ? "OK" : "FAIL");
+  std::printf("  incremental bitwise-identical to from-scratch: %s\n",
+              fg.incremental_bitwise ? "OK" : "FAIL");
+  const bool fg_pass = fg.parallel_bitwise && fg.incremental_bitwise;
+
   // A congestion benchmark that never congests measures nothing: require the
-  // negotiation loop to have actually run rip-up rounds.
-  const bool congested = serial_res.rounds_used > 1;
+  // negotiation loop to have actually run rip-up rounds, in both cases.
+  const bool congested = serial_res.rounds_used > 1 && fg.rounds_used > 1;
   if (!congested) std::fputs("FAIL: test case never overflowed; no rip-up exercised\n", stderr);
 
-  const bool pass = full_pass && par_pass && incr_pass && congested;
+  const bool pass = full_pass && par_pass && incr_pass && fg_pass && congested;
 
   util::JsonObject report;
   report["schema"] = util::Json{"maestro.bench.groute.v1"};
@@ -286,6 +380,17 @@ int main(int argc, char** argv) {
   report["incremental_speedup"] = util::Json{incr_speedup};
   report["incremental_floor"] = util::Json{kIncrFloor};
   report["incremental_bitwise"] = util::Json{incr_bitwise};
+  util::JsonObject flow_grid;
+  flow_grid["design"] = util::Json{"cpu_s1"};
+  flow_grid["grid"] = util::Json{static_cast<double>(fg.grid)};
+  flow_grid["segments"] = util::Json{static_cast<double>(fg.segments)};
+  flow_grid["rounds_used"] = util::Json{static_cast<double>(fg.rounds_used)};
+  flow_grid["reference_ms"] = util::Json{fg.reference_ms};
+  flow_grid["kernel_ms"] = util::Json{fg.kernel_ms};
+  flow_grid["kernel_speedup"] = util::Json{fg_speedup};
+  flow_grid["parallel_bitwise"] = util::Json{fg.parallel_bitwise};
+  flow_grid["incremental_bitwise"] = util::Json{fg.incremental_bitwise};
+  report["flow_grid"] = util::Json{std::move(flow_grid)};
   report["pass"] = util::Json{pass};
   std::ofstream out(out_path);
   out << util::Json{std::move(report)}.dump() << '\n';

@@ -340,6 +340,24 @@ StepOutcome run_cts(DesignState& ds, const ToolContext& ctx) {
   return out;
 }
 
+route::RouteOptions route_options(const place::Floorplan& fp, const KnobSetting& knobs) {
+  route::RouteOptions ro;
+  const auto gcells = static_cast<std::size_t>(knob_double(knobs, "gcells", 32));
+  ro.gcells_x = ro.gcells_y = gcells;
+  ro.max_rounds = static_cast<int>(knob_double(knobs, "rounds", 8));
+  ro.history_cost_weight = knob_double(knobs, "history_weight", 0.4);
+  // Track capacity is physical: tracks per GCell edge scale with the GCell
+  // pitch (wider cells of the same grid have more routing tracks).
+  const double gcell_w_um =
+      static_cast<double>(fp.core().width()) / static_cast<double>(gcells) / 1000.0;
+  const double gcell_h_um =
+      static_cast<double>(fp.core().height()) / static_cast<double>(gcells) / 1000.0;
+  const double tracks_per_um = knob_double(knobs, "tracks_per_um", 20.0);
+  ro.h_capacity = tracks_per_um * gcell_h_um;  // horizontal wires cross row height
+  ro.v_capacity = tracks_per_um * gcell_w_um * 0.85;
+  return ro;
+}
+
 StepOutcome run_route(DesignState& ds, const ToolContext& ctx) {
   StepOutcome out;
   out.log.tool = "route";
@@ -354,20 +372,7 @@ StepOutcome run_route(DesignState& ds, const ToolContext& ctx) {
   if (auto faulted = consult_faults("route", ctx, corrupt)) return *faulted;
   Rng rng{ctx.seed ^ 0xc4d5e6f7u};
 
-  route::RouteOptions ro;
-  const auto gcells = static_cast<std::size_t>(knob_double(ctx.knobs, "gcells", 32));
-  ro.gcells_x = ro.gcells_y = gcells;
-  ro.max_rounds = static_cast<int>(knob_double(ctx.knobs, "rounds", 8));
-  ro.history_cost_weight = knob_double(ctx.knobs, "history_weight", 0.4);
-  // Track capacity is physical: tracks per GCell edge scale with the GCell
-  // pitch (wider cells of the same grid have more routing tracks).
-  const double gcell_w_um =
-      static_cast<double>(ds.fp->core().width()) / static_cast<double>(gcells) / 1000.0;
-  const double gcell_h_um =
-      static_cast<double>(ds.fp->core().height()) / static_cast<double>(gcells) / 1000.0;
-  const double tracks_per_um = knob_double(ctx.knobs, "tracks_per_um", 20.0);
-  ro.h_capacity = tracks_per_um * gcell_h_um;  // horizontal wires cross row height
-  ro.v_capacity = tracks_per_um * gcell_w_um * 0.85;
+  route::RouteOptions ro = route_options(*ds.fp, ctx.knobs);
   const std::string engine = knob_string(ctx.knobs, "detail_engine", "model");
   ro.keep_segments = engine == "track";
   {

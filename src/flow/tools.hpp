@@ -84,6 +84,11 @@ StepOutcome run_cts(DesignState& ds, const ToolContext& ctx);
 StepOutcome run_route(DesignState& ds, const ToolContext& ctx);
 StepOutcome run_signoff(DesignState& ds, const ToolContext& ctx);
 
+/// The global-route options run_route uses for a floorplan and route-step
+/// knobs: grid size, rounds and history weight from the knobs, and track
+/// capacities that scale with the GCell pitch.
+route::RouteOptions route_options(const place::Floorplan& fp, const KnobSetting& knobs);
+
 /// Wireload-model STA used inside synthesis (no placement yet): arrival-time
 /// estimate with load = pin caps scaled by a wireload factor. Returns the
 /// worst arrival (critical path delay) in ps and per-instance arrivals.

@@ -12,6 +12,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "route/maze_arena.hpp"
+#include "route/ripup_coloring.hpp"
 
 namespace maestro::route {
 
@@ -180,54 +181,22 @@ void search_many(const GridGraph& g, const NetPlan& plan, const std::vector<std:
   for (auto& f : futures) f.get();
 }
 
-/// Spatial coloring: bin the victim segments into batches whose bloated
-/// search windows are pairwise disjoint (tested conservatively on 8x8 GCell
-/// tiles). Within a batch, rip-up/search/commit of one segment cannot touch
-/// any edge another batch member reads or writes, so batch members may
-/// search concurrently against the frozen grid with results identical to
-/// processing them one at a time.
+/// Spatial coloring of one round's victims (see ripup_coloring.hpp): batches
+/// of segment ids whose bloated search windows share no 8x8 GCell tile.
+/// Within a batch, rip-up/search/commit of one segment cannot touch any edge
+/// another member reads or writes, so members may search concurrently
+/// against the frozen grid with results identical to processing them one
+/// at a time.
 std::vector<std::vector<std::uint32_t>> color_batches(const GridGraph& g, const NetPlan& plan,
                                                       const std::vector<std::uint32_t>& victims) {
-  constexpr std::uint32_t kTile = 8;
-  const std::uint32_t tcols = (static_cast<std::uint32_t>(g.cols()) + kTile - 1) / kTile;
-  const std::uint32_t trows = (static_cast<std::uint32_t>(g.rows()) + kTile - 1) / kTile;
-  std::vector<std::uint64_t> tile_stamp(static_cast<std::size_t>(tcols) * trows, 0);
-  std::uint64_t epoch = 0;
-
-  std::vector<std::vector<std::uint32_t>> batches;
-  std::vector<std::uint32_t> remaining = victims;
-  std::vector<std::uint32_t> deferred;
-  while (!remaining.empty()) {
-    ++epoch;
-    batches.emplace_back();
-    deferred.clear();
-    for (const std::uint32_t i : remaining) {
-      const SearchWindow w = search_window(g, plan.seg_from[i], plan.seg_to[i]);
-      const std::uint32_t tc0 = w.col_lo / kTile;
-      const std::uint32_t tc1 = w.col_hi / kTile;
-      const std::uint32_t tr0 = w.row_lo / kTile;
-      const std::uint32_t tr1 = w.row_hi / kTile;
-      bool free = true;
-      for (std::uint32_t tr = tr0; tr <= tr1 && free; ++tr) {
-        for (std::uint32_t tc = tc0; tc <= tc1; ++tc) {
-          if (tile_stamp[static_cast<std::size_t>(tr) * tcols + tc] == epoch) {
-            free = false;
-            break;
-          }
-        }
-      }
-      if (free) {
-        for (std::uint32_t tr = tr0; tr <= tr1; ++tr) {
-          for (std::uint32_t tc = tc0; tc <= tc1; ++tc) {
-            tile_stamp[static_cast<std::size_t>(tr) * tcols + tc] = epoch;
-          }
-        }
-        batches.back().push_back(i);
-      } else {
-        deferred.push_back(i);
-      }
-    }
-    std::swap(remaining, deferred);
+  std::vector<TileRect> rects(victims.size());
+  for (std::size_t k = 0; k < victims.size(); ++k) {
+    const std::uint32_t i = victims[k];
+    rects[k] = tile_rect(search_window(g, plan.seg_from[i], plan.seg_to[i]));
+  }
+  auto batches = color_first_fit(rects);
+  for (auto& batch : batches) {
+    for (std::uint32_t& member : batch) member = victims[member];
   }
   return batches;
 }
@@ -276,36 +245,48 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
   std::vector<Path> rerouted;
   while (res.overflow_per_round.back() > 0.0 && res.rounds_used < opt.max_rounds) {
     obs::Span span("groute_round", "route");
-    // Charge history on overflowed edges (ledger set; each edge exactly
-    // once, so iteration order cannot change the resulting costs).
-    for (const std::size_t e : graph.overflowed()) graph.bump_history(e, 1.0);
+    {
+      obs::Span victims_span("groute_victims", "route");
+      // Charge history on overflowed edges (ledger set; each edge exactly
+      // once, so iteration order cannot change the resulting costs).
+      for (const std::size_t e : graph.overflowed()) graph.bump_history(e, 1.0);
 
-    // Snapshot the victims: segments crossing an overflowed edge.
-    victims.clear();
-    for (std::size_t i = 0; i < n_segs; ++i) {
-      for (const std::size_t e : plan.current[i]) {
-        if (graph.usage(e) > graph.capacity(e)) {
-          victims.push_back(static_cast<std::uint32_t>(i));
-          break;
+      // Snapshot the victims: segments crossing an overflowed edge.
+      victims.clear();
+      for (std::size_t i = 0; i < n_segs; ++i) {
+        for (const std::size_t e : plan.current[i]) {
+          if (graph.usage(e) > graph.capacity(e)) {
+            victims.push_back(static_cast<std::uint32_t>(i));
+            break;
+          }
         }
       }
     }
     ripup_counter.add(victims.size());
     if (victims.empty()) break;  // external usage only; nothing we can move
 
-    const auto batches = color_batches(graph, plan, victims);
-    for (const auto& batch : batches) {
-      // Rip up every batch member first (canonical order), so each search
-      // sees exactly the state a serial rip-search-commit would see — the
-      // other members' deltas all live outside its disjoint window.
-      for (const std::uint32_t i : batch) {
-        for (const std::size_t e : plan.current[i]) graph.add_usage(e, -1.0);
-      }
-      search_many(graph, plan, batch, rerouted, opt, /*grain=*/8);
-      for (std::size_t k = 0; k < batch.size(); ++k) {
-        const std::uint32_t i = batch[k];
-        plan.current[i] = std::move(rerouted[k]);
-        for (const std::size_t e : plan.current[i]) graph.add_usage(e, 1.0);
+    std::vector<std::vector<std::uint32_t>> batches;
+    {
+      obs::Span color_span("groute_color", "route");
+      batches = color_batches(graph, plan, victims);
+      color_span.arg("victims", static_cast<double>(victims.size()))
+          .arg("batches", static_cast<double>(batches.size()));
+    }
+    {
+      obs::Span reroute_span("groute_reroute", "route");
+      for (const auto& batch : batches) {
+        // Rip up every batch member first (canonical order), so each search
+        // sees exactly the state a serial rip-search-commit would see — the
+        // other members' deltas all live outside its disjoint window.
+        for (const std::uint32_t i : batch) {
+          for (const std::size_t e : plan.current[i]) graph.add_usage(e, -1.0);
+        }
+        search_many(graph, plan, batch, rerouted, opt, /*grain=*/8);
+        for (std::size_t k = 0; k < batch.size(); ++k) {
+          const std::uint32_t i = batch[k];
+          plan.current[i] = std::move(rerouted[k]);
+          for (const std::size_t e : plan.current[i]) graph.add_usage(e, 1.0);
+        }
       }
     }
 

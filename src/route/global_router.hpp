@@ -12,10 +12,14 @@
 //    placement (the incremental entry point below reuses them verbatim for
 //    nets whose pins did not move).
 //  * Phase B (negotiation): rip-up-and-reroute rounds. Each round snapshots
-//    the segments crossing an overflowed edge, bins them into conflict-free
-//    batches by bloated search window (spatial coloring over GCell tiles),
-//    reroutes each batch — concurrently when RouteOptions::executor is set —
-//    and commits usage deltas in canonical segment order, so results are
+//    the segments crossing an overflowed edge and bins them into
+//    conflict-free batches by bloated search window: exact first-fit
+//    coloring over 8x8 GCell tiles (ripup_coloring.hpp), each victim in
+//    canonical order joining the lowest batch it shares no tile with, in
+//    O(victims x tiles per window) plus a per-rectangle cursor sweep over
+//    the batches. Each batch is
+//    rerouted — concurrently when RouteOptions::executor is set — and
+//    usage deltas commit in canonical segment order, so results are
 //    bitwise identical to the serial router at any thread count.
 //
 // Searches run on a MazeArena (epoch-stamped scratch reused across all

@@ -91,6 +91,7 @@ namespace {
 struct Parser {
   std::string_view text;
   std::size_t pos = 0;
+  std::size_t depth = 0;  ///< containers currently open
 
   void skip_ws() {
     while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos]))) ++pos;
@@ -117,8 +118,15 @@ struct Parser {
     skip_ws();
     if (pos >= text.size()) return std::nullopt;
     const char c = text[pos];
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      // Bounded recursion: a frame of nothing but brackets must not be able
+      // to overflow the stack of a server that parses untrusted input.
+      if (depth == Json::kMaxParseDepth) return std::nullopt;
+      ++depth;
+      auto v = c == '{' ? object() : array();
+      --depth;
+      return v;
+    }
     if (c == '"') {
       auto s = string();
       if (!s) return std::nullopt;

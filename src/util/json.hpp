@@ -60,7 +60,11 @@ class Json {
   /// Serialize to a compact JSON string.
   std::string dump() const;
 
-  /// Parse a JSON document. Returns nullopt on malformed input.
+  /// Deepest container nesting parse() accepts.
+  static constexpr std::size_t kMaxParseDepth = 256;
+
+  /// Parse a JSON document. Returns nullopt on malformed input, including
+  /// containers nested deeper than kMaxParseDepth.
   static std::optional<Json> parse(std::string_view text);
 
  private:

@@ -8,6 +8,8 @@
 //    under randomized usage churn;
 //  * rip-up bookkeeping: final edge usage == recount over the committed
 //    segment paths;
+//  * rip-up coloring: the linear-time first-fit colorer == the rescanning
+//    greedy it replaced (kept here as the oracle), batch for batch;
 //  * determinism: serial == 1-thread pool == 8-thread pool, bitwise; and
 //    incremental reroute == from-scratch route after a placement
 //    perturbation, including the flow-level run_route wiring.
@@ -17,8 +19,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "exec/executor.hpp"
@@ -26,9 +31,11 @@
 #include "netlist/design_view.hpp"
 #include "netlist/generators.hpp"
 #include "obs/registry.hpp"
+#include "obs/trace.hpp"
 #include "place/placer.hpp"
 #include "route/global_router.hpp"
 #include "route/maze_arena.hpp"
+#include "route/ripup_coloring.hpp"
 
 namespace mn = maestro::netlist;
 namespace mp = maestro::place;
@@ -180,6 +187,50 @@ void expect_grids_identical(const mr::GridGraph& a, const mr::GridGraph& b) {
   EXPECT_EQ(a.max_utilization(), b.max_utilization());
 }
 
+/// The rescanning greedy colorer the router used before first-fit: fill
+/// batch 0 with every rectangle (in order) whose tiles are still free in it,
+/// then batch 1 from the rest, and so on. O(victims x batches).
+std::vector<std::vector<std::uint32_t>> rescanning_batches(std::span<const mr::TileRect> rects) {
+  std::uint32_t tcols = 0;
+  std::uint32_t trows = 0;
+  for (const auto& r : rects) {
+    tcols = std::max(tcols, r.tc1 + 1);
+    trows = std::max(trows, r.tr1 + 1);
+  }
+  std::vector<std::uint64_t> tile_stamp(static_cast<std::size_t>(tcols) * trows, 0);
+  std::uint64_t epoch = 0;
+  std::vector<std::vector<std::uint32_t>> batches;
+  std::vector<std::uint32_t> remaining(rects.size());
+  for (std::uint32_t k = 0; k < remaining.size(); ++k) remaining[k] = k;
+  std::vector<std::uint32_t> deferred;
+  while (!remaining.empty()) {
+    ++epoch;
+    batches.emplace_back();
+    deferred.clear();
+    for (const std::uint32_t k : remaining) {
+      const auto& r = rects[k];
+      bool free = true;
+      for (std::uint32_t tr = r.tr0; tr <= r.tr1 && free; ++tr) {
+        for (std::uint32_t tc = r.tc0; tc <= r.tc1 && free; ++tc) {
+          free = tile_stamp[static_cast<std::size_t>(tr) * tcols + tc] != epoch;
+        }
+      }
+      if (!free) {
+        deferred.push_back(k);
+        continue;
+      }
+      for (std::uint32_t tr = r.tr0; tr <= r.tr1; ++tr) {
+        for (std::uint32_t tc = r.tc0; tc <= r.tc1; ++tc) {
+          tile_stamp[static_cast<std::size_t>(tr) * tcols + tc] = epoch;
+        }
+      }
+      batches.back().push_back(k);
+    }
+    std::swap(remaining, deferred);
+  }
+  return batches;
+}
+
 std::uint64_t counter_value(const char* name) {
   return obs::Registry::global().counter(name).value();
 }
@@ -283,6 +334,65 @@ TEST(OverflowLedger, MatchesBruteForceUnderRandomChurn) {
   check();
 }
 
+TEST(RipupColoring, FirstFitMatchesRescanningOracle) {
+  // Seeded random victim sets on the grid sizes the router meets: the flow's
+  // 24/32/48 (where nearly every batch holds one segment) and the kernel
+  // bench's 192. Segment spans are drawn short, medium and grid-wide so both
+  // tiny and whole-grid windows occur, with many repeated rectangles.
+  Rng rng{505};
+  for (const std::size_t n : {24u, 32u, 48u, 192u}) {
+    const maestro::geom::GridIndexer idx{{{0, 0}, {100000, 100000}}, n, n};
+    const mr::GridGraph g{n, n, 4.0, 4.0, idx};
+    for (const std::size_t victims : {1u, 7u, 200u, 3000u}) {
+      std::vector<mr::TileRect> rects;
+      for (std::size_t k = 0; k < victims; ++k) {
+        const std::uint64_t reach = std::uint64_t{1} + rng.below(k % 3 == 0 ? n : n / 4);
+        const mr::GCell from{static_cast<std::uint32_t>(rng.below(n)),
+                             static_cast<std::uint32_t>(rng.below(n))};
+        const mr::GCell to{
+            static_cast<std::uint32_t>(std::min<std::uint64_t>(n - 1, from.col + rng.below(reach))),
+            static_cast<std::uint32_t>(std::min<std::uint64_t>(n - 1, from.row + rng.below(reach)))};
+        rects.push_back(mr::tile_rect(mr::search_window(g, from, to)));
+      }
+      const auto got = mr::color_first_fit(rects);
+      const auto want = rescanning_batches(rects);
+      ASSERT_EQ(got, want) << n << "x" << n << ", " << victims << " victims";
+      std::size_t members = 0;
+      for (const auto& batch : got) {
+        ASSERT_FALSE(batch.empty());
+        members += batch.size();
+        for (std::size_t a = 0; a < batch.size(); ++a) {
+          for (std::size_t b = a + 1; b < batch.size(); ++b) {
+            ASSERT_LT(batch[a], batch[b]);
+            const auto& p = rects[batch[a]];
+            const auto& q = rects[batch[b]];
+            const bool share_tile =
+                p.tc0 <= q.tc1 && q.tc0 <= p.tc1 && p.tr0 <= q.tr1 && q.tr0 <= p.tr1;
+            ASSERT_FALSE(share_tile)
+                << "batch members " << batch[a] << " and " << batch[b] << " share a tile";
+          }
+        }
+      }
+      EXPECT_EQ(members, victims);
+    }
+  }
+}
+
+TEST(RipupColoring, CoversMoreThanOneBitsetWord) {
+  // One whole-grid rectangle per victim forces one batch each: the colorer
+  // must walk its cursor through several 64-batch words, then still place a
+  // small rectangle in the first batch that leaves room.
+  std::vector<mr::TileRect> rects(150, mr::TileRect{0, 3, 0, 3});
+  rects.push_back({5, 5, 5, 5});
+  rects.push_back({0, 3, 0, 3});
+  const auto got = mr::color_first_fit(rects);
+  EXPECT_EQ(got, rescanning_batches(rects));
+  ASSERT_EQ(got.size(), 151u);
+  EXPECT_EQ(got[0], (std::vector<std::uint32_t>{0, 150}));
+  EXPECT_EQ(got[150], (std::vector<std::uint32_t>{151}));
+  EXPECT_TRUE(mr::color_first_fit({}).empty());
+}
+
 TEST(GlobalRouter, UsageEqualsRecountOverCommittedPaths) {
   // Rip-up bookkeeping invariant: after any number of negotiation rounds,
   // per-edge usage must equal the recount over the final committed paths.
@@ -305,6 +415,47 @@ TEST(GlobalRouter, UsageEqualsRecountOverCommittedPaths) {
       ASSERT_EQ(g.usage(e), recount[e]) << "rounds=" << rounds << " edge=" << e;
     }
   }
+}
+
+TEST(GlobalRouter, PhaseSpansArePerRound) {
+  // Negotiation rounds carry one victims/color/reroute span each, never one
+  // per segment, and the color span reports the round's victims and batches.
+  std::unique_ptr<mn::Netlist> nl;
+  std::unique_ptr<mp::Floorplan> fp;
+  const auto pl = placed_design(31, 800, 0.8, nl, fp);
+  mr::RouteOptions opt;
+  opt.gcells_x = opt.gcells_y = 24;
+  opt.h_capacity = opt.v_capacity = 7.0;
+  const auto ripped_before = counter_value("route.ripup_segments");
+  obs::Tracer tracer;
+  obs::Tracer::install(&tracer);
+  const auto res = mr::global_route(pl, opt);
+  obs::Tracer::uninstall();
+  const auto ripped = counter_value("route.ripup_segments") - ripped_before;
+  ASSERT_GT(res.rounds_used, 1);
+  ASSERT_EQ(tracer.dropped(), 0u);
+
+  std::map<std::string, int> count;
+  double victims = 0.0;
+  for (const auto& ev : tracer.snapshot()) {
+    ++count[ev.name];
+    if (ev.name != "groute_color") continue;
+    std::map<std::string, double> args(ev.num_args.begin(), ev.num_args.end());
+    ASSERT_EQ(args.count("victims"), 1u);
+    ASSERT_EQ(args.count("batches"), 1u);
+    EXPECT_GE(args["batches"], 1.0);
+    EXPECT_LE(args["batches"], args["victims"]);
+    victims += args["victims"];
+  }
+  // Phase A is one groute_round; every Phase B round scans for victims, and
+  // all but a last one that finds none go on to color and reroute.
+  const int negotiated = res.rounds_used - 1;
+  EXPECT_EQ(count["groute_round"], 1 + count["groute_victims"]);
+  EXPECT_GE(count["groute_victims"], negotiated);
+  EXPECT_LE(count["groute_victims"], negotiated + 1);
+  EXPECT_EQ(count["groute_color"], negotiated);
+  EXPECT_EQ(count["groute_reroute"], negotiated);
+  EXPECT_EQ(victims, static_cast<double>(ripped));
 }
 
 TEST(GlobalRouter, PerNetSegmentsMatchDeduplicatedPins) {

@@ -269,6 +269,34 @@ TEST(Json, ParseRejectsMalformed) {
   EXPECT_FALSE(mu::Json::parse("").has_value());
 }
 
+TEST(Json, DeeplyNestedInputIsRejectedNotACrash) {
+  // 1 MiB of '[' fits in one server frame; unbounded recursion used to
+  // overflow the stack on it.
+  EXPECT_FALSE(mu::Json::parse(std::string(1 << 20, '[')).has_value());
+  EXPECT_FALSE(mu::Json::parse(std::string(1 << 20, '{')).has_value());
+  const std::size_t over = mu::Json::kMaxParseDepth + 1;
+  EXPECT_FALSE(mu::Json::parse(std::string(over, '[') + std::string(over, ']')).has_value());
+}
+
+TEST(Json, NestingAtTheDepthLimitParses) {
+  const std::size_t d = mu::Json::kMaxParseDepth;
+  const auto arrays = mu::Json::parse(std::string(d, '[') + std::string(d, ']'));
+  ASSERT_TRUE(arrays.has_value());
+  const mu::Json* at = &*arrays;
+  for (std::size_t i = 1; i < d; ++i) {
+    ASSERT_TRUE(at->is_array());
+    ASSERT_EQ(at->as_array().size(), 1u);
+    at = &at->as_array().front();
+  }
+  EXPECT_TRUE(at->is_array());
+  EXPECT_TRUE(at->as_array().empty());
+
+  std::string objects;
+  for (std::size_t i = 1; i < d; ++i) objects += "{\"k\":";
+  objects += "{}" + std::string(d - 1, '}');
+  EXPECT_TRUE(mu::Json::parse(objects).has_value());
+}
+
 TEST(Json, MissingKeyIsNull) {
   const auto parsed = mu::Json::parse("{\"a\":1}");
   ASSERT_TRUE(parsed.has_value());
