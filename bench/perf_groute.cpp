@@ -24,8 +24,10 @@
 // placed by the flow's own synthesis/floorplan/place steps at 0.6 GHz, on
 // the flow's 32x32 grid with run_route's capacity model
 // (flow::route_options). It gates serial == 8-thread parallel and
-// incremental == from-scratch, both bitwise, and reports the kernel's speed
-// against the reference router without gating it.
+// incremental == from-scratch, both bitwise, and the kernel's full route at
+// >= 1.3x the reference router. There nearly every rip-up batch holds one
+// segment, so this gate measures the per-search constant factor that the
+// 192x192 case's Phase A and parallel batches hide.
 //
 // The parallel *speed* floor only makes sense where the host can actually
 // run the pool in parallel: it applies in full on >= 4 hardware threads,
@@ -35,7 +37,8 @@
 //
 // Under ThreadSanitizer the case shrinks (96x96, 8k gates) and the floors
 // relax — instrumentation taxes the parallel path's synchronization far more
-// than the arithmetic — but every bitwise-identity gate stays exact.
+// than the arithmetic — and the flow-grid speed ratio is only reported, but
+// every bitwise-identity gate stays exact.
 //
 // Results are written as machine-readable JSON (default BENCH_groute.json):
 //   perf_groute [output.json]
@@ -218,6 +221,8 @@ int main(int argc, char** argv) {
   constexpr double kParFloor = 2.0;
   constexpr double kIncrFloor = 5.0;
 #endif
+  // The flow-grid case is the same size in every build.
+  constexpr double kFlowGridFloor = 1.3;
 
   // One congested placed design: random logic, light anneal, legalized.
   const auto lib = netlist::make_default_library();
@@ -340,12 +345,14 @@ int main(int argc, char** argv) {
   const double fg_speedup = fg.kernel_ms > 0.0 ? fg.reference_ms / fg.kernel_ms : 0.0;
   std::printf("flow grid (cpu@1, %zux%zu, run_route capacities): %zu segments, %d rounds\n",
               fg.grid, fg.grid, fg.segments, fg.rounds_used);
-  std::printf("  reference %.1f ms, kernel %.1f ms (%.1fx, reported, not gated)\n",
-              fg.reference_ms, fg.kernel_ms, fg_speedup);
+  const bool fg_speed_pass = sanitized || fg_speedup >= kFlowGridFloor;
+  std::printf("  reference %.1f ms, kernel %.1f ms (%.1fx, gate >= %.1fx: %s)\n", fg.reference_ms,
+              fg.kernel_ms, fg_speedup, kFlowGridFloor,
+              sanitized ? "waived under TSan" : (fg_speed_pass ? "OK" : "FAIL"));
   std::printf("  parallel bitwise-identical to serial: %s\n", fg.parallel_bitwise ? "OK" : "FAIL");
   std::printf("  incremental bitwise-identical to from-scratch: %s\n",
               fg.incremental_bitwise ? "OK" : "FAIL");
-  const bool fg_pass = fg.parallel_bitwise && fg.incremental_bitwise;
+  const bool fg_pass = fg_speed_pass && fg.parallel_bitwise && fg.incremental_bitwise;
 
   // A congestion benchmark that never congests measures nothing: require the
   // negotiation loop to have actually run rip-up rounds, in both cases.
@@ -388,6 +395,7 @@ int main(int argc, char** argv) {
   flow_grid["reference_ms"] = util::Json{fg.reference_ms};
   flow_grid["kernel_ms"] = util::Json{fg.kernel_ms};
   flow_grid["kernel_speedup"] = util::Json{fg_speedup};
+  flow_grid["kernel_floor"] = util::Json{kFlowGridFloor};
   flow_grid["parallel_bitwise"] = util::Json{fg.parallel_bitwise};
   flow_grid["incremental_bitwise"] = util::Json{fg.incremental_bitwise};
   report["flow_grid"] = util::Json{std::move(flow_grid)};

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <future>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "exec/cancel.hpp"
@@ -109,17 +110,53 @@ std::vector<std::pair<GCell, GCell>> span_net(const std::vector<GCell>& pins) {
 }
 
 /// Per-net pins and flat canonical-order segments (net ascending, span
-/// order) — the working form of RouteState, with mutable current paths.
+/// order) — the working form of RouteState. Paths are stored flat, as
+/// 32-bit edge ids: Phase A lays every segment's initial path out in one CSR
+/// (fill_initial), copying each path exactly once — from the search results
+/// or, for a clean net of an incremental reroute, straight from the
+/// previous RouteState — and a segment's current path is that initial path
+/// until Phase B reroutes it.
 struct NetPlan {
+  static constexpr std::uint32_t kNotRerouted = 0xffffffffu;
+  using EdgePath = std::vector<std::uint32_t>;
+
   std::vector<std::uint32_t> net_pin_begin{0};
   std::vector<GCell> pin_cells;
   std::vector<std::uint32_t> net_seg_begin{0};
   std::vector<GCell> seg_from;
   std::vector<GCell> seg_to;
-  std::vector<Path> initial;  ///< Phase-A path; empty => needs a search
-  std::vector<Path> current;  ///< working path, filled after Phase A commit
+  /// Until fill_initial: segment i's cached Phase-A path is cached_edges[
+  /// cached_begin[i], cached_end[i]) (an empty range => needs a search).
+  const std::uint32_t* cached_edges = nullptr;
+  std::vector<std::uint32_t> cached_begin;
+  std::vector<std::uint32_t> cached_end;
+  /// After fill_initial: segment i's Phase-A path is initial_edges[
+  /// initial_begin[i], initial_begin[i + 1]).
+  std::vector<std::uint32_t> initial_begin;
+  std::vector<std::uint32_t> initial_edges;
+  /// Phase-B paths: rerouted_paths[reroute_slot[i]] once segment i has been
+  /// rerouted (kNotRerouted before).
+  std::vector<std::uint32_t> reroute_slot;
+  std::vector<EdgePath> rerouted_paths;
 
   std::size_t segment_count() const { return seg_from.size(); }
+
+  bool has_cached_path(std::size_t i) const { return cached_begin[i] != cached_end[i]; }
+  std::span<const std::uint32_t> initial(std::size_t i) const {
+    return {initial_edges.data() + initial_begin[i],
+            static_cast<std::size_t>(initial_begin[i + 1] - initial_begin[i])};
+  }
+  std::span<const std::uint32_t> current(std::size_t i) const {
+    const std::uint32_t slot = reroute_slot[i];
+    return slot == kNotRerouted ? initial(i) : std::span<const std::uint32_t>{rerouted_paths[slot]};
+  }
+  void set_current(std::size_t i, const Path& path) {
+    if (reroute_slot[i] == kNotRerouted) {
+      reroute_slot[i] = static_cast<std::uint32_t>(rerouted_paths.size());
+      rerouted_paths.emplace_back();
+    }
+    rerouted_paths[reroute_slot[i]].assign(path.begin(), path.end());
+  }
 
   void add_net(std::vector<GCell> pins) {
     const auto spans = span_net(pins);
@@ -128,21 +165,49 @@ struct NetPlan {
     for (const auto& [a, b] : spans) {
       seg_from.push_back(a);
       seg_to.push_back(b);
-      initial.emplace_back();
+      cached_begin.push_back(0);
+      cached_end.push_back(0);
     }
     net_seg_begin.push_back(static_cast<std::uint32_t>(seg_from.size()));
   }
 
+  /// Append a net whose segments keep their cached Phase-A paths: `begin`
+  /// holds the segments' CSR offsets into cached_edges (one more than
+  /// segments). Nothing is copied until fill_initial.
   void add_net_cached(std::span<const GCell> pins, std::span<const GCell> from,
-                      std::span<const GCell> to, std::span<const Path> paths) {
+                      std::span<const GCell> to, std::span<const std::uint32_t> begin) {
     pin_cells.insert(pin_cells.end(), pins.begin(), pins.end());
     net_pin_begin.push_back(static_cast<std::uint32_t>(pin_cells.size()));
-    for (std::size_t i = 0; i < from.size(); ++i) {
-      seg_from.push_back(from[i]);
-      seg_to.push_back(to[i]);
-      initial.push_back(paths[i]);
-    }
+    seg_from.insert(seg_from.end(), from.begin(), from.end());
+    seg_to.insert(seg_to.end(), to.begin(), to.end());
+    cached_begin.insert(cached_begin.end(), begin.begin(), begin.end() - 1);
+    cached_end.insert(cached_end.end(), begin.begin() + 1, begin.end());
     net_seg_begin.push_back(static_cast<std::uint32_t>(seg_from.size()));
+  }
+
+  /// Lay out every Phase-A path flat, in canonical order: `found[k]` for
+  /// segment `searched[k]` (ascending), the cached range for the rest.
+  void fill_initial(const std::vector<std::uint32_t>& searched, const std::vector<Path>& found) {
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < segment_count(); ++i) total += cached_end[i] - cached_begin[i];
+    for (const Path& p : found) total += p.size();
+    initial_begin.resize(segment_count() + 1);
+    initial_begin[0] = 0;
+    initial_edges.resize(total);
+    std::uint32_t* out = initial_edges.data();
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < segment_count(); ++i) {
+      if (k < searched.size() && searched[k] == i) {
+        for (const std::size_t e : found[k]) *out++ = static_cast<std::uint32_t>(e);
+        ++k;
+      } else {
+        out = std::copy(cached_edges + cached_begin[i], cached_edges + cached_end[i], out);
+      }
+      initial_begin[i + 1] = static_cast<std::uint32_t>(out - initial_edges.data());
+    }
+    cached_edges = nullptr;
+    cached_begin = {};
+    cached_end = {};
   }
 };
 
@@ -214,25 +279,39 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
                        const PlanRevisions& revs) {
   static obs::Counter& ripup_counter = obs::Registry::global().counter("route.ripup_segments");
   const std::size_t n_segs = plan.segment_count();
+  assert(graph.edge_count() <= std::size_t{0xffffffffu});  // 32-bit edge ids
+
+  // The router's own weights are fixed for the whole route: keep their edge
+  // costs as a table the searches read instead of re-deriving them.
+  graph.track_costs(opt.present_cost_weight, opt.history_cost_weight);
 
   // ---- Phase A: order-independent initial routes on the empty grid ----
   std::vector<std::uint32_t> missing;
   for (std::size_t i = 0; i < n_segs; ++i) {
-    if (plan.initial[i].empty() && !(plan.seg_from[i] == plan.seg_to[i])) {
+    if (!plan.has_cached_path(i) && !(plan.seg_from[i] == plan.seg_to[i])) {
       missing.push_back(static_cast<std::uint32_t>(i));
     }
   }
   {
-    obs::Span span("groute_round", "route");
-    span.arg("round", 1.0).arg("searched", static_cast<double>(missing.size()));
+    obs::Span span("groute_phase_a", "route");
+    span.arg("segments", static_cast<double>(n_segs))
+        .arg("searched", static_cast<double>(missing.size()));
     std::vector<Path> found;
-    search_many(graph, plan, missing, found, opt, /*grain=*/512);
-    for (std::size_t k = 0; k < missing.size(); ++k) {
-      plan.initial[missing[k]] = std::move(found[k]);
+    {
+      obs::Span search_span("groute_search", "route");
+      search_many(graph, plan, missing, found, opt, /*grain=*/512);
     }
-    plan.current = plan.initial;  // canonical-order commit below
-    for (std::size_t i = 0; i < n_segs; ++i) {
-      for (const std::size_t e : plan.current[i]) graph.add_usage(e, 1.0);
+    obs::Span commit_span("groute_commit", "route");
+    plan.fill_initial(missing, found);
+    plan.reroute_slot.assign(n_segs, NetPlan::kNotRerouted);
+    // Usage as per-edge counts: one ledger/cost update per touched edge
+    // rather than per path visit. Usage stays an exact integer, history is
+    // later charged once per overflowed edge and total_overflow() sums in
+    // edge order, so the result equals committing path by path.
+    std::vector<std::uint32_t> uses(graph.edge_count(), 0);
+    for (const std::uint32_t e : plan.initial_edges) ++uses[e];
+    for (std::size_t e = 0; e < uses.size(); ++e) {
+      if (uses[e] != 0) graph.add_usage(e, static_cast<double>(uses[e]));
     }
   }
 
@@ -243,6 +322,7 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
   // ---- Phase B: negotiation rounds over the overflowed set ----
   std::vector<std::uint32_t> victims;
   std::vector<Path> rerouted;
+  std::vector<std::uint8_t> overflowed(graph.edge_count(), 0);
   while (res.overflow_per_round.back() > 0.0 && res.rounds_used < opt.max_rounds) {
     obs::Span span("groute_round", "route");
     {
@@ -251,16 +331,20 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
       // once, so iteration order cannot change the resulting costs).
       for (const std::size_t e : graph.overflowed()) graph.bump_history(e, 1.0);
 
-      // Snapshot the victims: segments crossing an overflowed edge.
+      // Snapshot the victims: segments crossing an overflowed edge (a byte
+      // per edge, set from the ledger, so the scan over every path reads
+      // one small array).
+      for (const std::size_t e : graph.overflowed()) overflowed[e] = 1;
       victims.clear();
       for (std::size_t i = 0; i < n_segs; ++i) {
-        for (const std::size_t e : plan.current[i]) {
-          if (graph.usage(e) > graph.capacity(e)) {
+        for (const std::uint32_t e : plan.current(i)) {
+          if (overflowed[e] != 0) {
             victims.push_back(static_cast<std::uint32_t>(i));
             break;
           }
         }
       }
+      for (const std::size_t e : graph.overflowed()) overflowed[e] = 0;
     }
     ripup_counter.add(victims.size());
     if (victims.empty()) break;  // external usage only; nothing we can move
@@ -279,13 +363,13 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
         // sees exactly the state a serial rip-search-commit would see — the
         // other members' deltas all live outside its disjoint window.
         for (const std::uint32_t i : batch) {
-          for (const std::size_t e : plan.current[i]) graph.add_usage(e, -1.0);
+          for (const std::uint32_t e : plan.current(i)) graph.add_usage(e, -1.0);
         }
         search_many(graph, plan, batch, rerouted, opt, /*grain=*/8);
         for (std::size_t k = 0; k < batch.size(); ++k) {
           const std::uint32_t i = batch[k];
-          plan.current[i] = std::move(rerouted[k]);
-          for (const std::size_t e : plan.current[i]) graph.add_usage(e, 1.0);
+          plan.set_current(i, rerouted[k]);
+          for (const std::uint32_t e : plan.current(i)) graph.add_usage(e, 1.0);
         }
       }
     }
@@ -300,8 +384,9 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
   res.converged = res.overflow_per_round.back() <= 0.0;
 
   // ---- result assembly (canonical order throughout) ----
+  graph.untrack_costs();
   double wl = 0.0;
-  for (const auto& p : plan.current) wl += static_cast<double>(p.size());
+  for (std::size_t i = 0; i < n_segs; ++i) wl += static_cast<double>(plan.current(i).size());
   res.wirelength_gcells = wl;
   res.total_overflow = graph.total_overflow();
   res.overflowed_edges = graph.overflowed_edges();
@@ -309,7 +394,8 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
   if (opt.keep_segments) {
     res.segments.reserve(n_segs);
     for (std::size_t i = 0; i < n_segs; ++i) {
-      res.segments.push_back({plan.seg_from[i], plan.seg_to[i], plan.current[i]});
+      const auto path = plan.current(i);
+      res.segments.push_back({plan.seg_from[i], plan.seg_to[i], Path(path.begin(), path.end())});
     }
   }
   if (opt.keep_state) {
@@ -324,7 +410,8 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
     st.net_seg_begin = std::move(plan.net_seg_begin);
     st.seg_from = std::move(plan.seg_from);
     st.seg_to = std::move(plan.seg_to);
-    st.initial_paths = std::move(plan.initial);
+    st.initial_begin = std::move(plan.initial_begin);
+    st.initial_edges = std::move(plan.initial_edges);
   }
   return res;
 }
@@ -349,15 +436,19 @@ RouteResult global_route(const place::Placement& pl, const RouteOptions& opt, Gr
   graph = GridGraph{opt.gcells_x, opt.gcells_y, opt.h_capacity, opt.v_capacity,
                     geom::GridIndexer{pl.floorplan().core(), opt.gcells_x, opt.gcells_y}};
   NetPlan plan;
-  std::vector<GCell> pins;
-  std::vector<InstanceId> instances;
-  for (std::size_t n = 0; n < nl.net_count(); ++n) {
-    const auto& net = nl.net(static_cast<NetId>(n));
-    instances.clear();
-    instances.push_back(net.driver);
-    for (const auto& sink : net.sinks) instances.push_back(sink.instance);
-    collect_pins(pins, graph.indexer(), [&](InstanceId id) { return pl.pin_of(id); }, instances);
-    plan.add_net(pins);
+  {
+    obs::Span plan_span("groute_plan", "route");
+    std::vector<GCell> pins;
+    std::vector<InstanceId> instances;
+    for (std::size_t n = 0; n < nl.net_count(); ++n) {
+      const auto& net = nl.net(static_cast<NetId>(n));
+      instances.clear();
+      instances.push_back(net.driver);
+      for (const auto& sink : net.sinks) instances.push_back(sink.instance);
+      collect_pins(pins, graph.indexer(), [&](InstanceId id) { return pl.pin_of(id); },
+                   instances);
+      plan.add_net(pins);
+    }
   }
   return route_plan(plan, opt, graph, {nl.revision(), pl.revision()});
 }
@@ -368,11 +459,14 @@ RouteResult global_route(const place::Placement& pl, netlist::DesignView& view,
   graph = GridGraph{opt.gcells_x, opt.gcells_y, opt.h_capacity, opt.v_capacity,
                     geom::GridIndexer{pl.floorplan().core(), opt.gcells_x, opt.gcells_y}};
   NetPlan plan;
-  std::vector<GCell> pins;
-  for (std::size_t n = 0; n < view.net_count(); ++n) {
-    collect_pins(pins, graph.indexer(), [&](InstanceId id) { return view.pin(id); },
-                 view.pins_of(static_cast<NetId>(n)));
-    plan.add_net(pins);
+  {
+    obs::Span plan_span("groute_plan", "route");
+    std::vector<GCell> pins;
+    for (std::size_t n = 0; n < view.net_count(); ++n) {
+      collect_pins(pins, graph.indexer(), [&](InstanceId id) { return view.pin(id); },
+                   view.pins_of(static_cast<NetId>(n)));
+      plan.add_net(pins);
+    }
   }
   return route_plan(plan, opt, graph, {view.structure_revision(), pl.revision()});
 }
@@ -400,6 +494,8 @@ RouteResult global_route_incremental(const place::Placement& pl, netlist::Design
     return global_route(pl, view, opt, graph);
   }
 
+  // The plan span covers the staleness scan and the plan build.
+  std::optional<obs::Span> plan_span(std::in_place, "groute_plan", "route");
   // Staleness scan: which nets' pins actually changed GCell?
   const geom::GridIndexer indexer{pl.floorplan().core(), opt.gcells_x, opt.gcells_y};
   std::vector<NetId> candidates;
@@ -441,6 +537,12 @@ RouteResult global_route_incremental(const place::Placement& pl, netlist::Design
 
   graph = GridGraph{opt.gcells_x, opt.gcells_y, opt.h_capacity, opt.v_capacity, indexer};
   NetPlan plan;
+  plan.cached_edges = st.initial_edges.data();
+  plan.seg_from.reserve(st.seg_from.size());
+  plan.seg_to.reserve(st.seg_to.size());
+  plan.cached_begin.reserve(st.seg_from.size());
+  plan.cached_end.reserve(st.seg_from.size());
+  plan.pin_cells.reserve(st.pin_cells.size());
   for (std::size_t n = 0; n < view.net_count(); ++n) {
     if (net_dirty[n]) {
       plan.add_net(std::move(new_pins[n]));
@@ -452,8 +554,9 @@ RouteResult global_route_incremental(const place::Placement& pl, netlist::Design
     const std::size_t s1 = st.net_seg_begin[n + 1];
     plan.add_net_cached({st.pin_cells.data() + p0, p1 - p0},
                         {st.seg_from.data() + s0, s1 - s0}, {st.seg_to.data() + s0, s1 - s0},
-                        {st.initial_paths.data() + s0, s1 - s0});
+                        {st.initial_begin.data() + s0, s1 - s0 + 1});
   }
+  plan_span.reset();
   return route_plan(plan, opt, graph, {view.structure_revision(), pl.revision()});
 }
 

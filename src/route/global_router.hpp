@@ -22,10 +22,26 @@
 //    usage deltas commit in canonical segment order, so results are
 //    bitwise identical to the serial router at any thread count.
 //
-// Searches run on a MazeArena (epoch-stamped scratch reused across all
-// segments, O(window) per route instead of O(grid)), and the GridGraph's
-// incremental overflow ledger makes the per-round convergence check and
-// history charging O(overflowed) instead of O(E).
+// Searches run on a MazeArena: window-local, epoch-stamped scratch reused
+// across all segments (O(window) per route instead of O(grid), no div/mod
+// per node) with one 128-bit key per open-list entry. While a route runs,
+// the GridGraph maintains a per-edge cost table for the router's
+// (present, history) weights, so a relaxation reads one double instead of
+// re-deriving the congestion cost; its incremental overflow ledger makes the
+// per-round convergence check and history charging O(overflowed) instead of
+// O(E).
+//
+// Serial commit work is kept proportional to what changed: Phase A commits
+// usage as one add_usage(e, count) per touched edge, and paths live in flat
+// 32-bit arrays — Phase-A paths as one CSR (an incremental reroute copies a
+// clean net's cached paths once, as a range) and a segment's current path
+// is its Phase-A path until Phase B replaces it, so nothing is deep-copied
+// path by path.
+//
+// Trace spans (obs): groute_plan (net plan build), groute_phase_a (args
+// segments, searched) with children groute_search and groute_commit, then
+// one groute_round per negotiation round with children groute_victims,
+// groute_color (args victims, batches) and groute_reroute.
 //
 // The kernel draws no random numbers: results are a pure function of
 // (placement, options). Seed diversity in the flow comes from placement and
@@ -104,7 +120,11 @@ struct RouteState {
   std::vector<std::uint32_t> net_seg_begin;
   std::vector<GCell> seg_from;
   std::vector<GCell> seg_to;
-  std::vector<std::vector<std::size_t>> initial_paths;  ///< Phase-A paths
+  /// Phase-A paths, flat: segment i's edges are initial_edges[
+  /// initial_begin[i], initial_begin[i + 1]) (a CSR over segments, so an
+  /// incremental reroute copies a clean net's paths as one range).
+  std::vector<std::uint32_t> initial_begin;
+  std::vector<std::uint32_t> initial_edges;
 };
 
 struct RouteResult {

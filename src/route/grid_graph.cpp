@@ -78,6 +78,14 @@ void GridGraph::reset_usage() {
   max_util_edge_ = 0;
   max_util_dirty_ = false;
   ++revision_;
+  if (!cost_.empty()) track_costs(cost_present_w_, cost_history_w_);
+}
+
+void GridGraph::track_costs(double present_w, double history_w) {
+  cost_present_w_ = present_w;
+  cost_history_w_ = history_w;
+  cost_.resize(usage_.size());
+  for (std::size_t e = 0; e < cost_.size(); ++e) cost_[e] = edge_cost(e, present_w, history_w);
 }
 
 double GridGraph::total_overflow() const {

@@ -15,6 +15,17 @@
 // like a usage change). Consumers caching usage/cost-derived state (the STA
 // SI congestion map, the incremental-reroute fast path) compare revisions
 // instead of rescanning the grid to detect staleness.
+//
+// Cost contract: edge_cost() is THE congestion-aware maze cost — one
+// expression shared by every search. While a router holds the grid it calls
+// track_costs(present_w, history_w), and the graph then keeps a per-edge
+// table equal, bit for bit, to edge_cost(e, present_w, history_w): add_usage
+// and bump_history refresh the one edge they touch, reset_usage refreshes
+// every edge, and track_costs itself fills the table. Capacities never
+// change after construction, so no other mutation can stale it. Searches
+// with those exact weights read cost_table() instead of re-deriving the
+// cost (a division and two branches) on every relaxation; any other weights
+// evaluate edge_cost() directly and get the same numbers.
 
 #include <cstdint>
 #include <span>
@@ -76,8 +87,36 @@ class GridGraph {
     usage_[edge] += amount;
     ++revision_;
     update_ledger(edge, before);
+    if (!cost_.empty()) cost_[edge] = edge_cost(edge, cost_present_w_, cost_history_w_);
   }
+  /// Zero all usage (history is kept) and refresh the whole cost table.
   void reset_usage();
+
+  /// Negotiated-congestion maze cost of traversing one edge: base 1, a
+  /// quadratic penalty past 60% utilization, a flat penalty once the edge is
+  /// full (both scaled by `present_w`), plus `history_w` x history.
+  double edge_cost(std::size_t edge, double present_w, double history_w) const {
+    const double usage = usage_[edge];
+    const double capacity = capacity_[edge];
+    const double util = capacity > 0.0 ? usage / capacity : 10.0;
+    double cost = 1.0;
+    if (util > 0.6) cost += present_w * (util - 0.6) * (util - 0.6) * 12.0;
+    if (usage >= capacity) cost += present_w * 8.0;
+    cost += history_w * history_[edge];
+    return cost;
+  }
+
+  /// Maintain a per-edge table of edge_cost(e, present_w, history_w) from now
+  /// on (O(E) fill; see the cost contract above). untrack_costs() drops it.
+  void track_costs(double present_w, double history_w);
+  void untrack_costs() { cost_ = {}; }
+  /// The maintained table when it was built for exactly these weights,
+  /// nullptr otherwise (no table, or other weights).
+  const double* cost_table(double present_w, double history_w) const {
+    return !cost_.empty() && present_w == cost_present_w_ && history_w == cost_history_w_
+               ? cost_.data()
+               : nullptr;
+  }
 
   /// Monotonic counter bumped on every cost-relevant mutation (add_usage,
   /// reset_usage, bump_history) — see the revision contract above.
@@ -105,6 +144,7 @@ class GridGraph {
   void bump_history(std::size_t edge, double amount) {
     history_[edge] += amount;
     ++revision_;
+    if (!cost_.empty()) cost_[edge] = edge_cost(edge, cost_present_w_, cost_history_w_);
   }
 
  private:
@@ -119,6 +159,11 @@ class GridGraph {
   std::vector<double> usage_;
   std::vector<double> history_;
   std::uint64_t revision_ = 0;
+
+  // Maintained edge-cost table (empty unless track_costs() is active).
+  std::vector<double> cost_;
+  double cost_present_w_ = 0.0;
+  double cost_history_w_ = 0.0;
 
   // Overflow ledger: membership index per edge + compact id set.
   std::vector<std::uint32_t> overflow_pos_;

@@ -1,10 +1,9 @@
 #include "route/maze_arena.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <cmath>
-#include <cstdlib>
-#include <limits>
+#include <functional>
 
 #include "obs/registry.hpp"
 
@@ -23,15 +22,13 @@ SearchWindow search_window(const GridGraph& g, const GCell& from, const GCell& t
   return w;
 }
 
-void MazeArena::prepare(std::size_t nodes) {
-  if (dist_.size() != nodes) {
-    dist_.resize(nodes);
-    stamp_.assign(nodes, 0);
-    prev_edge_.resize(nodes);
-    prev_node_.resize(nodes);
-    epoch_ = 0;
+void MazeArena::prepare(std::size_t slots) {
+  if (slots_.size() < slots) slots_.resize(slots, Slot{0.0, 0, 0});
+  if (++epoch_ == 0) {
+    // 2^32 searches later the stamps would alias: clear them once.
+    for (Slot& slot : slots_) slot.stamp = 0;
+    epoch_ = 1;
   }
-  ++epoch_;
   heap_.clear();
 }
 
@@ -40,104 +37,130 @@ MazeArena& thread_arena() {
   return arena;
 }
 
-std::vector<std::size_t> arena_maze_route(const GridGraph& g, MazeArena& a, const GCell& from,
-                                          const GCell& to, double present_w, double history_w) {
+namespace {
+
+using OpenKey = unsigned __int128;
+
+/// (f, h, local) packed so unsigned key order is the open list's order.
+inline OpenKey open_key(double f, std::uint32_t h, std::uint32_t local) {
+  return OpenKey{std::bit_cast<std::uint64_t>(f)} << 64 | OpenKey{h} << 32 | local;
+}
+
+}  // namespace
+
+template <typename EdgeCost>
+std::vector<std::size_t> MazeArena::route(const GridGraph& g, const GCell& from, const GCell& to,
+                                          EdgeCost edge_cost) {
   std::vector<std::size_t> path;
   if (from == to) return path;
-  // Node ids and edge ids (< 2*nodes) are stored as 32-bit in the arena.
-  assert(g.node_count() < (std::size_t{1} << 31));
-  a.prepare(g.node_count());
-  const std::uint64_t epoch = a.epoch_;
   const SearchWindow win = search_window(g, from, to);
+  const std::uint32_t width = win.col_hi - win.col_lo + 1;
+  const std::uint32_t height = win.row_hi - win.row_lo + 1;
+  // Row stride 1 << shift >= width; at least 2, so a +-1 step between
+  // local ids is always a column step (path reconstruction relies on it).
+  const int shift = std::max(1, static_cast<int>(std::bit_width(width - 1)));
+  const std::uint32_t stride = 1u << shift;
+  const std::uint32_t mask = stride - 1;
+  assert((std::uint64_t{height} << shift) < (std::uint64_t{1} << 32));
+  prepare(std::size_t{height} << shift);
+  const std::uint32_t epoch = epoch_;
 
-  auto dist_at = [&](std::uint32_t id) {
-    return a.stamp_[id] == epoch ? a.dist_[id] : std::numeric_limits<double>::infinity();
+  // Edge ids of the East / North edges leaving local (lc, lr), following
+  // GridGraph::edge_id's layout from the window's corner.
+  const std::size_t cols = g.cols();
+  const std::size_t east0 = win.row_lo * (cols - 1) + win.col_lo;
+  const std::size_t north0 = (cols - 1) * g.rows() + win.row_lo * cols + win.col_lo;
+  auto east_of = [&](std::uint32_t local) {
+    return east0 + (local >> shift) * (cols - 1) + (local & mask);
   };
-  auto heuristic = [&](std::uint32_t id) {
-    const GCell c = g.cell_of(id);
-    return static_cast<double>(
-        std::abs(static_cast<std::int64_t>(c.col) - static_cast<std::int64_t>(to.col)) +
-        std::abs(static_cast<std::int64_t>(c.row) - static_cast<std::int64_t>(to.row)));
-  };
-  auto edge_cost = [&](std::size_t e) {
-    const double util = g.capacity(e) > 0.0 ? g.usage(e) / g.capacity(e) : 10.0;
-    // Base cost 1 per edge; congestion penalty grows sharply past capacity.
-    double cost = 1.0;
-    if (util > 0.6) cost += present_w * (util - 0.6) * (util - 0.6) * 12.0;
-    if (g.usage(e) >= g.capacity(e)) cost += present_w * 8.0;
-    cost += history_w * g.history(e);
-    return cost;
+  auto north_of = [&](std::uint32_t local) {
+    return north0 + (local >> shift) * cols + (local & mask);
   };
 
-  // (f-score, h, node): f ties break toward the node nearest the target
-  // (largest g). On a lightly congested grid every monotone staircase path
-  // has equal f, so plain (f, node) ordering would expand the whole
-  // from/to bounding box; preferring small h walks a corridor instead.
-  // Ordering stays deterministic (final tie on node id) and optimality is
-  // untouched — a node is still popped only at f >= its true f.
-  using QItem = std::tuple<double, double, std::uint32_t>;
-  auto& open = a.heap_;
-  const auto s = static_cast<std::uint32_t>(g.node_id(from));
-  const auto t = static_cast<std::uint32_t>(g.node_id(to));
-  a.dist_[s] = 0.0;
-  a.stamp_[s] = epoch;
-  a.prev_node_[s] = s;
-  open.emplace_back(heuristic(s), heuristic(s), s);
-  std::push_heap(open.begin(), open.end(), std::greater<QItem>{});
+  const std::uint32_t tc = to.col - win.col_lo;
+  const std::uint32_t tr = to.row - win.row_lo;
+  auto heuristic = [&](std::uint32_t lc, std::uint32_t lr) {
+    return (lc > tc ? lc - tc : tc - lc) + (lr > tr ? lr - tr : tr - lr);
+  };
+
+  auto& open = heap_;
+  const std::uint32_t sc = from.col - win.col_lo;
+  const std::uint32_t sr = from.row - win.row_lo;
+  const std::uint32_t s = sr << shift | sc;
+  const std::uint32_t t = tr << shift | tc;
+  slots_[s] = {0.0, epoch, s};
+  const std::uint32_t hs = heuristic(sc, sr);
+  open.push_back(open_key(static_cast<double>(hs), hs, s));
 
   std::uint64_t expansions = 0;
   while (!open.empty()) {
-    const auto [f, h, u] = open.front();
-    std::pop_heap(open.begin(), open.end(), std::greater<QItem>{});
+    const OpenKey key = open.front();
+    std::pop_heap(open.begin(), open.end(), std::greater<OpenKey>{});
     open.pop_back();
+    const auto u = static_cast<std::uint32_t>(key);
     if (u == t) break;
-    if (f > dist_at(u) + heuristic(u) + 1e-9) continue;  // stale entry
-    ++expansions;
-    const GCell c = g.cell_of(u);
-    struct Nb {
-      bool ok;
-      std::uint32_t node;
-      std::size_t edge;
-    };
-    const auto cols = static_cast<std::uint32_t>(g.cols());
-    const Nb nbs[4] = {
-        {c.col + 1 < g.cols(), u + 1, c.col + 1 < g.cols() ? g.edge_id(c, Dir::East) : 0},
-        {c.col > 0, u - 1, c.col > 0 ? g.edge_id({c.col - 1, c.row}, Dir::East) : 0},
-        {c.row + 1 < g.rows(), u + cols, c.row + 1 < g.rows() ? g.edge_id(c, Dir::North) : 0},
-        {c.row > 0, u - cols, c.row > 0 ? g.edge_id({c.col, c.row - 1}, Dir::North) : 0},
-    };
-    for (const auto& nb : nbs) {
-      if (!nb.ok) continue;
-      if (!win.contains(g.cell_of(nb.node))) continue;
-      const double nd = dist_at(u) + edge_cost(nb.edge);
-      if (nd < dist_at(nb.node) - 1e-12) {
-        a.dist_[nb.node] = nd;
-        a.stamp_[nb.node] = epoch;
-        a.prev_edge_[nb.node] = static_cast<std::uint32_t>(nb.edge);
-        a.prev_node_[nb.node] = u;
-        const double nh = heuristic(nb.node);
-        open.emplace_back(nd + nh, nh, nb.node);
-        std::push_heap(open.begin(), open.end(), std::greater<QItem>{});
-      }
+    const double f = std::bit_cast<double>(static_cast<std::uint64_t>(key >> 64));
+    const double du = slots_[u].dist;
+    if (f > du + static_cast<double>(static_cast<std::uint32_t>(key >> 32)) + 1e-9) {
+      continue;  // stale entry
     }
+    ++expansions;
+    const std::uint32_t lc = u & mask;
+    const std::uint32_t lr = u >> shift;
+    const std::size_t east = east_of(u);
+    const std::size_t north = north_of(u);
+    auto relax = [&](std::uint32_t v, std::uint32_t vc, std::uint32_t vr, std::size_t edge) {
+      Slot& sv = slots_[v];
+      const double nd = du + edge_cost(edge);
+      if (sv.stamp != epoch || nd < sv.dist - 1e-12) {
+        sv = {nd, epoch, u};
+        const std::uint32_t nh = heuristic(vc, vr);
+        open.push_back(open_key(nd + static_cast<double>(nh), nh, v));
+        std::push_heap(open.begin(), open.end(), std::greater<OpenKey>{});
+      }
+    };
+    if (lc + 1 < width) relax(u + 1, lc + 1, lr, east);
+    if (lc > 0) relax(u - 1, lc - 1, lr, east - 1);
+    if (lr + 1 < height) relax(u + stride, lc, lr + 1, north);
+    if (lr > 0) relax(u - stride, lc, lr - 1, north - cols);
   }
   // The expansion counter is a single process-global atomic; bumping it per
   // search from 8 workers turns a metrics read into cacheline ping-pong, so
   // each arena batches locally and flushes in coarse chunks.
-  a.pending_expansions_ += expansions;
-  if (a.pending_expansions_ >= MazeArena::kExpansionFlush) {
+  pending_expansions_ += expansions;
+  if (pending_expansions_ >= kExpansionFlush) {
     static obs::Counter& expansion_counter =
         obs::Registry::global().counter("route.maze_expansions");
-    expansion_counter.add(a.pending_expansions_);
-    a.pending_expansions_ = 0;
+    expansion_counter.add(pending_expansions_);
+    pending_expansions_ = 0;
   }
 
-  if (a.stamp_[t] != epoch) return path;  // unreachable (shouldn't happen)
-  for (std::uint32_t v = t; v != s; v = a.prev_node_[v]) {
-    path.push_back(a.prev_edge_[v]);
+  if (slots_[t].stamp != epoch) return path;  // unreachable (shouldn't happen)
+  for (std::uint32_t v = t; v != s;) {
+    const std::uint32_t u = slots_[v].prev;
+    if (v == u + 1) {
+      path.push_back(east_of(u));
+    } else if (u == v + 1) {
+      path.push_back(east_of(v));
+    } else if (v > u) {
+      path.push_back(north_of(u));
+    } else {
+      path.push_back(north_of(v));
+    }
+    v = u;
   }
   std::reverse(path.begin(), path.end());
   return path;
+}
+
+std::vector<std::size_t> arena_maze_route(const GridGraph& g, MazeArena& a, const GCell& from,
+                                          const GCell& to, double present_w, double history_w) {
+  if (const double* table = g.cost_table(present_w, history_w)) {
+    return a.route(g, from, to, [table](std::size_t e) { return table[e]; });
+  }
+  return a.route(g, from, to, [&g, present_w, history_w](std::size_t e) {
+    return g.edge_cost(e, present_w, history_w);
+  });
 }
 
 }  // namespace maestro::route

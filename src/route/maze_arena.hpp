@@ -1,21 +1,43 @@
 #pragma once
-// MazeArena — epoch-stamped scratch space for windowed A* maze routing.
+// MazeArena — window-local, epoch-stamped scratch space for A* maze routing.
 //
-// The seed router allocated and infinity-filled three full-grid O(cols*rows)
-// arrays for every segment it routed, even though the search itself is
-// windowed to the segment's bloated bounding box. The arena keeps one set of
-// full-grid arrays alive across all searches and makes "reset" O(1): every
-// per-node slot carries the epoch that last wrote it, prepare() bumps the
+// Every search is confined to its segment's search window (the bounding box
+// bloated by kDetourMargin, clamped to the grid), so the arena indexes its
+// scratch by *window-local* row-major ids, not by whole-grid node ids:
+//
+//     local = (row - row_lo) << shift | (col - col_lo),   1 << shift >= width
+//
+// A power-of-two row stride makes col/row a mask and a shift, so the search
+// carries its coordinates without the 64-bit div/mod a whole-grid id needs
+// for every heuristic and window test, and the window test itself becomes
+// a comparison against the window's width and height. The scratch grows
+// only (it must hold the largest window yet seen) and "reset" is O(1):
+// every slot carries the epoch that last wrote it, prepare() bumps the
 // epoch, and a slot whose stamp differs from the current epoch reads as
-// unvisited (+inf distance). A short windowed route therefore costs
-// O(window), not O(grid), and the open-heap's backing storage is reused too.
+// unvisited (+inf distance). A short route therefore costs O(window), not
+// O(grid), and the open list's storage is reused too.
 //
-// Arenas are cheap to keep per-thread (a 192x192 grid is ~1 MiB of scratch)
-// and are NOT thread-safe; the parallel router hands each worker its own via
-// thread_arena().
+// Open-list order. Entries pop in the total order (f, h, node): f-score
+// first, then the heuristic h (ties break toward the target, so uniform-cost
+// regions expand a corridor, not a bounding box), then the node. Each entry
+// is one 128-bit key (bits(f) << 64) | (h << 32) | local, and unsigned
+// comparison of the keys is exactly that order: f >= 0, and a non-negative
+// IEEE-754 double orders like its bit pattern read as an unsigned integer;
+// h is an integer Manhattan distance; and inside one window row-major local
+// ids order exactly like the whole-grid ids (row * cols + col) they replace.
+// Keys are unique, so any correct priority queue pops the same sequence.
+//
+// Edge costs come from GridGraph: the maintained cost table when the grid
+// tracks the search's weights (the global router's own rounds), else
+// GridGraph::edge_cost evaluated per relaxation (e.g. the detailed router's
+// 1.2 / 0.6 reroutes). Both give identical doubles, so the path does not
+// depend on which one a search used.
+//
+// Arenas are cheap to keep per-thread (a 192x192 window is under 1 MiB of
+// scratch) and are NOT thread-safe; the parallel router hands each worker
+// its own via thread_arena().
 
 #include <cstdint>
-#include <tuple>
 #include <vector>
 
 #include "route/grid_graph.hpp"
@@ -47,10 +69,11 @@ SearchWindow search_window(const GridGraph& g, const GCell& from, const GCell& t
 
 class MazeArena {
  public:
-  /// Make the arena valid for a grid with `nodes` nodes and start a fresh
-  /// search epoch. O(1) when the size is unchanged (the common case);
-  /// resizing value-initializes new stamps so stale reads are impossible.
-  void prepare(std::size_t nodes);
+  /// Make the arena hold at least `slots` window-local slots and start a
+  /// fresh search epoch. O(1) unless the arena must grow; growth keeps the
+  /// old slots and value-initializes the new ones, so stale reads are
+  /// impossible either way.
+  void prepare(std::size_t slots);
 
   /// Expansions are batched per-arena and flushed to the global
   /// `route.maze_expansions` counter once this many accumulate, so parallel
@@ -58,29 +81,35 @@ class MazeArena {
   /// counter may therefore lag reality by < kExpansionFlush per live arena.
   static constexpr std::uint64_t kExpansionFlush = 1 << 14;
 
-  std::size_t size() const { return dist_.size(); }
-  std::uint64_t epoch() const { return epoch_; }
+  std::size_t size() const { return slots_.size(); }
+  std::uint32_t epoch() const { return epoch_; }
 
  private:
   friend std::vector<std::size_t> arena_maze_route(const GridGraph&, MazeArena&, const GCell&,
                                                    const GCell&, double, double);
 
-  std::vector<double> dist_;
-  std::vector<std::uint64_t> stamp_;
-  std::vector<std::uint32_t> prev_edge_;
-  std::vector<std::uint32_t> prev_node_;
-  /// Reusable open list: (f-score, h, node) — f ties break toward the
-  /// target so uniform-cost regions expand a corridor, not a bounding box.
-  std::vector<std::tuple<double, double, std::uint32_t>> heap_;
-  std::uint64_t epoch_ = 0;
+  /// The one A* search; EdgeCost maps an edge id to its cost.
+  template <typename EdgeCost>
+  std::vector<std::size_t> route(const GridGraph& g, const GCell& from, const GCell& to,
+                                 EdgeCost edge_cost);
+
+  struct Slot {
+    double dist;          ///< best known distance (valid iff stamp == epoch)
+    std::uint32_t stamp;  ///< epoch that last wrote this slot
+    std::uint32_t prev;   ///< local id of the predecessor on the best path
+  };
+  std::vector<Slot> slots_;
+  /// Reusable open list of (f, h, local) keys; see the order argument above.
+  std::vector<unsigned __int128> heap_;
+  std::uint32_t epoch_ = 0;
   std::uint64_t pending_expansions_ = 0;  ///< not yet flushed to the registry
 };
 
-/// A* maze route of one segment with congestion-aware edge costs, windowed
-/// to search_window(g, from, to). The cost function is identical to the
-/// seed router's full-grid search; tie-breaking prefers nodes nearest the
-/// target (deterministic, cost-optimal — equal-cost paths may differ from
-/// the seed's). Returns the edge-id path (empty when from == to or —
+/// A* maze route of one segment with congestion-aware edge costs
+/// (GridGraph::edge_cost), windowed to search_window(g, from, to).
+/// Tie-breaking prefers nodes nearest the target, then the lower node id
+/// (deterministic, cost-optimal — equal-cost paths may differ from the seed
+/// router's). Returns the edge-id path (empty when from == to or —
 /// defensively — when the target is unreachable).
 std::vector<std::size_t> arena_maze_route(const GridGraph& g, MazeArena& arena,
                                           const GCell& from, const GCell& to,

@@ -17,13 +17,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdlib>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "exec/executor.hpp"
@@ -112,6 +116,70 @@ double dijkstra_cost(const mr::GridGraph& g, const mr::GCell& from, const mr::GC
     }
   }
   return dist[target];
+}
+
+/// The arena search as it stood before window-local scratch: whole-grid node
+/// ids turned back into col/row with div/mod, a (f, h, node) tuple heap, and
+/// every edge priced by the formula above. Kept as the oracle the arena must
+/// match edge for edge, not just in cost.
+std::vector<std::size_t> tuple_heap_route(const mr::GridGraph& g, const mr::GCell& from,
+                                          const mr::GCell& to, double pw, double hw) {
+  std::vector<std::size_t> path;
+  if (from == to) return path;
+  const auto win = mr::search_window(g, from, to);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> dist(g.node_count(), kInf);
+  std::vector<std::uint32_t> prev_edge(g.node_count());
+  std::vector<std::uint32_t> prev_node(g.node_count());
+  auto heuristic = [&](std::uint32_t id) {
+    const mr::GCell c = g.cell_of(id);
+    return static_cast<double>(
+        std::abs(static_cast<std::int64_t>(c.col) - static_cast<std::int64_t>(to.col)) +
+        std::abs(static_cast<std::int64_t>(c.row) - static_cast<std::int64_t>(to.row)));
+  };
+  using QItem = std::tuple<double, double, std::uint32_t>;
+  std::vector<QItem> open;
+  const auto s = static_cast<std::uint32_t>(g.node_id(from));
+  const auto t = static_cast<std::uint32_t>(g.node_id(to));
+  dist[s] = 0.0;
+  prev_node[s] = s;
+  open.emplace_back(heuristic(s), heuristic(s), s);
+  while (!open.empty()) {
+    const auto [f, h, u] = open.front();
+    std::pop_heap(open.begin(), open.end(), std::greater<QItem>{});
+    open.pop_back();
+    if (u == t) break;
+    if (f > dist[u] + heuristic(u) + 1e-9) continue;
+    const mr::GCell c = g.cell_of(u);
+    const auto cols = static_cast<std::uint32_t>(g.cols());
+    struct Nb {
+      bool ok;
+      std::uint32_t node;
+      std::size_t edge;
+    };
+    const Nb nbs[4] = {
+        {c.col + 1 < g.cols(), u + 1, c.col + 1 < g.cols() ? g.edge_id(c, mr::Dir::East) : 0},
+        {c.col > 0, u - 1, c.col > 0 ? g.edge_id({c.col - 1, c.row}, mr::Dir::East) : 0},
+        {c.row + 1 < g.rows(), u + cols, c.row + 1 < g.rows() ? g.edge_id(c, mr::Dir::North) : 0},
+        {c.row > 0, u - cols, c.row > 0 ? g.edge_id({c.col, c.row - 1}, mr::Dir::North) : 0},
+    };
+    for (const auto& nb : nbs) {
+      if (!nb.ok || !win.contains(g.cell_of(nb.node))) continue;
+      const double nd = dist[u] + edge_cost(g, nb.edge, pw, hw);
+      if (nd < dist[nb.node] - 1e-12) {
+        dist[nb.node] = nd;
+        prev_edge[nb.node] = static_cast<std::uint32_t>(nb.edge);
+        prev_node[nb.node] = u;
+        const double nh = heuristic(nb.node);
+        open.emplace_back(nd + nh, nh, nb.node);
+        std::push_heap(open.begin(), open.end(), std::greater<QItem>{});
+      }
+    }
+  }
+  if (dist[t] == kInf) return path;
+  for (std::uint32_t v = t; v != s; v = prev_node[v]) path.push_back(prev_edge[v]);
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 double path_cost(const mr::GridGraph& g, const std::vector<std::size_t>& path, double pw,
@@ -279,6 +347,87 @@ TEST(MazeArena, MatchesBruteForceDijkstraOnRandomGrids) {
   }
 }
 
+/// Pairs (from, to) that exercise the arena's window arithmetic: random
+/// spans of every width, segments hugging each border and corner (windows
+/// clamped on one or two sides), whole-grid diagonals and straight runs.
+std::vector<std::pair<mr::GCell, mr::GCell>> oracle_pairs(std::size_t cols, std::size_t rows,
+                                                          Rng& rng) {
+  const auto c_max = static_cast<std::uint32_t>(cols - 1);
+  const auto r_max = static_cast<std::uint32_t>(rows - 1);
+  std::vector<std::pair<mr::GCell, mr::GCell>> out = {
+      {{0, 0}, {c_max, r_max}}, {{c_max, 0}, {0, r_max}}, {{0, 0}, {c_max, 0}},
+      {{0, r_max}, {0, 0}},     {{c_max, r_max}, {c_max, r_max / 2}},
+      {{c_max / 2, 0}, {c_max / 2, r_max}},
+  };
+  auto pick = [&](std::uint64_t n) { return static_cast<std::uint32_t>(rng.below(n)); };
+  for (int k = 0; k < 24; ++k) {
+    // Border-hugging: one endpoint on an edge of the grid, the other near it.
+    const std::uint32_t side = pick(4);
+    mr::GCell a{pick(cols), pick(rows)};
+    if (side == 0) a.col = 0;
+    if (side == 1) a.col = c_max;
+    if (side == 2) a.row = 0;
+    if (side == 3) a.row = r_max;
+    const std::uint32_t down = pick(9);
+    const mr::GCell b{std::min<std::uint32_t>(c_max, a.col + pick(9)),
+                      a.row > down ? a.row - down : 0};
+    out.emplace_back(a, b);
+    // Random span widths, so window widths fall on and off powers of two.
+    const std::uint32_t w = pick(std::min<std::size_t>(cols, 40));
+    const mr::GCell c{pick(cols - w), pick(rows)};
+    out.emplace_back(c, mr::GCell{c.col + w, pick(rows)});
+  }
+  return out;
+}
+
+void expect_same_path_as_oracle(const mr::GridGraph& g, mr::MazeArena& arena, const mr::GCell& a,
+                                const mr::GCell& b, double pw, double hw) {
+  const auto got = mr::arena_maze_route(g, arena, a, b, pw, hw);
+  const auto want = tuple_heap_route(g, a, b, pw, hw);
+  ASSERT_EQ(got, want) << g.cols() << "x" << g.rows() << " (" << a.col << "," << a.row << ")->("
+                       << b.col << "," << b.row << ") weights " << pw << "/" << hw;
+  if (!(a == b)) expect_connected(g, got, a, b);
+}
+
+TEST(MazeArena, SameEdgeListsAsTupleHeapOracle) {
+  // Exact paths, not only equal cost: uniform-cost grids (ties everywhere),
+  // random usage and history, windows clamped at every border and of every
+  // width, the router's weights through the maintained cost table and the
+  // detailed router's 1.2/0.6 through direct evaluation — all on one warm
+  // arena that keeps switching between grid sizes.
+  Rng rng{707};
+  const std::pair<std::size_t, std::size_t> shapes[] = {{32, 32}, {9, 7}, {41, 23}, {1, 12},
+                                                        {13, 1},  {64, 64}, {100, 37}};
+  mr::MazeArena arena;
+  std::size_t checked = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& [cols, rows] : shapes) {
+      const maestro::geom::GridIndexer idx{{{0, 0}, {100000, 100000}}, cols, rows};
+      mr::GridGraph uniform{cols, rows, 4.0, 3.0, idx};
+      mr::GridGraph congested = random_grid(cols, rows, rng);
+      for (mr::GridGraph* g : {&uniform, &congested}) {
+        const auto pairs = oracle_pairs(cols, rows, rng);
+        for (const bool table : {false, true}) {
+          if (table) {
+            g->track_costs(1.0, 0.4);
+            ASSERT_NE(g->cost_table(1.0, 0.4), nullptr);
+            ASSERT_EQ(g->cost_table(1.2, 0.6), nullptr);
+          } else {
+            g->untrack_costs();
+            ASSERT_EQ(g->cost_table(1.0, 0.4), nullptr);
+          }
+          for (const auto& [a, b] : pairs) {
+            expect_same_path_as_oracle(*g, arena, a, b, 1.0, 0.4);
+            expect_same_path_as_oracle(*g, arena, a, b, 1.2, 0.6);
+            checked += 2;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
 TEST(MazeArena, ReuseAcrossGridSizesIsClean) {
   // Scratch reuse must never leak state: a warm arena (used on a different
   // grid, including a larger one) must produce exactly the path a cold
@@ -302,9 +451,22 @@ TEST(MazeArena, ReuseAcrossGridSizesIsClean) {
 }
 
 TEST(OverflowLedger, MatchesBruteForceUnderRandomChurn) {
+  // Also covers the maintained cost table: under random add_usage,
+  // bump_history and reset_usage, every entry must equal the cost formula
+  // bit for bit after every single step.
   const maestro::geom::GridIndexer idx{{{0, 0}, {100000, 100000}}, 16, 14};
   mr::GridGraph g{16, 14, 3.0, 2.0, idx};
+  g.track_costs(1.0, 0.4);
   Rng rng{303};
+  auto check_costs = [&] {
+    const double* table = g.cost_table(1.0, 0.4);
+    ASSERT_NE(table, nullptr);
+    for (std::size_t e = 0; e < g.edge_count(); ++e) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(table[e]),
+                std::bit_cast<std::uint64_t>(edge_cost(g, e, 1.0, 0.4)))
+          << "stale cost at edge " << e;
+    }
+  };
   auto check = [&] {
     double total = 0.0;
     std::size_t count = 0;
@@ -324,14 +486,22 @@ TEST(OverflowLedger, MatchesBruteForceUnderRandomChurn) {
   };
   for (int step = 0; step < 2000; ++step) {
     const std::size_t e = rng.below(g.edge_count());
-    // Mix of additions and removals, crossing the capacity threshold often.
+    // Mix of additions and removals, crossing the capacity threshold often,
+    // with history bumps and the odd full reset in between.
     const double amount = g.usage(e) > 0.0 && rng.uniform() < 0.45 ? -1.0 : 1.0;
     g.add_usage(e, amount);
+    if (rng.uniform() < 0.2) g.bump_history(rng.below(g.edge_count()), 0.5 + rng.below(3));
+    if (rng.uniform() < 0.05) g.add_usage(e, static_cast<double>(rng.below(5)));
+    if (step % 700 == 699) g.reset_usage();
+    check_costs();
     if (step % 50 == 0) check();
   }
   check();
   g.reset_usage();
   check();
+  check_costs();
+  g.untrack_costs();
+  EXPECT_EQ(g.cost_table(1.0, 0.4), nullptr);
 }
 
 TEST(RipupColoring, FirstFitMatchesRescanningOracle) {
@@ -418,8 +588,10 @@ TEST(GlobalRouter, UsageEqualsRecountOverCommittedPaths) {
 }
 
 TEST(GlobalRouter, PhaseSpansArePerRound) {
-  // Negotiation rounds carry one victims/color/reroute span each, never one
-  // per segment, and the color span reports the round's victims and batches.
+  // The net plan and Phase A (with its search/commit split) carry one span
+  // each per route, negotiation rounds one victims/color/reroute span each,
+  // never one per segment, and the color span reports the round's victims
+  // and batches.
   std::unique_ptr<mn::Netlist> nl;
   std::unique_ptr<mp::Floorplan> fp;
   const auto pl = placed_design(31, 800, 0.8, nl, fp);
@@ -439,6 +611,12 @@ TEST(GlobalRouter, PhaseSpansArePerRound) {
   double victims = 0.0;
   for (const auto& ev : tracer.snapshot()) {
     ++count[ev.name];
+    if (ev.name == "groute_phase_a") {
+      std::map<std::string, double> args(ev.num_args.begin(), ev.num_args.end());
+      ASSERT_EQ(args.count("segments"), 1u);
+      EXPECT_GT(args["segments"], 0.0);
+      EXPECT_EQ(args["searched"], args["segments"]);  // from scratch: all searched
+    }
     if (ev.name != "groute_color") continue;
     std::map<std::string, double> args(ev.num_args.begin(), ev.num_args.end());
     ASSERT_EQ(args.count("victims"), 1u);
@@ -447,10 +625,15 @@ TEST(GlobalRouter, PhaseSpansArePerRound) {
     EXPECT_LE(args["batches"], args["victims"]);
     victims += args["victims"];
   }
-  // Phase A is one groute_round; every Phase B round scans for victims, and
-  // all but a last one that finds none go on to color and reroute.
+  // One plan, one Phase A with one search and one commit; every Phase B
+  // round scans for victims, and all but a last one that finds none go on
+  // to color and reroute.
+  EXPECT_EQ(count["groute_plan"], 1);
+  EXPECT_EQ(count["groute_phase_a"], 1);
+  EXPECT_EQ(count["groute_search"], 1);
+  EXPECT_EQ(count["groute_commit"], 1);
   const int negotiated = res.rounds_used - 1;
-  EXPECT_EQ(count["groute_round"], 1 + count["groute_victims"]);
+  EXPECT_EQ(count["groute_round"], count["groute_victims"]);
   EXPECT_GE(count["groute_victims"], negotiated);
   EXPECT_LE(count["groute_victims"], negotiated + 1);
   EXPECT_EQ(count["groute_color"], negotiated);
@@ -552,7 +735,8 @@ TEST(GlobalRouter, IncrementalMatchesFromScratchAfterPerturbation) {
   expect_grids_identical(g_full, g_incr);
   EXPECT_EQ(full.state.net_pin_begin, incr.state.net_pin_begin);
   EXPECT_EQ(full.state.net_seg_begin, incr.state.net_seg_begin);
-  EXPECT_EQ(full.state.initial_paths, incr.state.initial_paths);
+  EXPECT_EQ(full.state.initial_begin, incr.state.initial_begin);
+  EXPECT_EQ(full.state.initial_edges, incr.state.initial_edges);
   EXPECT_EQ(full.state.grid_revision, incr.state.grid_revision);
 
   // Narrowed staleness scan: naming the dirty nets gives the same answer.
