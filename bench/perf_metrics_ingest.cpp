@@ -14,8 +14,9 @@
 //      consumer (the Fig. 11 "DataMiner" refreshing as the store fills, at
 //      a fixed record-driven cadence so the comparison is scheduler-
 //      independent). Seed refresh = full all() snapshot under the global
-//      lock; sharded refresh = a poll_since cursor delta. Floors, enforced
-//      by exit code:
+//      lock; sharded refresh = a poll_since cursor delta. The sharded
+//      campaign runs three times and its median rate counts. Floors,
+//      enforced by exit code:
 //        sharded >= 4x seed throughput, sharded >= 1M records/sec, and the
 //        streamed record set must be identical to all().
 //   3. wire          — records/sec through the Collector socket protocol
@@ -272,7 +273,21 @@ int main(int argc, char** argv) {
   constexpr std::size_t kProducers = 8;
   constexpr std::uint64_t kPerProducer = 50000;
   const MonitoredResult seed_mon = run_monitored_seed(kProducers, kPerProducer);
-  const MonitoredResult sharded_mon = run_monitored_sharded(kProducers, kPerProducer);
+  // The sharded campaign lasts well under a second, and its first run comes
+  // right after the seed campaign's mostly one-core phase, while idle host
+  // cores may still be coming back up to speed. It runs three times; the
+  // median rate is reported and every run's stream must reconstruct all().
+  constexpr int kShardedRuns = 3;
+  std::vector<MonitoredResult> sharded_runs;
+  for (int i = 0; i < kShardedRuns; ++i) {
+    sharded_runs.push_back(run_monitored_sharded(kProducers, kPerProducer));
+  }
+  std::sort(sharded_runs.begin(), sharded_runs.end(),
+            [](const MonitoredResult& a, const MonitoredResult& b) { return a.rate < b.rate; });
+  MonitoredResult sharded_mon = sharded_runs[kShardedRuns / 2];
+  sharded_mon.stream_equals_all =
+      std::all_of(sharded_runs.begin(), sharded_runs.end(),
+                  [](const MonitoredResult& r) { return r.stream_equals_all; });
   const double speedup = seed_mon.rate > 0.0 ? sharded_mon.rate / seed_mon.rate : 0.0;
   report["monitored_seed_8p"] = util::Json{seed_mon.rate};
   report["monitored_sharded_8p"] = util::Json{sharded_mon.rate};

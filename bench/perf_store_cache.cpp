@@ -17,6 +17,9 @@
 //   * 4 campaign worker processes sharing one CacheServer skip >= 30% of
 //     executions through cross-process reuse.
 //
+// Also reported, not gated: resident bytes per stored run on a local rung
+// (rss_bytes_per_stored_run[_knobs]: 100k RunCache inserts, fsync off).
+//
 // Results are written as machine-readable JSON (default BENCH_store.json) so
 // the perf trajectory is trackable across PRs:
 //   perf_store_cache [output.json] [scratch-dir]     # everything
@@ -24,6 +27,7 @@
 
 #include <spawn.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -113,10 +117,58 @@ pid_t spawn_self(const std::vector<std::string>& args) {
   return rc == 0 ? pid : -1;
 }
 
+/// Resident set size of this process, in bytes.
+std::size_t rss_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t total_pages = 0, resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/// RSS growth per stored run on a local rung: a RunCache over a fresh
+/// 8-shard store with fsync off, as a campaign process holds it, after 100k
+/// inserts. With `knobs`, keys carry make_run's two knobs; without, they are
+/// design + seed like the fleet benchmark's new runs. Runs in a child
+/// process of its own (--rss-rung), so no other phase's heap is reused.
+int run_rss_rung(const char* dir, bool knobs, const char* out_path) {
+  constexpr std::uint64_t kRuns = 100000;
+  store::RunStoreOptions opt;
+  opt.shards = 8;
+  opt.fsync = store::FsyncMode::Off;
+  store::RunStore st(dir, opt);
+  store::RunCache cache(st);
+  const std::size_t before = rss_bytes();
+  for (std::uint64_t n = 0; n < kRuns; ++n) {
+    store::StoredRun run = make_run(n);
+    if (!knobs) {
+      run.key.knobs.clear();
+      run.fingerprint = run.key.fingerprint();
+    }
+    cache.insert(run.fingerprint, run.key, run.result);
+  }
+  const std::size_t after = rss_bytes();
+  std::ofstream out(out_path, std::ios::trunc);
+  out << static_cast<double>(after > before ? after - before : 0) / static_cast<double>(kRuns)
+      << '\n';
+  return out ? 0 : 1;
+}
+
 int wait_exit(pid_t pid) {
   int status = -1;
   if (::waitpid(pid, &status, 0) != pid) return -1;
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// Reported, not gated: see run_rss_rung. -1 if the child failed.
+double rss_bytes_per_stored_run(const fs::path& scratch, bool knobs) {
+  const std::string tag = knobs ? "rss_rung_knobs" : "rss_rung";
+  const std::string out = (scratch / (tag + ".txt")).string();
+  const pid_t pid = spawn_self({"perf_store_cache", "--rss-rung", (scratch / tag).string(),
+                                knobs ? "1" : "0", out});
+  if (pid <= 0 || wait_exit(pid) != 0) return -1.0;
+  double bytes = -1.0;
+  std::ifstream(out) >> bytes;
+  return bytes;
 }
 
 /// The one campaign every fleet worker runs: identical options + rng seed,
@@ -348,6 +400,9 @@ int main(int argc, char** argv) {
     return run_fleet_append(argv[2], std::strtoull(argv[3], nullptr, 10),
                             std::strtoull(argv[4], nullptr, 10));
   }
+  if (argc == 5 && std::strcmp(argv[1], "--rss-rung") == 0) {
+    return run_rss_rung(argv[2], std::strcmp(argv[3], "1") == 0, argv[4]);
+  }
   const bool fleet_only = argc > 1 && std::strcmp(argv[1], "--fleet") == 0;
   if (fleet_only) {
     --argc;
@@ -374,6 +429,10 @@ int main(int argc, char** argv) {
                 out_path.c_str());
     return pass ? 0 : 1;
   }
+
+  const double rss_per_run = rss_bytes_per_stored_run(scratch, false);
+  report["rss_bytes_per_stored_run"] = util::Json{rss_per_run};
+  report["rss_bytes_per_stored_run_knobs"] = util::Json{rss_bytes_per_stored_run(scratch, true)};
 
   // ------------------------------------------------------------ primitives
   constexpr int kFingerprints = 200000;
@@ -491,9 +550,11 @@ int main(int argc, char** argv) {
   }
 
   std::printf("perf_store_cache: pass1 executed %llu, pass2 executed %llu (%.0f%% fewer), "
-              "recover(2k) %.2f ms, sharded append %.1fx, fleet reuse %.0f%% -> %s [%s]\n",
+              "recover(2k) %.2f ms, sharded append %.1fx, fleet reuse %.0f%%, "
+              "%.0f B RSS per stored run -> %s [%s]\n",
               static_cast<unsigned long long>(first_executed),
               static_cast<unsigned long long>(second_executed), reduction * 100.0, recover_ms,
-              sharded_speedup, fleet_reuse * 100.0, pass ? "OK" : "FAIL", out_path.c_str());
+              sharded_speedup, fleet_reuse * 100.0, rss_per_run, pass ? "OK" : "FAIL",
+              out_path.c_str());
   return pass ? 0 : 1;
 }

@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -45,7 +46,23 @@ bool write_frame(int fd, std::string_view payload) {
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
   char hdr[4] = {static_cast<char>(len & 0xff), static_cast<char>((len >> 8) & 0xff),
                  static_cast<char>((len >> 16) & 0xff), static_cast<char>((len >> 24) & 0xff)};
-  return write_all(fd, hdr, 4) && write_all(fd, payload.data(), payload.size());
+  // Header and payload leave in one sendmsg: one syscall and one reader
+  // wakeup per frame. A short send finishes through write_all.
+  iovec iov[2] = {{hdr, sizeof hdr}, {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  ssize_t sent;
+  do {
+    sent = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+  } while (sent < 0 && errno == EINTR);
+  if (sent < 0) return false;
+  const auto done = static_cast<std::size_t>(sent);
+  if (done < sizeof hdr) {
+    return write_all(fd, hdr + done, sizeof hdr - done) &&
+           write_all(fd, payload.data(), payload.size());
+  }
+  return write_all(fd, payload.data() + (done - sizeof hdr), payload.size() - (done - sizeof hdr));
 }
 
 int read_frame(int fd, std::size_t max_bytes, std::string* payload) {

@@ -21,6 +21,31 @@ double steady_ms() {
       .count();
 }
 
+struct ServerCounters {
+  obs::Counter& conns;
+  obs::Counter& requests;
+  obs::Counter& faults;
+  obs::Counter& hits;
+  obs::Counter& misses;
+  obs::Counter& expired;
+  obs::Counter& evictions;
+  obs::Counter& inserts;
+};
+
+ServerCounters& server_counters() {
+  static ServerCounters c{
+      obs::Registry::global().counter("store.server_conns"),
+      obs::Registry::global().counter("store.server_requests"),
+      obs::Registry::global().counter("store.server_faults"),
+      obs::Registry::global().counter("store.server_hits"),
+      obs::Registry::global().counter("store.server_misses"),
+      obs::Registry::global().counter("store.server_expired"),
+      obs::Registry::global().counter("store.server_evictions"),
+      obs::Registry::global().counter("store.server_inserts"),
+  };
+  return c;
+}
+
 }  // namespace
 
 CacheServer::CacheServer(RunCache& cache, CacheServerOptions opt)
@@ -76,7 +101,7 @@ void CacheServer::accept_loop() {
     if (n <= 0) continue;  // timeout or EINTR: re-check running()
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    obs::Registry::global().counter("store.server_conns").add();
+    server_counters().conns.add();
     const std::lock_guard<std::mutex> lock(conn_mu_);
     const std::size_t slot = conn_fds_.size();
     conn_fds_.push_back(fd);
@@ -95,18 +120,18 @@ void CacheServer::serve_connection(int fd) {
     const int st = metrics::frame::read_frame(fd, opt_.max_frame_bytes, &payload);
     if (st <= 0) return;
     requests_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::global().counter("store.server_requests").add();
+    server_counters().requests.add();
 
     // Chaos seam: every request rolls the "store.server" site.
     const auto fault = resil::FaultInjector::decide(
         "store.server", fault_seq_.fetch_add(1, std::memory_order_relaxed));
     if (fault == resil::FaultKind::Crash) {
       // A crashed server mid-request: the connection just dies.
-      obs::Registry::global().counter("store.server_faults").add();
+      server_counters().faults.add();
       return;
     }
     if (fault == resil::FaultKind::Hang) {
-      obs::Registry::global().counter("store.server_faults").add();
+      server_counters().faults.add();
       const auto plan = resil::FaultInjector::plan();
       resil::injected_hang([this] { return !running(); }, plan ? plan->hang_ms() : 25.0);
     }
@@ -123,7 +148,7 @@ void CacheServer::serve_connection(int fd) {
     }
     if (fault == resil::FaultKind::CorruptResult) {
       // Injected corruption: a framed reply whose payload is not JSON.
-      obs::Registry::global().counter("store.server_faults").add();
+      server_counters().faults.add();
       reply = "\x01garbage\x02";
     }
     if (!metrics::frame::write_frame(fd, reply)) return;
@@ -131,8 +156,7 @@ void CacheServer::serve_connection(int fd) {
   }
 }
 
-std::optional<flow::FlowResult> CacheServer::cache_lookup(std::uint64_t fp,
-                                                          const std::string& tenant) {
+bool CacheServer::cache_lookup(std::uint64_t fp, const std::string& tenant, std::string& out) {
   const double now = steady_ms();
   {
     const std::lock_guard<std::mutex> lock(lru_mu_);
@@ -143,46 +167,50 @@ std::optional<flow::FlowResult> CacheServer::cache_lookup(std::uint64_t fp,
         lru_.splice(lru_.begin(), lru_, it->second);  // touch
         ++tenant_hits_[tenant];
         hits_.fetch_add(1, std::memory_order_relaxed);
-        obs::Registry::global().counter("store.server_hits").add();
-        return it->second->result;
+        server_counters().hits.add();
+        out += it->second->result_json;
+        return true;
       }
       lru_.erase(it->second);
       index_.erase(it);
-      obs::Registry::global().counter("store.server_expired").add();
+      server_counters().expired.add();
     }
   }
   // LRU miss (or expiry): the backing RunCache indexes the durable store
   // and is authoritative; promote its answer so hot entries stay resident.
-  if (auto result = cache_->lookup(fp)) {
-    cache_put(fp, *result);
+  if (const auto result = cache_->lookup(fp)) {
+    std::string json = flow_result_to_json(*result).dump();
+    out += json;
+    cache_put(fp, std::move(json));
     const std::lock_guard<std::mutex> lock(lru_mu_);
     ++tenant_hits_[tenant];
     hits_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::global().counter("store.server_hits").add();
-    return result;
+    server_counters().hits.add();
+    return true;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  obs::Registry::global().counter("store.server_misses").add();
-  return std::nullopt;
+  server_counters().misses.add();
+  return false;
 }
 
-void CacheServer::cache_put(std::uint64_t fp, const flow::FlowResult& result) {
+void CacheServer::cache_put(std::uint64_t fp, std::string result_json) {
+  const double now = steady_ms();
   const std::lock_guard<std::mutex> lock(lru_mu_);
   const auto it = index_.find(fp);
   if (it != index_.end()) {
-    it->second->result = result;
-    it->second->inserted_ms = steady_ms();
+    it->second->result_json = std::move(result_json);
+    it->second->inserted_ms = now;
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{fp, result, steady_ms()});
+  lru_.push_front(Entry{fp, std::move(result_json), now});
   index_[fp] = lru_.begin();
   if (opt_.max_entries > 0) {
     while (lru_.size() > opt_.max_entries) {
       index_.erase(lru_.back().fingerprint);
       lru_.pop_back();
       evictions_.fetch_add(1, std::memory_order_relaxed);
-      obs::Registry::global().counter("store.server_evictions").add();
+      server_counters().evictions.add();
     }
   }
 }
@@ -193,25 +221,29 @@ std::string CacheServer::handle_request(const util::Json& req, bool* close_conn)
   if (type == "lookup") {
     const std::uint64_t fp =
         std::strtoull(req.at("fp").as_string().c_str(), nullptr, 10);
-    const std::string tenant =
-        req.at("tenant").is_string() ? req.at("tenant").as_string() : "default";
-    if (auto result = cache_lookup(fp, tenant)) {
-      reply["type"] = util::Json{"hit"};
-      reply["result"] = flow_result_to_json(*result);
-    } else {
-      reply["type"] = util::Json{"miss"};
+    static const std::string kDefaultTenant = "default";
+    const std::string& tenant =
+        req.at("tenant").is_string() ? req.at("tenant").as_string() : kDefaultTenant;
+    // A hit splices the stored bytes into the reply; the keys of
+    // {"result":R,"type":"hit"} sort in this order, so the bytes are the
+    // ones dumping that object would give.
+    std::string hit = "{\"result\":";
+    if (cache_lookup(fp, tenant, hit)) {
+      hit += ",\"type\":\"hit\"}";
+      return hit;
     }
+    reply["type"] = util::Json{"miss"};
   } else if (type == "insert") {
     const std::uint64_t fp =
         std::strtoull(req.at("fp").as_string().c_str(), nullptr, 10);
-    const flow::FlowResult result = flow_result_from_json(req.at("result"));
     // Residency only: the inserting client's local store is the durability
     // rung (in a shared directory its append already reached the WAL; a
     // write-through here would duplicate it). The LRU makes the result
-    // visible to every other tenant immediately.
-    cache_put(fp, result);
+    // visible to every other tenant immediately. The round trip through
+    // FlowResult keeps the stored bytes canonical whatever the client sent.
+    cache_put(fp, flow_result_to_json(flow_result_from_json(req.at("result"))).dump());
     inserts_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::global().counter("store.server_inserts").add();
+    server_counters().inserts.add();
     reply["type"] = util::Json{"ok"};
   } else if (type == "stats") {
     reply["type"] = util::Json{"stats"};

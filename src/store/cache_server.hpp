@@ -19,6 +19,12 @@
 //   {"type":"stats"}                           -> {"type":"stats",...}
 //   {"type":"bye"}                             -> {"type":"ack"} + close
 //
+// Serialize once: an LRU entry holds its result already serialized
+// (flow_result_to_json(r).dump(), built when the entry is inserted or
+// promoted from the backing cache), so a hit reply is those bytes spliced
+// between {"result": and ,"type":"hit"} — the same bytes as dumping the reply
+// object — with no FlowResult copied or re-serialized under the LRU lock.
+//
 // Eviction: least-recently-used beyond max_entries, plus an optional TTL —
 // an expired entry is re-fetched from the backing RunCache (which indexes
 // the durable store and is authoritative), so eviction only bounds memory,
@@ -38,6 +44,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "store/run_cache.hpp"
@@ -79,7 +86,7 @@ class CacheServer {
  private:
   struct Entry {
     std::uint64_t fingerprint = 0;
-    flow::FlowResult result;
+    std::string result_json;   ///< flow_result_to_json(result).dump()
     double inserted_ms = 0.0;  ///< steady-clock stamp for TTL
   };
 
@@ -87,8 +94,9 @@ class CacheServer {
   void serve_connection(int fd);
   /// Reply payload for one request; sets *close_conn for "bye".
   std::string handle_request(const util::Json& req, bool* close_conn);
-  std::optional<flow::FlowResult> cache_lookup(std::uint64_t fp, const std::string& tenant);
-  void cache_put(std::uint64_t fp, const flow::FlowResult& result);
+  /// On a hit, appends the serialized result to `out` and returns true.
+  bool cache_lookup(std::uint64_t fp, const std::string& tenant, std::string& out);
+  void cache_put(std::uint64_t fp, std::string result_json);
 
   RunCache* cache_;
   CacheServerOptions opt_;
@@ -101,7 +109,7 @@ class CacheServer {
 
   mutable std::mutex lru_mu_;
   std::list<Entry> lru_;  ///< front = most recent
-  std::map<std::uint64_t, std::list<Entry>::iterator> index_;
+  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
   std::map<std::string, std::uint64_t> tenant_hits_;
 
   std::atomic<std::uint64_t> requests_{0};

@@ -28,6 +28,31 @@ std::string insert_request(std::uint64_t fp, const RunKey& key,
   return util::Json{std::move(req)}.dump();
 }
 
+struct RemoteCounters {
+  obs::Counter& errors;
+  obs::Counter& reconnects;
+  obs::Counter& hits;
+  obs::Counter& misses;
+  obs::Counter& cache_hit;
+  obs::Counter& cache_miss;
+  obs::Counter& cache_insert;
+  obs::Gauge& degraded;
+};
+
+RemoteCounters& remote_counters() {
+  static RemoteCounters c{
+      obs::Registry::global().counter("store.remote_errors"),
+      obs::Registry::global().counter("store.remote_reconnects"),
+      obs::Registry::global().counter("store.remote_hits"),
+      obs::Registry::global().counter("store.remote_misses"),
+      obs::Registry::global().counter("store.cache_hit"),
+      obs::Registry::global().counter("store.cache_miss"),
+      obs::Registry::global().counter("store.cache_insert"),
+      obs::Registry::global().gauge("store.remote_degraded"),
+  };
+  return c;
+}
+
 }  // namespace
 
 RemoteRunCache::RemoteRunCache(RemoteCacheOptions opt, FlowCache* fallback)
@@ -69,7 +94,7 @@ void RemoteRunCache::reset_backoff() {
   failed_attempts_ = 0;
   next_retry_ = Clock::time_point{};
   gave_up_ = false;
-  obs::Registry::global().gauge("store.remote_degraded").set(0.0);
+  remote_counters().degraded.set(0.0);
 }
 
 void RemoteRunCache::drop_connection_locked(const char* why) {
@@ -78,7 +103,7 @@ void RemoteRunCache::drop_connection_locked(const char* why) {
     fd_ = -1;
   }
   ++remote_errors_;
-  obs::Registry::global().counter("store.remote_errors").add();
+  remote_counters().errors.add();
   ++failed_attempts_;
   if (failed_attempts_ >= opt_.reconnect.max_attempts) {
     if (!gave_up_) {
@@ -93,7 +118,7 @@ void RemoteRunCache::drop_connection_locked(const char* why) {
     next_retry_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                      std::chrono::duration<double, std::milli>(backoff));
   }
-  obs::Registry::global().gauge("store.remote_degraded").set(1.0);
+  remote_counters().degraded.set(1.0);
 }
 
 bool RemoteRunCache::ensure_connected_locked() {
@@ -110,8 +135,8 @@ bool RemoteRunCache::ensure_connected_locked() {
   fd_ = fd;
   failed_attempts_ = 0;
   next_retry_ = Clock::time_point{};
-  obs::Registry::global().counter("store.remote_reconnects").add();
-  obs::Registry::global().gauge("store.remote_degraded").set(0.0);
+  remote_counters().reconnects.add();
+  remote_counters().degraded.set(0.0);
   return true;
 }
 
@@ -142,13 +167,13 @@ std::optional<flow::FlowResult> RemoteRunCache::lookup(std::uint64_t fingerprint
         const std::string& type = reply->at("type").as_string();
         if (type == "hit") {
           ++remote_hits_;
-          obs::Registry::global().counter("store.remote_hits").add();
+          remote_counters().hits.add();
           flow::FlowResult result = flow_result_from_json(reply->at("result"));
           if (!fallback_) memory_[fingerprint] = result;
           return result;
         }
         if (type == "miss") {
-          obs::Registry::global().counter("store.remote_misses").add();
+          remote_counters().misses.add();
           // fall through to the local rung
         } else {
           drop_connection_locked("unexpected reply");
@@ -160,10 +185,10 @@ std::optional<flow::FlowResult> RemoteRunCache::lookup(std::uint64_t fingerprint
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = memory_.find(fingerprint);
   if (it != memory_.end()) {
-    obs::Registry::global().counter("store.cache_hit").add();
+    remote_counters().cache_hit.add();
     return it->second;
   }
-  obs::Registry::global().counter("store.cache_miss").add();
+  remote_counters().cache_miss.add();
   return std::nullopt;
 }
 
@@ -176,7 +201,7 @@ void RemoteRunCache::insert(std::uint64_t fingerprint, const RunKey& key,
     const std::lock_guard<std::mutex> lock(mu_);
     memory_[fingerprint] = result;
     memory_[fingerprint].logs.clear();
-    obs::Registry::global().counter("store.cache_insert").add();
+    remote_counters().cache_insert.add();
   }
   const std::lock_guard<std::mutex> lock(mu_);
   if (!ensure_connected_locked()) return;

@@ -4,48 +4,23 @@
 
 namespace maestro::store {
 
-RunCache::RunCache(RunStore& store) : store_(&store) {
-  for (auto& run : store.runs()) index_.emplace(run.fingerprint, std::move(run.result));
-}
-
 std::optional<flow::FlowResult> RunCache::lookup(std::uint64_t fingerprint) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(fingerprint);
-    if (it != index_.end()) {
-      obs::Registry::global().counter("store.cache_hit").add();
-      return it->second;
-    }
-  }
-  obs::Registry::global().counter("store.cache_miss").add();
-  return std::nullopt;
+  static obs::Counter& hit_counter = obs::Registry::global().counter("store.cache_hit");
+  static obs::Counter& miss_counter = obs::Registry::global().counter("store.cache_miss");
+  auto result = store_->find_run(fingerprint);
+  (result ? hit_counter : miss_counter).add();
+  return result;
 }
 
 void RunCache::insert(std::uint64_t fingerprint, const RunKey& key,
                       const flow::FlowResult& result) {
+  static obs::Counter& insert_counter = obs::Registry::global().counter("store.cache_insert");
   StoredRun run;
   run.fingerprint = fingerprint;
   run.key = key;
   run.result = result;
-  run.result.logs.clear();
-  store_->append_run(run);
-  const std::lock_guard<std::mutex> lock(mu_);
-  index_[fingerprint] = std::move(run.result);
-  obs::Registry::global().counter("store.cache_insert").add();
-}
-
-std::size_t RunCache::reindex() {
-  std::size_t added = 0;
-  for (auto& run : store_->runs()) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (index_.emplace(run.fingerprint, std::move(run.result)).second) ++added;
-  }
-  return added;
-}
-
-std::size_t RunCache::size() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return index_.size();
+  store_->append_run(std::move(run));
+  insert_counter.add();
 }
 
 }  // namespace maestro::store

@@ -4,11 +4,12 @@
 // Design-flow tuners (FlowTune, FIST, the paper's Fig. 5-7 searches) revisit
 // overlapping knob configurations constantly; because the maestro substrate
 // is deterministic in (design, knobs, seed), a run's fingerprint fully
-// determines its result. The cache is the in-memory index of every StoredRun
-// in the backing store: lookups are O(1), inserts append to the store's WAL,
-// and a second campaign against the same MAESTRO_STORE answers duplicate
-// runs without dispatching them (exec::RunExecutor::submit_memo consults the
-// cache before queueing).
+// determines its result. The cache reads through the backing store's own
+// fingerprint index (RunStore::find_run), so a stored run is held in memory
+// once: lookups are O(1), inserts append to the store's WAL, and a second
+// campaign against the same MAESTRO_STORE answers duplicate runs without
+// dispatching them (exec::RunExecutor::submit_memo consults the cache before
+// queueing).
 //
 // FlowCache is the seam the schedulers program against: RunCache is the
 // local, store-backed implementation; store::RemoteRunCache adds a shared
@@ -19,9 +20,7 @@
 // counters in obs::Registry::global().
 
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 
 #include "store/run_store.hpp"
 
@@ -40,32 +39,28 @@ class FlowCache {
 
 class RunCache : public FlowCache {
  public:
-  /// Indexes every run already in the store. Later inserts keep store and
-  /// index in sync; runs appended to the store behind the cache's back are
-  /// picked up by reindex() (e.g. after RunStore::refresh()).
-  explicit RunCache(RunStore& store);
+  /// Serves every run in the store: those replayed at open, those this
+  /// cache inserts, and those other processes append (ingested on the
+  /// store's next append catch-up or RunStore::refresh()). For a fingerprint
+  /// stored more than once, a local insert wins over replayed entries, and
+  /// among replayed entries the first one wins.
+  explicit RunCache(RunStore& store) : store_(&store) {}
 
   RunCache(const RunCache&) = delete;
   RunCache& operator=(const RunCache&) = delete;
 
   /// The memoized result, or nullopt. Counts store.cache_hit / _miss.
   std::optional<flow::FlowResult> lookup(std::uint64_t fingerprint) override;
-  /// Memoize a result: appends to the backing store and indexes it.
+  /// Memoize a result: appends it to the backing store, which indexes it.
   void insert(std::uint64_t fingerprint, const RunKey& key,
               const flow::FlowResult& result) override;
 
-  /// Re-index runs that reached the backing store behind the cache's back
-  /// (another process's appends surfaced by RunStore::refresh()). Returns
-  /// the number of newly indexed fingerprints.
-  std::size_t reindex();
-
-  std::size_t size() const;
+  /// Distinct fingerprints served.
+  std::size_t size() const { return store_->distinct_run_count(); }
   RunStore& backing_store() { return *store_; }
 
  private:
   RunStore* store_;
-  mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, flow::FlowResult> index_;
 };
 
 /// A cheap copyable handle binding one run's key to a cache — the shape

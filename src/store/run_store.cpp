@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <string_view>
@@ -107,12 +108,80 @@ bool rng_state_from_json(util::Rng& rng, const util::Json& j) {
 
 namespace {
 
-util::Json run_to_entry(const StoredRun& run) {
+/// One run in a shard's in-memory mirror — the only copy of it the process
+/// holds — packed for size: the key's strings live in one length-prefixed
+/// buffer (pack_key), which for a short key fits std::string's inline
+/// storage, instead of a RunKey's two strings and knob map.
+struct MirroredRun {
+  std::uint64_t fingerprint = 0;
+  std::uint64_t seed = 0;  ///< RunKey::seed
+  std::string key;         ///< pack_key(): design, step, then knob pairs
+  flow::FlowResult result;
+};
+
+void pack_string(std::string& out, std::string_view s) {
+  for (std::size_t n = s.size(); ; n >>= 7) {  // LEB128 length
+    out.push_back(static_cast<char>((n & 0x7f) | (n > 0x7f ? 0x80 : 0)));
+    if (n <= 0x7f) break;
+  }
+  out += s;
+}
+
+std::string_view unpack_string(std::string_view& in) {
+  std::size_t n = 0;
+  for (int shift = 0; !in.empty(); shift += 7) {
+    const auto b = static_cast<unsigned char>(in.front());
+    in.remove_prefix(1);
+    n |= static_cast<std::size_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) break;
+  }
+  const std::string_view s = in.substr(0, n);
+  in.remove_prefix(s.size());
+  return s;
+}
+
+std::string pack_key(const RunKey& key) {
+  std::string out;
+  pack_string(out, key.design);
+  pack_string(out, key.step);
+  for (const auto& [name, value] : key.knobs) {
+    pack_string(out, name);
+    pack_string(out, value);
+  }
+  out.shrink_to_fit();
+  return out;
+}
+
+RunKey unpack_key(const MirroredRun& run) {
+  RunKey key;
+  std::string_view in = run.key;
+  key.design = unpack_string(in);
+  key.step = unpack_string(in);
+  while (!in.empty()) {
+    const std::string_view name = unpack_string(in);
+    key.knobs.emplace(name, unpack_string(in));
+  }
+  key.seed = run.seed;
+  return key;
+}
+
+MirroredRun mirror_run(std::uint64_t fingerprint, const RunKey& key, flow::FlowResult result) {
+  MirroredRun m;
+  m.fingerprint = fingerprint;
+  m.seed = key.seed;
+  m.key = pack_key(key);
+  m.result = std::move(result);
+  m.result.logs.clear();  // logs are not persisted (see StoredRun)
+  return m;
+}
+
+util::Json run_to_entry(std::uint64_t fingerprint, const RunKey& key,
+                        const flow::FlowResult& result) {
   util::JsonObject o;
   o["t"] = util::Json{"run"};
-  o["fp"] = util::Json{std::to_string(run.fingerprint)};
-  o["key"] = run_key_to_json(run.key);
-  o["result"] = flow_result_to_json(run.result);
+  o["fp"] = util::Json{std::to_string(fingerprint)};
+  o["key"] = run_key_to_json(key);
+  o["result"] = flow_result_to_json(result);
   return util::Json{std::move(o)};
 }
 
@@ -164,7 +233,8 @@ int flock_retry(int fd, int op) {
 }
 
 bool fsync_counted(int fd) {
-  obs::Registry::global().counter("store.fsyncs").add();
+  static obs::Counter& fsyncs = obs::Registry::global().counter("store.fsyncs");
+  fsyncs.add();
   return ::fsync(fd) == 0;
 }
 
@@ -204,6 +274,71 @@ std::size_t round_up_pow2(std::size_t n) {
   return p;
 }
 
+/// fingerprint -> position in a shard's mirror. Open addressing with linear
+/// probing over 4-byte slots holding position + 1 (0 = empty); a probe
+/// compares the mirrored run's own fingerprint, so the table stores no keys.
+/// Kept at most 3/4 full.
+class RunIndex {
+ public:
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  std::size_t size() const { return size_; }
+  void clear() {
+    slots_.clear();
+    size_ = 0;
+  }
+
+  std::size_t find(std::uint64_t fp, const std::deque<MirroredRun>& runs) const {
+    if (slots_.empty()) return npos;
+    for (std::size_t i = home(fp);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i] == 0) return npos;
+      if (runs[slots_[i] - 1].fingerprint == fp) return slots_[i] - 1;
+    }
+  }
+
+  /// Maps runs[pos].fingerprint to pos; an existing mapping is kept unless
+  /// `replace`.
+  void put(std::size_t pos, const std::deque<MirroredRun>& runs, bool replace) {
+    if ((size_ + 1) * 4 > slots_.size() * 3) grow(runs);
+    const std::uint64_t fp = runs[pos].fingerprint;
+    for (std::size_t i = home(fp);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i] == 0) {
+        slots_[i] = static_cast<std::uint32_t>(pos + 1);
+        ++size_;
+        return;
+      }
+      if (runs[slots_[i] - 1].fingerprint == fp) {
+        if (replace) slots_[i] = static_cast<std::uint32_t>(pos + 1);
+        return;
+      }
+    }
+  }
+
+ private:
+  std::size_t home(std::uint64_t fp) const {
+    // Fibonacci hashing: the shard already consumed the fingerprint's top
+    // bits, so mix before taking the table's.
+    return static_cast<std::size_t>((fp * 0x9e3779b97f4a7c15ULL) >> (64 - bits_));
+  }
+
+  void grow(const std::deque<MirroredRun>& runs) {
+    std::vector<std::uint32_t> old;
+    old.swap(slots_);
+    bits_ = old.empty() ? 4 : bits_ + 1;
+    slots_.assign(std::size_t{1} << bits_, 0);
+    for (const std::uint32_t slot : old) {
+      if (slot == 0) continue;
+      std::size_t i = home(runs[slot - 1].fingerprint);
+      while (slots_[i] != 0) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<std::uint32_t> slots_;
+  std::size_t size_ = 0;
+  unsigned bits_ = 0;
+};
+
 }  // namespace
 
 struct RunStore::Shard {
@@ -214,7 +349,11 @@ struct RunStore::Shard {
   mutable std::mutex mu;
   int fd = -1;                ///< WAL fd (O_RDWR|O_APPEND); the flock lease target
   std::uint64_t offset = 0;   ///< WAL bytes already mirrored in memory
-  std::vector<StoredRun> runs;
+  /// A deque, not a vector: growing it never copies the mirror or leaves
+  /// the old buffer resident.
+  std::deque<MirroredRun> runs;
+  /// fingerprint -> position in `runs` of the entry find_run() serves.
+  RunIndex run_index;
   std::vector<metrics::Record> metrics;
   std::map<std::string, util::Json> state;
   std::size_t wal_entries = 0;  ///< appended by this process since open
@@ -263,7 +402,8 @@ RunStore::RunStore(const std::string& dir, RunStoreOptions options)
       .arg("recovered", static_cast<double>(totals.recovered))
       .arg("corrupt_lines", static_cast<double>(totals.corrupt))
       .arg("dropped_tail_bytes", static_cast<double>(totals.dropped));
-  obs::Registry::global().counter("store.opens").add();
+  static obs::Counter& opens = obs::Registry::global().counter("store.opens");
+  opens.add();
 }
 
 RunStore::~RunStore() {
@@ -330,7 +470,8 @@ RunStore::Shard& RunStore::shard_for_key(const std::string& key) const {
 void RunStore::record_corrupt(Shard& s, std::size_t n) {
   if (n == 0) return;
   s.corrupt += n;
-  obs::Registry::global().counter("store.corrupt_lines").add(n);
+  static obs::Counter& corrupt_lines = obs::Registry::global().counter("store.corrupt_lines");
+  corrupt_lines.add(n);
   const std::lock_guard<std::mutex> lock(warn_mu_);
   if (!warned_corrupt_) {
     warned_corrupt_ = true;
@@ -345,6 +486,7 @@ void RunStore::record_corrupt(Shard& s, std::size_t n) {
 RunStore::ReplayStats RunStore::load_shard_locked(Shard& s) {
   ReplayStats st;
   s.runs.clear();
+  s.run_index.clear();
   s.metrics.clear();
   s.state.clear();
   std::error_code ec;
@@ -423,11 +565,10 @@ bool RunStore::ingest_locked(Shard& s, const util::Json& entry) {
   if (!entry.is_object()) return false;
   const std::string& t = entry.at("t").as_string();
   if (t == "run") {
-    StoredRun run;
-    run.fingerprint = std::strtoull(entry.at("fp").as_string().c_str(), nullptr, 10);
-    run.key = run_key_from_json(entry.at("key"));
-    run.result = flow_result_from_json(entry.at("result"));
-    s.runs.push_back(std::move(run));
+    s.runs.push_back(
+        mirror_run(std::strtoull(entry.at("fp").as_string().c_str(), nullptr, 10),
+                   run_key_from_json(entry.at("key")), flow_result_from_json(entry.at("result"))));
+    s.run_index.put(s.runs.size() - 1, s.runs, /*replace=*/false);  // replayed: first wins
     return true;
   }
   if (t == "metric") {
@@ -507,7 +648,8 @@ void RunStore::degrade_locked(Shard& s, const char* why) {
     degraded_shards_.fetch_add(1, std::memory_order_relaxed);
     obs::Registry::global().gauge("store.degraded").set(1.0);
   }
-  obs::Registry::global().counter("store.wal_errors").add();
+  static obs::Counter& wal_errors = obs::Registry::global().counter("store.wal_errors");
+  wal_errors.add();
 }
 
 void RunStore::fsync_policy_locked(Shard& s) {
@@ -567,16 +709,18 @@ void RunStore::append_line_locked(Shard& s, const std::string& payload) {
   flock_retry(s.fd, LOCK_UN);
   if (!ok) return;
   ++s.wal_entries;
-  obs::Registry::global().counter("store.wal_appends").add();
+  static obs::Counter& wal_appends = obs::Registry::global().counter("store.wal_appends");
+  wal_appends.add();
 }
 
 void RunStore::append_run(StoredRun run) {
-  run.result.logs.clear();  // logs are not persisted (see StoredRun)
-  const std::string payload = run_to_entry(run).dump();
-  Shard& s = shard_for_fp(run.fingerprint);
+  MirroredRun m = mirror_run(run.fingerprint, run.key, std::move(run.result));
+  const std::string payload = run_to_entry(m.fingerprint, run.key, m.result).dump();
+  Shard& s = shard_for_fp(m.fingerprint);
   const std::lock_guard<std::mutex> lock(s.mu);
   append_line_locked(s, payload);
-  s.runs.push_back(std::move(run));
+  s.runs.push_back(std::move(m));
+  s.run_index.put(s.runs.size() - 1, s.runs, /*replace=*/true);  // local: latest wins
 }
 
 void RunStore::append_metric(const metrics::Record& rec) {
@@ -603,7 +747,12 @@ std::vector<StoredRun> RunStore::runs() const {
   std::vector<StoredRun> out;
   for (const auto& sp : shards_) {
     const std::lock_guard<std::mutex> lock(sp->mu);
-    out.insert(out.end(), sp->runs.begin(), sp->runs.end());
+    for (const MirroredRun& m : sp->runs) {
+      StoredRun& run = out.emplace_back();
+      run.fingerprint = m.fingerprint;
+      run.key = unpack_key(m);
+      run.result = m.result;
+    }
   }
   return out;
 }
@@ -630,6 +779,23 @@ std::size_t RunStore::run_count() const {
   for (const auto& sp : shards_) {
     const std::lock_guard<std::mutex> lock(sp->mu);
     n += sp->runs.size();
+  }
+  return n;
+}
+
+std::optional<flow::FlowResult> RunStore::find_run(std::uint64_t fingerprint) const {
+  const Shard& s = shard_for_fp(fingerprint);
+  const std::lock_guard<std::mutex> lock(s.mu);
+  const std::size_t pos = s.run_index.find(fingerprint, s.runs);
+  if (pos == RunIndex::npos) return std::nullopt;
+  return s.runs[pos].result;
+}
+
+std::size_t RunStore::distinct_run_count() const {
+  std::size_t n = 0;
+  for (const auto& sp : shards_) {
+    const std::lock_guard<std::mutex> lock(sp->mu);
+    n += sp->run_index.size();
   }
   return n;
 }
@@ -727,7 +893,7 @@ bool RunStore::compact_shard_locked(Shard& s, std::size_t* entries) {
       const std::string line = wal_frame::encode(entry.dump());
       wrote = file_write_all(tfd, line.data(), line.size());
     };
-    for (const auto& run : s.runs) emit(run_to_entry(run));
+    for (const auto& run : s.runs) emit(run_to_entry(run.fingerprint, unpack_key(run), run.result));
     for (const auto& rec : s.metrics) emit(metric_to_entry(rec));
     for (const auto& [key, value] : s.state) emit(state_to_entry(key, value));
     wrote = wrote && fsync_counted(tfd);
@@ -771,7 +937,8 @@ bool RunStore::compact() {
     ok = compact_shard_locked(s, &entries) && ok;
   }
   span.arg("entries", static_cast<double>(entries));
-  obs::Registry::global().counter("store.compactions").add();
+  static obs::Counter& compactions = obs::Registry::global().counter("store.compactions");
+  compactions.add();
   return ok;
 }
 

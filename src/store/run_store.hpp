@@ -139,7 +139,15 @@ class RunStore {
   std::vector<metrics::Record> metric_records() const;
   std::optional<util::Json> get_state(const std::string& key) const;
 
+  /// The result of the run stored under `fingerprint`, or nullopt. Each
+  /// shard indexes its mirror by fingerprint: replay, catch-up and refresh()
+  /// keep the first entry seen for a fingerprint, a local append_run()
+  /// replaces it. The mirror is the only in-memory copy of a run.
+  std::optional<flow::FlowResult> find_run(std::uint64_t fingerprint) const;
+  /// Runs mirrored (every entry, duplicates included).
   std::size_t run_count() const;
+  /// Distinct fingerprints among the mirrored runs.
+  std::size_t distinct_run_count() const;
   std::size_t metric_count() const;
   /// WAL entries appended by this process since open (excludes recovered
   /// and catch-up-ingested ones).

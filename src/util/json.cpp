@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <sstream>
 
 namespace maestro::util {
 
@@ -11,17 +10,32 @@ namespace {
 const Json kNullJson{};
 }
 
-const Json& Json::at(const std::string& key) const {
+const Json& Json::at(std::string_view key) const {
   if (type_ != Type::Object) return kNullJson;
   const auto it = obj_.find(key);
   return it != obj_.end() ? it->second : kNullJson;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+namespace {
+
+/// Appends `d` in the writer's number format (see json.hpp).
+void append_number(std::string& out, double d) {
+  if (std::isnan(d) || std::isinf(d)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  // Integral values print without decimal point for readability.
+  const auto res = d == std::floor(d) && std::abs(d) < 1e15
+                       ? std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(d))
+                       : std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general, 17);
+  out.append(buf, res.ptr);
+}
+
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
-  for (char c : s) {
+  for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -30,60 +44,61 @@ std::string json_escape(std::string_view s) {
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
+          const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+          out.append(u, sizeof u);
         } else {
           out.push_back(c);
         }
     }
   }
   out.push_back('"');
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_escaped(out, s);
   return out;
 }
 
 std::string Json::dump() const {
+  std::string out;
+  dump_to(out);
+  return out;
+}
+
+void Json::dump_to(std::string& out) const {
   switch (type_) {
-    case Type::Null: return "null";
-    case Type::Bool: return bool_ ? "true" : "false";
-    case Type::Number: {
-      if (std::isnan(num_) || std::isinf(num_)) return "null";
-      // Integral values print without decimal point for readability.
-      if (num_ == std::floor(num_) && std::abs(num_) < 1e15) {
-        std::ostringstream os;
-        os << static_cast<std::int64_t>(num_);
-        return os.str();
-      }
-      std::ostringstream os;
-      os.precision(17);
-      os << num_;
-      return os.str();
-    }
-    case Type::String: return json_escape(str_);
+    case Type::Null: out += "null"; return;
+    case Type::Bool: out += bool_ ? "true" : "false"; return;
+    case Type::Number: append_number(out, num_); return;
+    case Type::String: append_escaped(out, str_); return;
     case Type::Array: {
-      std::string out = "[";
+      out.push_back('[');
       for (std::size_t i = 0; i < arr_.size(); ++i) {
         if (i) out.push_back(',');
-        out += arr_[i].dump();
+        arr_[i].dump_to(out);
       }
       out.push_back(']');
-      return out;
+      return;
     }
     case Type::Object: {
-      std::string out = "{";
+      out.push_back('{');
       bool first = true;
       for (const auto& [k, v] : obj_) {
         if (!first) out.push_back(',');
         first = false;
-        out += json_escape(k);
+        append_escaped(out, k);
         out.push_back(':');
-        out += v.dump();
+        v.dump_to(out);
       }
       out.push_back('}');
-      return out;
+      return;
     }
   }
-  return "null";
+  out += "null";
 }
 
 namespace {
@@ -142,49 +157,49 @@ struct Parser {
     if (!eat('"')) return std::nullopt;
     std::string out;
     while (pos < text.size()) {
-      char c = text[pos++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos >= text.size()) return std::nullopt;
-        char e = text[pos++];
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'u': {
-            if (pos + 4 > text.size()) return std::nullopt;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text[pos++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return std::nullopt;
-            }
-            // Only BMP codepoints below 0x80 round-trip through our writer;
-            // encode others as UTF-8.
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
+      // Copy the run up to the next quote or backslash in one append.
+      const std::size_t stop = text.find_first_of("\"\\", pos);
+      if (stop == std::string_view::npos) break;
+      out.append(text.data() + pos, stop - pos);
+      pos = stop + 1;
+      if (text[stop] == '"') return out;
+      if (pos >= text.size()) return std::nullopt;
+      const char e = text[pos++];
+      switch (e) {
+        case '"': out.push_back('"'); break;
+        case '\\': out.push_back('\\'); break;
+        case '/': out.push_back('/'); break;
+        case 'n': out.push_back('\n'); break;
+        case 'r': out.push_back('\r'); break;
+        case 't': out.push_back('\t'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'u': {
+          if (pos + 4 > text.size()) return std::nullopt;
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = text[pos++];
+            code <<= 4;
+            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+            else return std::nullopt;
           }
-          default: return std::nullopt;
+          // Only BMP codepoints below 0x80 round-trip through our writer;
+          // encode others as UTF-8.
+          if (code < 0x80) {
+            out.push_back(static_cast<char>(code));
+          } else if (code < 0x800) {
+            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          } else {
+            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          }
+          break;
         }
-      } else {
-        out.push_back(c);
+        default: return std::nullopt;
       }
     }
     return std::nullopt;

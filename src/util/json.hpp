@@ -7,8 +7,22 @@
 // METRICS with today's commodity ... technologies will be much simpler". We
 // use JSON as that commodity encoding. The parser accepts the subset of JSON
 // that the writer emits (objects, arrays, strings, numbers, bools, null).
+//
+// Writer byte contract. WAL lines, metrics frames, cache replies and the
+// golden digests all hash or compare these bytes, so they never change:
+//   * no whitespace; object keys in std::map (byte-wise) order;
+//   * a number that is integral with |x| < 1e15 prints as an int64 ("-0.0"
+//     prints "0"); any other finite number prints like printf("%.17g");
+//     NaN and infinities print "null";
+//   * strings escape '"' '\\' '\n' '\r' '\t' by backslash and other bytes
+//     below 0x20 as \u00xx (lower-case hex); every other byte, UTF-8 or not,
+//     is copied through;
+//   * parse(dump(x)) dumps to the same bytes as dump(x).
+// dump_to() appends to one caller-owned buffer (numbers via std::to_chars);
+// dump() is dump_to() into a fresh string.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -20,7 +34,7 @@ namespace maestro::util {
 
 class Json;
 using JsonArray = std::vector<Json>;
-using JsonObject = std::map<std::string, Json>;
+using JsonObject = std::map<std::string, Json, std::less<>>;
 
 /// A JSON value: null, bool, number (double), string, array or object.
 class Json {
@@ -55,10 +69,12 @@ class Json {
   JsonObject& as_object() { return obj_; }
 
   /// Object field access; returns null Json for missing keys or non-objects.
-  const Json& at(const std::string& key) const;
+  const Json& at(std::string_view key) const;
 
-  /// Serialize to a compact JSON string.
+  /// Serialize to a compact JSON string (see the byte contract above).
   std::string dump() const;
+  /// Append the same bytes as dump() to `out`.
+  void dump_to(std::string& out) const;
 
   /// Deepest container nesting parse() accepts.
   static constexpr std::size_t kMaxParseDepth = 256;

@@ -23,6 +23,7 @@
 #include "core/flow_search.hpp"
 #include "core/mab_scheduler.hpp"
 #include "exec/executor.hpp"
+#include "metrics/frame.hpp"
 #include "metrics/server.hpp"
 #include "obs/registry.hpp"
 #include "resil/fault.hpp"
@@ -649,6 +650,51 @@ TEST(RunCache, WarmStartsFromExistingStore) {
   EXPECT_DOUBLE_EQ(hit->area_um2, 222.0);
 }
 
+TEST(RunCache, FingerprintIndexRules) {
+  const std::string dir = temp_store("cache_rules");
+  const auto run_a = sample_run(1, 10.0);
+  const auto run_b = sample_run(2, 20.0);
+  {
+    ms::RunStore store(dir);
+    store.append_run(run_a);
+    auto dup = run_a;
+    dup.result.area_um2 = 11.0;
+    store.append_run(dup);  // the same fingerprint stored twice
+    store.append_run(run_b);
+  }
+  ms::RunStore store(dir);
+  ms::RunCache cache(store);
+  EXPECT_EQ(store.run_count(), 3u);
+  EXPECT_EQ(cache.size(), 2u);  // distinct fingerprints
+  // Duplicates in a replayed store: the first entry wins.
+  ASSERT_TRUE(cache.lookup(run_a.fingerprint).has_value());
+  EXPECT_DOUBLE_EQ(cache.lookup(run_a.fingerprint)->area_um2, 10.0);
+
+  // A local insert after replay overwrites.
+  cache.insert(run_a.fingerprint, run_a.key, sample_result(12.0));
+  EXPECT_DOUBLE_EQ(cache.lookup(run_a.fingerprint)->area_um2, 12.0);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(store.run_count(), 4u);
+
+  // Another process's appends become visible once refresh() ingests them;
+  // a refreshed duplicate does not displace what the cache already serves.
+  const auto run_c = sample_run(3, 30.0);
+  {
+    ms::RunStore other(dir);
+    other.append_run(run_c);
+    auto late = run_a;
+    late.result.area_um2 = 99.0;
+    other.append_run(late);
+  }
+  EXPECT_FALSE(cache.lookup(run_c.fingerprint).has_value());
+  EXPECT_EQ(store.refresh(), 2u);
+  ASSERT_TRUE(cache.lookup(run_c.fingerprint).has_value());
+  EXPECT_DOUBLE_EQ(cache.lookup(run_c.fingerprint)->area_um2, 30.0);
+  EXPECT_DOUBLE_EQ(cache.lookup(run_a.fingerprint)->area_um2, 12.0);
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(store.run_count(), 6u);
+}
+
 // ----------------------------------------------------- executor memoization
 
 TEST(SubmitMemo, SecondSubmitResolvesFromCacheWithoutExecuting) {
@@ -1113,6 +1159,78 @@ TEST(CacheServer, TtlExpiryRefetchesFromBackingStore) {
   const std::uint64_t expired0 = counter("store.server_expired");
   ASSERT_TRUE(client.lookup(run.fingerprint).has_value());
   EXPECT_EQ(counter("store.server_expired"), expired0 + 1);
+  server.stop();
+}
+
+namespace {
+
+/// One raw request/reply exchange with a cache server: the reply's bytes.
+std::string raw_request(int fd, const std::string& payload) {
+  EXPECT_TRUE(mm::frame::write_frame(fd, payload));
+  std::string reply;
+  EXPECT_EQ(mm::frame::read_frame(fd, 1 << 20, &reply), 1);
+  return reply;
+}
+
+std::string lookup_payload(std::uint64_t fp) {
+  return "{\"fp\":\"" + std::to_string(fp) + "\",\"type\":\"lookup\"}";
+}
+
+std::string expected_hit(const mf::FlowResult& r) {
+  return "{\"result\":" + ms::flow_result_to_json(r).dump() + ",\"type\":\"hit\"}";
+}
+
+/// A result whose numbers exercise both number formats and whose failed
+/// step needs escaping.
+mf::FlowResult awkward_result(double area) {
+  mf::FlowResult r = sample_result(area);
+  r.wns_ps = -0.1;
+  r.tns_ps = -1234.5678901234567;
+  r.ir_drop_v = 1e-7;
+  r.hpwl_dbu = 1e15;
+  r.clock_skew_ps = 3.0000000000000004;
+  r.failed_step = "route \"dr\"\n";
+  return r;
+}
+
+}  // namespace
+
+TEST(CacheServer, HitRepliesAreTheSerializedResultSpliced) {
+  const std::string dir = temp_store("srv_splice");
+  ms::RunStore store(dir);
+  ms::RunCache cache(store);
+  auto stored = sample_run(1, 0.0);
+  stored.result = awkward_result(101.0);
+  cache.insert(stored.fingerprint, stored.key, stored.result);  // backing store only
+
+  const std::string sock = temp_socket("splice");
+  ms::CacheServer server(cache, {.socket_path = sock, .max_entries = 8, .ttl_ms = 100.0});
+  ASSERT_TRUE(server.start());
+  const int fd = mm::frame::connect_unix(sock);
+  ASSERT_GE(fd, 0);
+
+  // Promoted from the backing cache, then served from the LRU.
+  EXPECT_EQ(raw_request(fd, lookup_payload(stored.fingerprint)), expected_hit(stored.result));
+  EXPECT_EQ(raw_request(fd, lookup_payload(stored.fingerprint)), expected_hit(stored.result));
+  // Expired, then re-fetched from the backing cache.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  const std::uint64_t expired0 = counter("store.server_expired");
+  EXPECT_EQ(raw_request(fd, lookup_payload(stored.fingerprint)), expected_hit(stored.result));
+  EXPECT_EQ(counter("store.server_expired"), expired0 + 1);
+
+  // Inserted by a client (residency only): the reply carries the canonical
+  // bytes whatever the client sent.
+  const auto inserted = sample_run(2, 0.0);
+  const mf::FlowResult inserted_result = awkward_result(202.0);
+  maestro::util::JsonObject req;
+  req["type"] = maestro::util::Json{"insert"};
+  req["fp"] = maestro::util::Json{std::to_string(inserted.fingerprint)};
+  req["key"] = ms::run_key_to_json(inserted.key);
+  req["result"] = ms::flow_result_to_json(inserted_result);
+  EXPECT_EQ(raw_request(fd, maestro::util::Json{std::move(req)}.dump()), "{\"type\":\"ok\"}");
+  EXPECT_EQ(raw_request(fd, lookup_payload(inserted.fingerprint)), expected_hit(inserted_result));
+  EXPECT_EQ(raw_request(fd, lookup_payload(424242)), "{\"type\":\"miss\"}");
+  ::close(fd);
   server.stop();
 }
 

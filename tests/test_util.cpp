@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <limits>
+#include <sstream>
 
 #include "util/csv.hpp"
 #include "util/json.hpp"
@@ -308,6 +312,178 @@ TEST(Json, ParsesNestedStructures) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->at("a").at("b").as_array()[2].at("c").as_bool());
   EXPECT_TRUE(parsed->at("d").is_null());
+}
+
+namespace {
+
+// The writer as it was before dump_to(): one ostringstream per number and a
+// fresh string per nested value. Kept here only as the byte oracle.
+std::string oracle_number(double d) {
+  if (std::isnan(d) || std::isinf(d)) return "null";
+  std::ostringstream os;
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    os << static_cast<std::int64_t>(d);
+    return os.str();
+  }
+  os.precision(17);
+  os << d;
+  return os.str();
+}
+
+std::string oracle_escape(std::string_view s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out + "\"";
+}
+
+std::string oracle_dump(const mu::Json& j) {
+  switch (j.type()) {
+    case mu::Json::Type::Null: return "null";
+    case mu::Json::Type::Bool: return j.as_bool() ? "true" : "false";
+    case mu::Json::Type::Number: return oracle_number(j.as_number());
+    case mu::Json::Type::String: return oracle_escape(j.as_string());
+    case mu::Json::Type::Array: {
+      std::string out = "[";
+      for (std::size_t i = 0; i < j.as_array().size(); ++i) {
+        if (i) out.push_back(',');
+        out += oracle_dump(j.as_array()[i]);
+      }
+      return out + "]";
+    }
+    case mu::Json::Type::Object: {
+      std::string out = "{";
+      bool first = true;
+      for (const auto& [k, v] : j.as_object()) {
+        if (!first) out.push_back(',');
+        first = false;
+        out += oracle_escape(k) + ":" + oracle_dump(v);
+      }
+      return out + "}";
+    }
+  }
+  return "null";
+}
+
+/// Doubles from every corner of the format: raw bit patterns (NaN and
+/// infinities included), subnormals, signed zeros, integers on both sides of
+/// the 1e15 integral cutoff and their neighbours, and ordinary magnitudes.
+double oracle_double(mu::Rng& rng) {
+  const std::uint64_t bits = rng.next();
+  switch (rng.next() % 6) {
+    case 0: return std::bit_cast<double>(bits);
+    case 1: return std::bit_cast<double>(bits & 0x800fffffffffffffULL);  // subnormal
+    case 2: {
+      static constexpr double kEdges[] = {0.0, -0.0, 1e15, -1e15, 1e15 - 1, 1 - 1e15,
+                                          9007199254740992.0, 0.5, -0.5};
+      return kEdges[bits % std::size(kEdges)];
+    }
+    case 3: {
+      // Within a few ulps or integers of +/-1e15.
+      double d = (bits & 1) ? 1e15 : -1e15;
+      const int steps = static_cast<int>((bits >> 1) % 64) - 32;
+      if ((bits >> 8) & 1) return d + steps;
+      for (int k = 0; k < std::abs(steps); ++k) {
+        d = std::nextafter(d, steps < 0 ? -INFINITY : INFINITY);
+      }
+      return d;
+    }
+    case 4: return static_cast<double>(static_cast<std::int64_t>(bits) >> (bits % 64));
+    default: return rng.uniform(-1.0, 1.0) * std::pow(10.0, static_cast<double>(bits % 40) - 20);
+  }
+}
+
+std::string oracle_string(mu::Rng& rng) {
+  std::string s;
+  const std::size_t n = rng.next() % 12;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t r = rng.next();
+    static constexpr char kSpecial[] = {'"', '\\', '\n', '\r', '\t', '\b', '\f', '\0', 0x1f, 0x7f};
+    s.push_back(r % 3 == 0 ? kSpecial[(r >> 8) % std::size(kSpecial)]
+                           : static_cast<char>(r >> 16));
+  }
+  return s;
+}
+
+mu::Json oracle_tree(mu::Rng& rng, int depth) {
+  switch (rng.next() % (depth > 0 ? 7 : 5)) {
+    case 0: return mu::Json{nullptr};
+    case 1: return mu::Json{rng.next() % 2 == 0};
+    case 2: return mu::Json{oracle_double(rng)};
+    case 3:
+    case 4: return mu::Json{oracle_string(rng)};
+    case 5: {
+      mu::JsonArray arr;
+      for (std::size_t i = rng.next() % 5; i > 0; --i) arr.push_back(oracle_tree(rng, depth - 1));
+      return mu::Json{std::move(arr)};
+    }
+    default: {
+      mu::JsonObject obj;
+      for (std::size_t i = rng.next() % 5; i > 0; --i) {
+        obj[oracle_string(rng)] = oracle_tree(rng, depth - 1);
+      }
+      return mu::Json{std::move(obj)};
+    }
+  }
+}
+
+}  // namespace
+
+TEST(Json, DumpMatchesStreamFormatterOracle) {
+  mu::Rng rng{0x5eed0f0e};
+  std::size_t mismatches = 0;
+  std::string appended;
+  for (int i = 0; i < 1'200'000; ++i) {
+    const double d = oracle_double(rng);
+    const std::string want = oracle_number(d);
+    if (mu::Json{d}.dump() != want) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(d) << ": " << mu::Json{d}.dump()
+                      << " vs " << want;
+      }
+    }
+    // dump_to appends to whatever the buffer already holds.
+    if (i % 1000 == 0) {
+      const std::size_t before = appended.size();
+      mu::Json{d}.dump_to(appended);
+      EXPECT_EQ(appended.substr(before), want);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(mu::Json{-0.0}.dump(), "0");
+  EXPECT_EQ(mu::Json{1e15}.dump(), "1000000000000000");
+  EXPECT_EQ(mu::Json{1e15 - 1}.dump(), "999999999999999");
+  EXPECT_EQ(mu::Json{std::numeric_limits<double>::denorm_min()}.dump(),
+            "4.9406564584124654e-324");
+
+  for (int i = 0; i < 20'000; ++i) {
+    const std::string s = oracle_string(rng);
+    ASSERT_EQ(mu::Json{s}.dump(), oracle_escape(s));
+    ASSERT_EQ(mu::json_escape(s), oracle_escape(s));
+  }
+  for (int i = 0; i < 5'000; ++i) {
+    const mu::Json tree = oracle_tree(rng, 5);
+    const std::string want = oracle_dump(tree);
+    ASSERT_EQ(tree.dump(), want);
+    const auto reparsed = mu::Json::parse(want);
+    ASSERT_TRUE(reparsed.has_value()) << want;
+    ASSERT_EQ(reparsed->dump(), want);
+  }
 }
 
 TEST(Csv, BuildsTable) {
