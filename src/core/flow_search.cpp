@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -81,9 +82,14 @@ std::optional<FtsCampaignState> fts_state_from_json(const util::Json& j,
                                                     const FlowSearchOptions& opt) {
   if (!j.is_object()) return std::nullopt;
   if (j.at("strategy").as_string() != to_string(opt.strategy)) return std::nullopt;
+  // Counts are checked integers: a NaN, negative or huge value rejects the
+  // checkpoint instead of reaching an undefined double -> size_t cast.
+  const auto rounds_done = j.at("rounds_done").as_uint();
+  const auto flow_runs = j.at("flow_runs").as_uint();
+  if (!rounds_done || !flow_runs) return std::nullopt;
   FtsCampaignState st;
-  st.rounds_done = static_cast<std::size_t>(j.at("rounds_done").as_number());
-  st.flow_runs = static_cast<std::size_t>(j.at("flow_runs").as_number());
+  st.rounds_done = static_cast<std::size_t>(*rounds_done);
+  st.flow_runs = static_cast<std::size_t>(*flow_runs);
   st.best_cost = j.at("best_cost").as_number();
   st.best_trajectory = trajectory_from_json(j.at("best_trajectory"));
   st.best_result = store::flow_result_from_json(j.at("best_result"));
@@ -134,6 +140,10 @@ const char* to_string(SearchStrategy s) {
     case SearchStrategy::Gwtw: return "gwtw";
   }
   return "?";
+}
+
+bool FlowTreeSearch::resumes_from(const util::Json& state) const {
+  return fts_state_from_json(state, options_).has_value();
 }
 
 flow::FlowTrajectory FlowTreeSearch::mutate(const flow::FlowTrajectory& t, std::size_t count,
@@ -203,20 +213,18 @@ FlowSearchResult FlowTreeSearch::run(const TrajectoryOracle& oracle, util::Rng& 
     options_.checkpoint->put_state(state_key, fts_state_json(st, options_));
   };
 
+  // Without a caller pool the search runs on a private one-thread pool, so
+  // serial and parallel searches share one dispatch path.
+  std::optional<exec::RunExecutor> own_pool;
+  if (!options_.executor) own_pool.emplace(exec::ExecOptions{.threads = 1});
+  exec::RunExecutor& pool = options_.executor ? *options_.executor : *own_pool;
+
   // One round of N concurrent robot runs. `prepare(th, i)` mutates thread
   // trajectories serially (it consumes the shared Rng), seed draws follow in
-  // the same fixed order, then the flow runs execute — in parallel when a
-  // pool is configured. The fold back into best-so-far is serial and in
-  // thread order, so parallel and serial execution are bitwise identical.
+  // the same fixed order, then the flow runs execute as one
+  // exec::dispatch_round. The fold back into best-so-far is serial and in
+  // thread order, so results are bitwise identical at any pool size.
   std::size_t round_index = rounds_done;
-  // The content-addressed key of one member's run: the campaign's fixed
-  // context plus the flattened trajectory knobs and the round's seed draw.
-  const auto key_for = [this](const flow::FlowTrajectory& t, std::uint64_t seed) {
-    store::RunKey key = options_.cache_key;
-    for (auto& [name, value] : flow::flatten(t)) key.knobs[name] = std::move(value);
-    key.seed = seed;
-    return key;
-  };
   auto run_round = [&](auto prepare) {
     // GWTW/tree-search rounds are the campaign's heartbeat: one span per
     // round (advance + parallel runs + fold) with the best cost so far.
@@ -224,68 +232,41 @@ FlowSearchResult FlowTreeSearch::run(const TrajectoryOracle& oracle, util::Rng& 
     round_span.arg("strategy", to_string(options_.strategy))
         .arg("round", static_cast<double>(round_index++));
     obs::Registry::global().counter("sched.search_rounds").add();
-    std::vector<std::uint64_t> seeds(population.size());
+    std::vector<exec::RoundJob<flow::FlowResult, store::KeyedRunCache>> jobs(population.size());
     for (std::size_t i = 0; i < population.size(); ++i) {
       prepare(population[i], i);
-      seeds[i] = rng.next();
-    }
-    std::vector<flow::FlowResult> results(population.size());
-    if (options_.executor) {
-      std::vector<std::future<flow::FlowResult>> futures;
-      futures.reserve(population.size());
-      for (std::size_t i = 0; i < population.size(); ++i) {
-        const std::string label = "flow_search#" + std::to_string(res.flow_runs + i);
-        auto body = [&oracle, &t = population[i].trajectory, seed = seeds[i]](exec::RunContext&) {
-          return oracle(t, seed);
-        };
-        if (options_.cache) {
-          store::KeyedRunCache keyed{*options_.cache,
-                                     key_for(population[i].trajectory, seeds[i])};
-          futures.push_back(options_.executor->submit_memo(label, seeds[i],
-                                                           keyed.fingerprint(), keyed,
-                                                           std::move(body)));
-        } else {
-          futures.push_back(options_.executor->submit(label, seeds[i], std::move(body)));
+      auto& job = jobs[i];
+      job.label = "flow_search#" + std::to_string(res.flow_runs + i);
+      job.seed = rng.next();
+      job.body = [&oracle, &t = population[i].trajectory](exec::RunContext& ctx) {
+        return oracle(t, ctx.seed);
+      };
+      if (options_.cache) {
+        // The content-addressed key of one member's run: the campaign's
+        // fixed context plus the flattened trajectory knobs and the round's
+        // seed draw.
+        store::RunKey key = options_.cache_key;
+        for (auto& [name, value] : flow::flatten(population[i].trajectory)) {
+          key.knobs[name] = std::move(value);
         }
-      }
-      for (std::size_t i = 0; i < population.size(); ++i) {
-        try {
-          results[i] = futures[i].get();
-        } catch (const std::exception& e) {
-          // Dead branch: the run crashed (past any retry budget). Keep the
-          // thread alive with an incomplete result — qor_cost charges the
-          // incomplete penalty, so GWTW resampling clones winners over it
-          // and multistart simply re-rolls it next round.
-          obs::Registry::global().counter("sched.search_dead_branches").add();
-          results[i] = flow::FlowResult{};
-          results[i].failed_step = std::string("crashed: ") + e.what();
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < population.size(); ++i) {
-        try {
-          if (options_.cache) {
-            const store::RunKey key = key_for(population[i].trajectory, seeds[i]);
-            const std::uint64_t fp = key.fingerprint();
-            if (auto hit = options_.cache->lookup(fp)) {
-              results[i] = std::move(*hit);
-              continue;
-            }
-            results[i] = oracle(population[i].trajectory, seeds[i]);
-            options_.cache->insert(fp, key, results[i]);
-          } else {
-            results[i] = oracle(population[i].trajectory, seeds[i]);
-          }
-        } catch (const std::exception& e) {
-          obs::Registry::global().counter("sched.search_dead_branches").add();
-          results[i] = flow::FlowResult{};
-          results[i].failed_step = std::string("crashed: ") + e.what();
-        }
+        key.seed = job.seed;
+        job.memo.emplace(*options_.cache, std::move(key));
       }
     }
+    auto outcomes = exec::dispatch_round(pool, std::move(jobs));
     for (std::size_t i = 0; i < population.size(); ++i) {
       Thread& th = population[i];
-      th.result = std::move(results[i]);
+      if (outcomes[i].value) {
+        th.result = std::move(*outcomes[i].value);
+      } else {
+        // Dead branch: the run crashed. Keep the thread alive with an
+        // incomplete result — qor_cost charges the incomplete penalty, so
+        // GWTW resampling clones winners over it and multistart simply
+        // re-rolls it next round.
+        obs::Registry::global().counter("sched.search_dead_branches").add();
+        th.result = flow::FlowResult{};
+        th.result.failed_step = "crashed: " + outcomes[i].error;
+      }
       th.cost = qor_cost(th.result, options_.weights);
       ++res.flow_runs;
       if (th.cost < res.best_cost) {

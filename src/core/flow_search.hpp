@@ -50,15 +50,18 @@ struct FlowSearchOptions {
   std::size_t mutations_per_round = 2;  ///< knobs flipped when advancing
   QorWeights weights;
   /// Optional pool: each round's population of flow runs executes in
-  /// parallel. Trajectory mutation and seed draws stay serial, so results
-  /// are bitwise identical to the serial path (nullptr) for a given seed.
+  /// parallel as one exec::dispatch_round. With nullptr the search makes a
+  /// private one-thread pool and dispatches the same way. Trajectory
+  /// mutation and seed draws stay serial, so results are bitwise identical
+  /// at any pool size for a given seed.
   exec::RunExecutor* executor = nullptr;
 
   /// Optional content-addressed memoization: each run's key is `cache_key`
   /// plus its flattened trajectory knobs and derived seed, so trajectories
   /// revisited by GWTW cloning, adaptive restarts or a repeated campaign
   /// against the same MAESTRO_STORE resolve from the cache instead of
-  /// dispatching. Works with and without an executor.
+  /// dispatching (through exec::RunExecutor::submit_memo, with or without
+  /// a caller pool).
   store::FlowCache* cache = nullptr;
   /// Key template (design name + fixed context such as "target_ghz") for
   /// cached runs.
@@ -86,6 +89,11 @@ class FlowTreeSearch {
       : spaces_(std::move(spaces)), options_(options) {}
 
   FlowSearchResult run(const TrajectoryOracle& oracle, util::Rng& rng) const;
+
+  /// True when run() would resume from `state`, a persisted
+  /// "fts:<campaign_id>" checkpoint: it decodes and matches these options.
+  /// Checkpoints come from WAL bytes, so anything else is rejected.
+  bool resumes_from(const util::Json& state) const;
 
  private:
   /// Mutate `count` randomly chosen knobs to new random values.

@@ -40,15 +40,21 @@ struct MabCampaignState {
   util::Json rng_state;
 };
 
-util::Json mab_state_json(const MabCampaignState& st, const MabOptions& opt) {
+/// Campaign identity, validated on resume: a checkpoint from different
+/// options must not be continued. The batch width is part of it because
+/// seed derivation depends on it.
+util::JsonObject mab_identity(const MabOptions& opt) {
   util::JsonObject o;
-  // Campaign identity, validated on resume: a checkpoint from different
-  // options must not be continued.
   o["algorithm"] = util::Json{to_string(opt.algorithm)};
   util::JsonArray arms;
   for (const double a : opt.frequency_arms_ghz) arms.push_back(util::Json{a});
   o["arms"] = util::Json{std::move(arms)};
   o["concurrency"] = util::Json{opt.concurrency};
+  return o;
+}
+
+util::Json mab_state_json(const MabCampaignState& st, const MabOptions& opt) {
+  util::JsonObject o = mab_identity(opt);
 
   o["base_seed"] = u64_json(st.base_seed);
   o["run_index"] = u64_json(st.run_index);
@@ -93,25 +99,27 @@ util::Json mab_state_json(const MabCampaignState& st, const MabOptions& opt) {
 std::optional<MabCampaignState> mab_state_from_json(const util::Json& j,
                                                     const MabOptions& opt) {
   if (!j.is_object()) return std::nullopt;
-  if (j.at("algorithm").as_string() != to_string(opt.algorithm)) return std::nullopt;
-  const auto& arms = j.at("arms").as_array();
-  if (arms.size() != opt.frequency_arms_ghz.size()) return std::nullopt;
-  for (std::size_t i = 0; i < arms.size(); ++i) {
-    if (arms[i].as_number() != opt.frequency_arms_ghz[i]) return std::nullopt;
-  }
-  if (static_cast<std::size_t>(j.at("concurrency").as_number()) != opt.concurrency) {
-    return std::nullopt;  // seed derivation depends on the batch width
+  // Counts are checked integers: a NaN, negative or huge value rejects the
+  // checkpoint instead of reaching an undefined double -> size_t cast.
+  bool ok = true;
+  const auto count = [&ok](const util::Json& v) {
+    const auto u = v.as_uint();
+    ok = ok && u.has_value();
+    return static_cast<std::size_t>(u.value_or(0));
+  };
+  for (const auto& [key, value] : mab_identity(opt)) {
+    if (j.at(key).dump() != value.dump()) return std::nullopt;
   }
   MabCampaignState st;
   st.base_seed = u64_from(j.at("base_seed"));
   st.run_index = u64_from(j.at("run_index"));
-  st.next_iteration = static_cast<std::size_t>(j.at("next_iteration").as_number());
+  st.next_iteration = count(j.at("next_iteration"));
   st.best = j.at("best").as_number();
   st.rng_state = j.at("rng");
   if (st.rng_state.as_array().size() != 6) return std::nullopt;
   for (const auto& s : j.at("samples").as_array()) {
     MabSample sample;
-    sample.iteration = static_cast<std::size_t>(s.at("it").as_number());
+    sample.iteration = count(s.at("it"));
     sample.frequency_ghz = s.at("ghz").as_number();
     sample.success = s.at("ok").as_bool();
     sample.reward = s.at("r").as_number();
@@ -124,18 +132,19 @@ std::optional<MabCampaignState> mab_state_from_json(const util::Json& j,
   }
   for (const auto& a : j.at("agg").as_array()) {
     ArmAgg agg;
-    agg.pulls = static_cast<std::size_t>(a.at("pulls").as_number());
-    agg.successes = static_cast<std::size_t>(a.at("succ").as_number());
+    agg.pulls = count(a.at("pulls"));
+    agg.successes = count(a.at("succ"));
     agg.reward_sum = a.at("rsum").as_number();
     st.agg.push_back(agg);
   }
   for (const auto& p : j.at("policy").as_array()) {
     ml::ArmStats stats;
-    stats.pulls = static_cast<std::size_t>(p.at("pulls").as_number());
+    stats.pulls = count(p.at("pulls"));
     stats.reward_sum = p.at("rsum").as_number();
     stats.reward_sq_sum = p.at("rsq").as_number();
     st.policy.push_back(stats);
   }
+  if (!ok) return std::nullopt;
   if (st.agg.size() != opt.frequency_arms_ghz.size()) return std::nullopt;
   if (st.policy.size() != opt.frequency_arms_ghz.size()) return std::nullopt;
   return st;
@@ -201,6 +210,10 @@ MabScheduler::MabScheduler(MabOptions options) : options_(std::move(options)) {
   assert(!options_.frequency_arms_ghz.empty());
 }
 
+bool MabScheduler::resumes_from(const util::Json& state) const {
+  return mab_state_from_json(state, options_).has_value();
+}
+
 std::unique_ptr<ml::BanditPolicy> MabScheduler::make_policy() const {
   const std::size_t n = options_.frequency_arms_ghz.size();
   switch (options_.algorithm) {
@@ -220,11 +233,36 @@ MabRunResult MabScheduler::run(const FlowOracle& oracle, util::Rng& rng) const {
 
 MabRunResult MabScheduler::run(const FlowOracle& oracle, util::Rng& rng,
                                exec::RunExecutor& pool) const {
+  // A plain pull's seed is its submission seed (ctx.seed), so the oracle
+  // sees exactly derive_run_seed(base_seed, run_index).
+  const ResilientOracle pull = [&oracle](double freq, std::uint64_t seed, exec::RunContext&) {
+    return oracle(freq, seed);
+  };
+  return iterate(pull, rng, pool, nullptr);
+}
+
+MabRunResult MabScheduler::run_resilient(const ResilientOracle& oracle, util::Rng& rng) const {
+  exec::RunExecutor pool;
+  return run_resilient(oracle, rng, pool);
+}
+
+MabRunResult MabScheduler::run_resilient(const ResilientOracle& oracle, util::Rng& rng,
+                                         exec::RunExecutor& pool) const {
+  resil::CircuitBreaker breaker(options_.frequency_arms_ghz.size(), options_.breaker);
+  return iterate(oracle, rng, pool, &breaker);
+}
+
+MabRunResult MabScheduler::iterate(const ResilientOracle& oracle, util::Rng& rng,
+                                   exec::RunExecutor& pool,
+                                   resil::CircuitBreaker* breaker) const {
   MabRunResult res;
   auto policy = make_policy();
   const auto& arms = options_.frequency_arms_ghz;
+  // The failure-aware campaign neither memoizes nor checkpoints.
+  store::FlowCache* const cache = breaker ? nullptr : options_.cache;
+  store::RunStore* const checkpoint = breaker ? nullptr : options_.checkpoint;
 
-  obs::Span run_span("mab_run", "sched");
+  obs::Span run_span(breaker ? "mab_run_resilient" : "mab_run", "sched");
   run_span.arg("algorithm", to_string(options_.algorithm))
       .arg("arms", static_cast<double>(arms.size()))
       .arg("iterations", static_cast<double>(options_.iterations));
@@ -243,8 +281,8 @@ MabRunResult MabScheduler::run(const FlowOracle& oracle, util::Rng& rng,
   // equality sample-by-sample); a checkpoint written under different
   // options is ignored and the campaign starts fresh.
   bool resumed = false;
-  if (options_.checkpoint) {
-    if (const auto saved = options_.checkpoint->get_state(state_key)) {
+  if (checkpoint) {
+    if (const auto saved = checkpoint->get_state(state_key)) {
       if (auto st = mab_state_from_json(*saved, options_)) {
         base_seed = st->base_seed;
         run_index = st->run_index;
@@ -269,7 +307,7 @@ MabRunResult MabScheduler::run(const FlowOracle& oracle, util::Rng& rng,
   run_span.arg("start_iteration", static_cast<double>(start_iteration));
 
   const auto save_checkpoint = [&](std::size_t next_iteration) {
-    if (!options_.checkpoint) return;
+    if (!checkpoint) return;
     MabCampaignState st;
     st.base_seed = base_seed;
     st.run_index = run_index;
@@ -280,7 +318,7 @@ MabRunResult MabScheduler::run(const FlowOracle& oracle, util::Rng& rng,
     st.agg = agg;
     st.policy = policy->export_stats();
     st.rng_state = store::rng_state_to_json(rng);
-    options_.checkpoint->put_state(state_key, mab_state_json(st, options_));
+    checkpoint->put_state(state_key, mab_state_json(st, options_));
   };
 
   for (std::size_t it = start_iteration; it < options_.iterations; ++it) {
@@ -289,151 +327,16 @@ MabRunResult MabScheduler::run(const FlowOracle& oracle, util::Rng& rng,
     obs::Span it_span("mab_iter", "sched");
     it_span.arg("iteration", static_cast<double>(it));
 
-    // Serial: arm selection consumes the shared Rng in a fixed order.
-    std::vector<std::size_t> chosen;
-    chosen.reserve(options_.concurrency);
-    for (std::size_t b = 0; b < options_.concurrency; ++b) chosen.push_back(policy->select(rng));
-    obs::Registry::global().counter("sched.mab_pulls").add(chosen.size());
-
-    // Parallel: the iteration's B concurrent tool runs (Fig. 7's "5
-    // concurrent samples"). Seeds depend only on (base_seed, run_index), so
-    // the trajectory is bitwise identical at any pool size.
-    std::vector<std::future<flow::FlowResult>> futures;
-    futures.reserve(chosen.size());
-    for (std::size_t b = 0; b < chosen.size(); ++b) {
-      const double freq = arms[chosen[b]];
-      const std::uint64_t seed = exec::derive_run_seed(base_seed, run_index + b);
-      const std::string label = "mab#" + std::to_string(run_index + b);
-      auto body = [&oracle, freq, seed](exec::RunContext&) { return oracle(freq, seed); };
-      if (options_.cache) {
-        // Content-addressed dispatch: the key is the campaign's fixed
-        // context plus this run's (frequency, seed); a repeated campaign
-        // against the same store answers from the cache.
-        store::RunKey key = options_.cache_key;
-        key.set("target_ghz", freq);
-        key.seed = seed;
-        store::KeyedRunCache keyed{*options_.cache, std::move(key)};
-        futures.push_back(
-            pool.submit_memo(label, seed, keyed.fingerprint(), keyed, std::move(body)));
-      } else {
-        futures.push_back(pool.submit(label, seed, std::move(body)));
-      }
-    }
-    run_index += chosen.size();
-
-    // Barrier, then serial: observe rewards and update the policy in
-    // submission order — exactly the serial schedule.
-    for (std::size_t b = 0; b < chosen.size(); ++b) {
-      const std::size_t arm = chosen[b];
-      const double freq = arms[arm];
-      flow::FlowResult fr;
-      bool observed = true;
-      try {
-        fr = futures[b].get();
-      } catch (const std::exception&) {
-        // The run died (injected crash, timeout, ...) and produced no
-        // observation. Censor the pull: no posterior or aggregate update —
-        // updating with reward 0 would conflate "crashed" with "infeasible"
-        // and poison the policy — just record the gap in the trajectory.
-        observed = false;
-      }
-      if (!observed) {
-        obs::Registry::global().counter("sched.censored_runs").add();
-        MabSample s;
-        s.iteration = it;
-        s.frequency_ghz = freq;
-        s.censored = true;
-        res.samples.push_back(s);
-        ++res.total_runs;
-        ++res.censored_runs;
-        continue;
-      }
-      // Reward: achieved (target) frequency when the run succeeds under its
-      // constraints, else zero. Bounded, scale-free in GHz.
-      const double reward = fr.success() ? freq : 0.0;
-      policy->update(arm, reward);
-      ArmAgg& a = agg[arm];
-      ++a.pulls;
-      a.reward_sum += reward;
-
-      MabSample s;
-      s.iteration = it;
-      s.frequency_ghz = freq;
-      s.success = fr.success();
-      s.reward = reward;
-      res.samples.push_back(s);
-      ++res.total_runs;
-      if (fr.success()) {
-        ++a.successes;
-        ++res.successful_runs;
-        best = std::max(best, freq);
-      }
-    }
-    res.best_per_iteration.push_back(best);
-    it_span.arg("best_feasible_ghz", best);
-    save_checkpoint(it + 1);
-  }
-  res.best_feasible_ghz = best;
-  run_span.arg("best_feasible_ghz", best)
-      .arg("total_runs", static_cast<double>(res.total_runs));
-
-  // Regret vs. the best *feasible* arm discovered over the whole corpus:
-  // mu* is the highest empirical mean reward among arms with at least one
-  // successful run (mean reward = frequency x empirical success rate). Each
-  // pull is charged mu* minus the reward it actually obtained. A campaign
-  // that never found a feasible arm has zero regret — nothing better was
-  // discoverable.
-  double best_feasible_mean = 0.0;
-  for (const auto& a : agg) {
-    if (a.successes > 0) {
-      best_feasible_mean =
-          std::max(best_feasible_mean, a.reward_sum / static_cast<double>(a.pulls));
-    }
-  }
-  double regret = 0.0;
-  for (const auto& s : res.samples) {
-    if (!s.censored) regret += best_feasible_mean - s.reward;
-  }
-  res.total_regret = std::max(regret, 0.0);
-  return res;
-}
-
-MabRunResult MabScheduler::run_resilient(const ResilientOracle& oracle, util::Rng& rng) const {
-  exec::RunExecutor pool;
-  return run_resilient(oracle, rng, pool);
-}
-
-MabRunResult MabScheduler::run_resilient(const ResilientOracle& oracle, util::Rng& rng,
-                                         exec::RunExecutor& pool) const {
-  MabRunResult res;
-  auto policy = make_policy();
-  const auto& arms = options_.frequency_arms_ghz;
-
-  obs::Span run_span("mab_run_resilient", "sched");
-  run_span.arg("algorithm", to_string(options_.algorithm))
-      .arg("arms", static_cast<double>(arms.size()))
-      .arg("iterations", static_cast<double>(options_.iterations));
-
-  std::vector<ArmAgg> agg(arms.size());
-  resil::CircuitBreaker breaker(arms.size(), options_.breaker);
-
-  double best = 0.0;
-  const std::uint64_t base_seed = rng.next();
-  std::uint64_t run_index = 0;
-
-  for (std::size_t it = 0; it < options_.iterations; ++it) {
-    obs::Span it_span("mab_iter", "sched");
-    it_span.arg("iteration", static_cast<double>(it));
-
-    // Serial: arm selection consumes the shared Rng in a fixed order; open
-    // (cooling-down) arms are redirected to the nearest closed one so the
-    // batch width and seed indices stay schedule-independent.
+    // Serial: arm selection consumes the shared Rng in a fixed order. Under
+    // a breaker, open (cooling-down) arms are redirected to the nearest
+    // closed one, so the batch width and seed indices stay
+    // schedule-independent.
     std::vector<std::size_t> chosen;
     chosen.reserve(options_.concurrency);
     for (std::size_t b = 0; b < options_.concurrency; ++b) {
       std::size_t arm = policy->select(rng);
-      if (breaker.open(arm)) {
-        const std::size_t redirect = breaker.nearest_closed(arm);
+      if (breaker && breaker->open(arm)) {
+        const std::size_t redirect = breaker->nearest_closed(arm);
         if (redirect != arm) {
           obs::Registry::global().counter("sched.arm_cooldown_redirects").add();
           arm = redirect;
@@ -443,78 +346,88 @@ MabRunResult MabScheduler::run_resilient(const ResilientOracle& oracle, util::Rn
     }
     obs::Registry::global().counter("sched.mab_pulls").add(chosen.size());
 
-    // Parallel: every pull goes through submit_resilient — retries with
-    // perturbed seeds, optional hedging, per-run deadline. Submission seeds
-    // still derive from (base_seed, run_index), and hedge twins share their
-    // attempt's seed, so the trajectory stays bitwise identical at any pool
-    // size even under injected faults.
-    std::vector<std::future<flow::FlowResult>> futures;
-    futures.reserve(chosen.size());
+    // Parallel: the iteration's B concurrent tool runs (Fig. 7's "5
+    // concurrent samples"). Submission seeds depend only on (base_seed,
+    // run_index), and a retried attempt's seed only on (submission seed,
+    // attempt), so the trajectory is bitwise identical at any pool size,
+    // even under injected faults. With a cache, the key is the campaign's
+    // fixed context plus this run's (frequency, seed): a repeated campaign
+    // against the same store answers from the cache.
+    std::vector<exec::RoundJob<flow::FlowResult, store::KeyedRunCache>> jobs(chosen.size());
     for (std::size_t b = 0; b < chosen.size(); ++b) {
       const double freq = arms[chosen[b]];
-      const std::uint64_t seed = exec::derive_run_seed(base_seed, run_index + b);
-      const std::string label = "mab#" + std::to_string(run_index + b);
-      futures.push_back(pool.submit_resilient(
-          label, seed,
-          [&oracle, freq](exec::RunContext& ctx) { return oracle(freq, ctx.seed, ctx); },
-          options_.resilience));
+      auto& job = jobs[b];
+      job.label = "mab#" + std::to_string(run_index + b);
+      job.seed = exec::derive_run_seed(base_seed, run_index + b);
+      job.body = [&oracle, freq](exec::RunContext& ctx) { return oracle(freq, ctx.seed, ctx); };
+      if (cache) {
+        store::RunKey key = options_.cache_key;
+        key.set("target_ghz", freq);
+        key.seed = job.seed;
+        job.memo.emplace(*cache, std::move(key));
+      }
     }
     run_index += chosen.size();
+    auto outcomes = exec::dispatch_round(
+        pool, std::move(jobs),
+        breaker ? std::optional<resil::ResilOptions>(options_.resilience) : std::nullopt);
 
-    // Barrier, then serial: observe in submission order. A pull that died
-    // after exhausting its retry budget is censored — the posterior is left
-    // untouched and the breaker records the hard failure.
+    // Barrier, then serial: observe rewards and update the policy in
+    // submission order — exactly the serial schedule.
     for (std::size_t b = 0; b < chosen.size(); ++b) {
       const std::size_t arm = chosen[b];
       const double freq = arms[arm];
-      flow::FlowResult fr;
-      bool observed = true;
-      try {
-        fr = futures[b].get();
-      } catch (const std::exception&) {
-        observed = false;
-      }
-      if (!observed) {
+      MabSample s;
+      s.iteration = it;
+      s.frequency_ghz = freq;
+      ++res.total_runs;
+      if (!outcomes[b].value) {
+        // The run died (injected crash, timeout, exhausted retries) and
+        // produced no observation. Censor the pull: no posterior or
+        // aggregate update — updating with reward 0 would conflate
+        // "crashed" with "infeasible" and poison the policy — just record
+        // the gap in the trajectory.
         obs::Registry::global().counter("sched.censored_runs").add();
-        breaker.record_failure(arm);
-        MabSample s;
-        s.iteration = it;
-        s.frequency_ghz = freq;
+        if (breaker) breaker->record_failure(arm);
         s.censored = true;
         res.samples.push_back(s);
-        ++res.total_runs;
         ++res.censored_runs;
         continue;
       }
-      breaker.record_success(arm);
+      if (breaker) breaker->record_success(arm);
+      // Reward: achieved (target) frequency when the run succeeds under its
+      // constraints, else zero. Bounded, scale-free in GHz.
+      const flow::FlowResult& fr = *outcomes[b].value;
       const double reward = fr.success() ? freq : 0.0;
       policy->update(arm, reward);
       ArmAgg& a = agg[arm];
       ++a.pulls;
       a.reward_sum += reward;
-
-      MabSample s;
-      s.iteration = it;
-      s.frequency_ghz = freq;
       s.success = fr.success();
       s.reward = reward;
       res.samples.push_back(s);
-      ++res.total_runs;
       if (fr.success()) {
         ++a.successes;
         ++res.successful_runs;
         best = std::max(best, freq);
       }
     }
-    breaker.advance_round();
+    if (breaker) breaker->advance_round();
     res.best_per_iteration.push_back(best);
     it_span.arg("best_feasible_ghz", best);
+    save_checkpoint(it + 1);
   }
   res.best_feasible_ghz = best;
   run_span.arg("best_feasible_ghz", best)
       .arg("total_runs", static_cast<double>(res.total_runs))
       .arg("censored_runs", static_cast<double>(res.censored_runs));
 
+  // Regret vs. the best *feasible* arm discovered over the whole corpus:
+  // mu* is the highest empirical mean reward among arms with at least one
+  // successful run (mean reward = frequency x empirical success rate). Each
+  // observed pull is charged mu* minus the reward it actually obtained. A
+  // campaign that never found a feasible arm has zero regret — nothing
+  // better was discoverable.
   double best_feasible_mean = 0.0;
   for (const auto& a : agg) {
     if (a.successes > 0) {

@@ -114,9 +114,11 @@ class MabScheduler {
   explicit MabScheduler(MabOptions options);
 
   /// Run the explore/exploit campaign against the oracle. Each iteration's B
-  /// concurrent runs execute in parallel on `pool`; every run's seed derives
-  /// from (campaign seed, run index), so the sampled trajectory is bitwise
-  /// identical at any pool size (MAESTRO_THREADS=1 == MAESTRO_THREADS=8).
+  /// concurrent runs execute in parallel on `pool` as one
+  /// exec::dispatch_round; every run's seed derives from (campaign seed, run
+  /// index), so the sampled trajectory is bitwise identical at any pool size
+  /// (MAESTRO_THREADS=1 == MAESTRO_THREADS=8). A pull whose run throws is
+  /// censored, as in run_resilient, but is not retried.
   MabRunResult run(const FlowOracle& oracle, util::Rng& rng, exec::RunExecutor& pool) const;
   /// Convenience: runs on a private pool sized by MAESTRO_THREADS /
   /// hardware concurrency.
@@ -128,16 +130,30 @@ class MabScheduler {
   /// sample — no posterior update, excluded from regret — and feeds the
   /// per-arm circuit breaker, which cools repeatedly-dying arms down and
   /// redirects their selections to the nearest closed arm. Deterministic at
-  /// any pool size. Checkpointing (options().checkpoint) is not supported on
-  /// this path and is ignored; use run() for resumable campaigns.
+  /// any pool size. The cache and checkpointing (options().cache,
+  /// options().checkpoint) are not used on this path; use run() for
+  /// memoized or resumable campaigns.
   MabRunResult run_resilient(const ResilientOracle& oracle, util::Rng& rng,
                              exec::RunExecutor& pool) const;
   MabRunResult run_resilient(const ResilientOracle& oracle, util::Rng& rng) const;
 
   const MabOptions& options() const { return options_; }
 
+  /// True when run() would resume from `state`, a persisted
+  /// "mab:<campaign_id>" checkpoint: it decodes and matches these options.
+  /// Checkpoints come from WAL bytes, so anything else is rejected.
+  bool resumes_from(const util::Json& state) const;
+
  private:
   std::unique_ptr<ml::BanditPolicy> make_policy() const;
+  /// The one iteration loop behind run() and run_resilient(): arm
+  /// selection, one exec::dispatch_round per iteration, censoring, the fold
+  /// into the policy and the regret. `breaker` null is run(): plain or
+  /// memoized pulls, checkpointing. `breaker` set is run_resilient(): every
+  /// pull under options().resilience, open arms redirected, no cache or
+  /// checkpoint.
+  MabRunResult iterate(const ResilientOracle& oracle, util::Rng& rng, exec::RunExecutor& pool,
+                       resil::CircuitBreaker* breaker) const;
   MabOptions options_;
 };
 

@@ -125,42 +125,40 @@ RobotOutcome RobotEngineer::execute(const flow::FlowRecipe& initial,
 std::vector<RobotOutcome> RobotEngineer::run_fleet(std::vector<FleetTask> tasks,
                                                    exec::RunExecutor& pool,
                                                    std::uint64_t fleet_seed) const {
-  std::vector<std::future<RobotOutcome>> futures;
-  futures.reserve(tasks.size());
+  std::vector<exec::RoundJob<RobotOutcome>> jobs(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const std::uint64_t task_seed = exec::derive_run_seed(fleet_seed, i);
-    std::string label = "robot:" + tasks[i].recipe.design.name;
-    exec::CancelToken token = tasks[i].recipe.cancel;
-    futures.push_back(pool.submit(
-        std::move(label), task_seed,
-        [this, task = std::move(tasks[i]), task_seed](exec::RunContext&) {
-          util::Rng rng{task_seed};
-          return execute(task.recipe, task.constraints, rng);
-        },
-        token));
+    auto& job = jobs[i];
+    job.label = "robot:" + tasks[i].recipe.design.name;
+    job.seed = exec::derive_run_seed(fleet_seed, i);
+    job.cancel = tasks[i].recipe.cancel;
+    job.body = [this, task = std::move(tasks[i])](exec::RunContext& ctx) {
+      util::Rng rng{ctx.seed};
+      return execute(task.recipe, task.constraints, rng);
+    };
   }
+  auto results = exec::dispatch_round(pool, std::move(jobs));
   std::vector<RobotOutcome> outcomes;
-  outcomes.reserve(futures.size());
+  outcomes.reserve(results.size());
   std::size_t crashed = 0;
-  for (auto& f : futures) {
-    try {
-      outcomes.push_back(f.get());
-    } catch (const std::exception& e) {
-      // Partial fleet: one robot died (crash, cancellation, exhausted
-      // retries) but the rest of the fleet's outcomes are still delivered.
-      // The dead slot reports a failed outcome whose journal records the
-      // crash, so callers can distinguish "robot gave up" from "robot died".
-      ++crashed;
-      obs::Registry::global().counter("sched.robot_crashes").add();
-      RobotOutcome dead;
-      dead.succeeded = false;
-      RobotAction action;
-      action.attempt = 0;
-      action.diagnosis = std::string("crashed: ") + e.what();
-      action.remedy = "none (fleet reports partial results)";
-      dead.journal.push_back(std::move(action));
-      outcomes.push_back(std::move(dead));
+  for (auto& r : results) {
+    if (r.value) {
+      outcomes.push_back(std::move(*r.value));
+      continue;
     }
+    // Partial fleet: one robot died (crash, cancellation, exhausted
+    // retries) but the rest of the fleet's outcomes are still delivered.
+    // The dead slot reports a failed outcome whose journal records the
+    // crash, so callers can distinguish "robot gave up" from "robot died".
+    ++crashed;
+    obs::Registry::global().counter("sched.robot_crashes").add();
+    RobotOutcome dead;
+    dead.succeeded = false;
+    RobotAction action;
+    action.attempt = 0;
+    action.diagnosis = "crashed: " + r.error;
+    action.remedy = "none (fleet reports partial results)";
+    dead.journal.push_back(std::move(action));
+    outcomes.push_back(std::move(dead));
   }
   if (crashed > 0) {
     obs::Registry::global().counter("sched.fleet_partial").add();

@@ -31,6 +31,15 @@
 // requests cancellation at the deadline, so even a body that only polls
 // its CancelToken is reeled in, its license released, and the caller's
 // future fails fast with resil::RunTimedOut.
+//
+// Campaign rounds: MabScheduler, FlowTreeSearch, FlowTuner,
+// RobotEngineer::run_fleet and the pooled opt::go_with_the_winners all share
+// one dispatch path, dispatch_round(pool, jobs, resilience): submit a batch
+// of runs (through submit_memo when a job has a memo handle, else through
+// submit_resilient when ResilOptions are given, else submit), wait for all
+// of them, and return each run's value or error text in submission order.
+// A failed run never throws out of the round; each driver folds a dead run
+// in its own way (a censored pull, a dead branch, a crashed robot).
 
 #include <algorithm>
 #include <chrono>
@@ -673,5 +682,67 @@ class RunExecutor {
   std::vector<std::thread> workers_;
   std::thread timer_;
 };
+
+/// Memo-handle type of a RoundJob that never consults a cache.
+struct NoMemo {};
+
+/// One run of a campaign round.
+template <typename R, typename Cache = NoMemo>
+struct RoundJob {
+  std::string label;
+  std::uint64_t seed = 0;
+  std::function<R(RunContext&)> body;
+  /// When set, the run goes through submit_memo keyed by memo->fingerprint()
+  /// (e.g. store::KeyedRunCache).
+  std::optional<Cache> memo;
+  std::optional<CancelToken> cancel;  ///< the caller's token, if any
+};
+
+/// What one run of a round produced: its value, or the error that killed it.
+template <typename R>
+struct RoundOutcome {
+  std::optional<R> value;
+  std::string error;  ///< what() of the run's exception when !value
+};
+
+/// Submit every job, wait for all of them, return their outcomes in
+/// submission order; never throws for a failed run. With `resilience` set,
+/// jobs without a memo handle go through submit_resilient even for default
+/// ResilOptions, whose attempt bodies consult the "exec.license" fault site.
+template <typename R, typename Cache>
+std::vector<RoundOutcome<R>> dispatch_round(
+    RunExecutor& pool, std::vector<RoundJob<R, Cache>> jobs,
+    const std::optional<resil::ResilOptions>& resilience = std::nullopt) {
+  std::vector<std::future<R>> futures;
+  futures.reserve(jobs.size());
+  for (auto& job : jobs) {
+    const CancelToken cancel = job.cancel.value_or(CancelToken{});
+    if constexpr (!std::is_same_v<Cache, NoMemo>) {
+      if (job.memo) {
+        const std::uint64_t fingerprint = job.memo->fingerprint();
+        futures.push_back(pool.submit_memo(std::move(job.label), job.seed, fingerprint,
+                                           std::move(*job.memo), std::move(job.body), cancel,
+                                           {}, resilience.value_or(resil::ResilOptions{})));
+        continue;
+      }
+    }
+    futures.push_back(resilience ? pool.submit_resilient(std::move(job.label), job.seed,
+                                                         std::move(job.body), *resilience,
+                                                         job.cancel)
+                                 : pool.submit(std::move(job.label), job.seed,
+                                               std::move(job.body), cancel));
+  }
+  std::vector<RoundOutcome<R>> outcomes(futures.size());
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    try {
+      outcomes[i].value.emplace(futures[i].get());
+    } catch (const std::exception& e) {
+      outcomes[i].error = e.what();
+    } catch (...) {
+      outcomes[i].error = "unknown error";
+    }
+  }
+  return outcomes;
+}
 
 }  // namespace maestro::exec

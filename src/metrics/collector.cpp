@@ -1,7 +1,5 @@
 #include "metrics/collector.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -45,69 +43,14 @@ Collector::Collector(Server& server, CollectorOptions opt)
 Collector::~Collector() { stop(); }
 
 bool Collector::start() {
-  if (running()) return true;
-  listen_fd_ = frame::listen_unix(opt_.socket_path, 16);
-  if (listen_fd_ < 0) return false;
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  return true;
+  return listener_.start(opt_.socket_path, 16, [this](int fd) { serve_connection(fd); });
 }
 
-void Collector::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    // Unblock every reader still parked in read(); each closes its own fd.
-    const std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const int fd : conn_fds_) {
-      if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-    }
-  }
-  std::vector<std::thread> joiners;
-  {
-    const std::lock_guard<std::mutex> lock(conn_mu_);
-    joiners.swap(conn_threads_);
-  }
-  for (auto& t : joiners) {
-    if (t.joinable()) t.join();
-  }
-  {
-    const std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_fds_.clear();  // all readers joined; slots must not leak into a restart
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  ::unlink(opt_.socket_path.c_str());
-}
-
-void Collector::accept_loop() {
-  while (running()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int n = ::poll(&pfd, 1, 200);
-    if (n <= 0) continue;  // timeout or EINTR: re-check running()
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    conns_.fetch_add(1, std::memory_order_relaxed);
-    remote_counters().conns.add();
-    const std::lock_guard<std::mutex> lock(conn_mu_);
-    const std::size_t slot = conn_fds_.size();
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd, slot] {
-      serve_connection(fd);
-      const std::lock_guard<std::mutex> inner(conn_mu_);
-      ::close(fd);
-      conn_fds_[slot] = -1;  // stop() must not shutdown a recycled fd number
-    });
-  }
-}
+void Collector::stop() { listener_.stop(); }
 
 void Collector::serve_connection(int fd) {
   auto& rc = remote_counters();
+  rc.conns.add();
   std::uint64_t conn_records = 0;
   std::string payload;
   while (true) {
@@ -197,7 +140,7 @@ bool RemoteTransmitter::handshake(const char* type) {
   if (read_frame(fd_, max_frame_bytes_, &payload) != 1) return false;
   const auto doc = util::Json::parse(payload);
   if (!doc || doc->at("type").as_string() != "ack") return false;
-  return static_cast<std::uint64_t>(doc->at("received").as_number()) == sent_;
+  return doc->at("received").as_uint() == sent_;
 }
 
 bool RemoteTransmitter::flush() {

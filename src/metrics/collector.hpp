@@ -32,11 +32,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "metrics/frame.hpp"
 #include "metrics/server.hpp"
 
 namespace maestro::metrics {
@@ -50,7 +49,8 @@ struct CollectorOptions {
 };
 
 /// Accepts RemoteTransmitter connections and feeds their records into a
-/// Server (one accept thread plus one reader thread per connection).
+/// Server (a frame::Listener: one accept thread plus one reader thread per
+/// live connection).
 class Collector {
  public:
   Collector(Server& server, CollectorOptions opt);
@@ -64,26 +64,21 @@ class Collector {
   /// In-flight buffered records are ingested before the reader joins.
   void stop();
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return listener_.running(); }
   std::uint64_t records_received() const { return records_.load(std::memory_order_relaxed); }
-  std::uint64_t connections_accepted() const { return conns_.load(std::memory_order_relaxed); }
+  std::uint64_t connections_accepted() const { return listener_.accepted(); }
+  /// Connection threads not yet joined (live plus finished-but-unreaped).
+  std::size_t tracked_connections() const { return listener_.tracked_connections(); }
 
   Server& server() { return *server_; }
 
  private:
-  void accept_loop();
   void serve_connection(int fd);
 
   Server* server_;
   CollectorOptions opt_;
-  std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> records_{0};
-  std::atomic<std::uint64_t> conns_{0};
-  int listen_fd_ = -1;
-  std::thread accept_thread_;
-  std::mutex conn_mu_;  ///< guards conn_fds_ / conn_threads_
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  frame::Listener listener_;
 };
 
 /// Client half of the wire protocol: buffers records and ships them to a

@@ -1,5 +1,6 @@
 #include "metrics/frame.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/uio.h>
@@ -117,6 +118,75 @@ bool set_io_timeout(int fd, double ms) {
   }
   return ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) == 0 &&
          ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) == 0;
+}
+
+bool Listener::start(const std::string& path, int backlog, std::function<void(int fd)> handler) {
+  if (running()) return true;
+  listen_fd_ = listen_unix(path, backlog);
+  if (listen_fd_ < 0) return false;
+  path_ = path;
+  handler_ = std::move(handler);
+  running_.store(true, std::memory_order_release);
+  accept_thread_ = std::thread([this] { accept_loop(); });
+  return true;
+}
+
+void Listener::stop() {
+  const bool was_running = running_.exchange(false, std::memory_order_acq_rel);
+  if (accept_thread_.joinable()) accept_thread_.join();
+  if (!was_running) return;
+  std::list<Connection> live;
+  {
+    // Unblock every reader still parked in read(); each closes its own fd.
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (const Connection& c : connections_) {
+      if (c.fd >= 0) ::shutdown(c.fd, SHUT_RDWR);
+    }
+    live.swap(connections_);  // list nodes keep their addresses
+  }
+  for (Connection& c : live) c.thread.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+  ::unlink(path_.c_str());
+}
+
+std::size_t Listener::tracked_connections() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return connections_.size();
+}
+
+void Listener::accept_loop() {
+  while (running()) {
+    {
+      // Reap: a done reader has released mu_ for the last time, so joining
+      // it here cannot deadlock and waits only for its thread to exit.
+      const std::lock_guard<std::mutex> lock(mu_);
+      for (auto it = connections_.begin(); it != connections_.end();) {
+        if (!it->done) {
+          ++it;
+          continue;
+        }
+        it->thread.join();
+        it = connections_.erase(it);
+      }
+    }
+    pollfd pfd{listen_fd_, POLLIN, 0};
+    if (::poll(&pfd, 1, 200) <= 0) continue;  // timeout or EINTR: re-check running()
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) continue;
+    accepted_.fetch_add(1, std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock(mu_);
+    Connection& c = connections_.emplace_back();
+    c.fd = fd;
+    // The reader's final lock waits until `thread` is assigned.
+    c.thread = std::thread([this, &c, fd] {
+      handler_(fd);
+      const std::lock_guard<std::mutex> inner(mu_);
+      ::close(fd);
+      c.fd = -1;
+      c.done = true;
+    });
+  }
 }
 
 }  // namespace maestro::metrics::frame

@@ -57,14 +57,25 @@ util::Json Record::to_json() const {
 
 std::optional<Record> Record::from_json(const util::Json& j) {
   if (!j.is_object()) return std::nullopt;
+  // A numeric id or seed must be an exact unsigned integer; a missing or
+  // non-numeric one reads as 0.
+  const auto checked = [](const util::Json& v) {
+    return v.is_number() ? v.as_uint() : std::optional<std::uint64_t>{0};
+  };
   Record r;
-  r.run_id = static_cast<std::uint64_t>(j.at("run_id").as_number());
+  const auto run_id = checked(j.at("run_id"));
+  if (!run_id) return std::nullopt;
+  r.run_id = *run_id;
   r.design = j.at("design").as_string();
   r.step = j.at("step").as_string();
   const auto& seed_field = j.at("seed");
-  r.seed = seed_field.is_string()
-               ? std::strtoull(seed_field.as_string().c_str(), nullptr, 10)
-               : static_cast<std::uint64_t>(seed_field.as_number());
+  if (seed_field.is_string()) {
+    r.seed = std::strtoull(seed_field.as_string().c_str(), nullptr, 10);
+  } else {
+    const auto seed = checked(seed_field);
+    if (!seed) return std::nullopt;
+    r.seed = *seed;
+  }
   // Missing "knobs"/"values" fields read as empty objects (at() returns a
   // null Json whose as_object() is empty), so partial records stay loadable.
   for (const auto& [k, v] : j.at("knobs").as_object()) r.knobs[k] = v.as_string();

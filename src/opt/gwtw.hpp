@@ -10,18 +10,18 @@
 // (maestro::core::FlowTreeSearch).
 //
 // Concurrency: when GwtwOptions::executor is set, each round's advance+cost
-// evaluations run in parallel on the pool. Every advance draws from an Rng
-// seeded by (campaign seed, round, thread index) — never from the shared
-// generator — so serial and parallel execution produce bitwise-identical
-// populations and winners. init/advance/cost must be safe to call
-// concurrently (pure functions of their inputs plus their own Rng).
+// evaluations run in parallel on the pool as one exec::dispatch_round. Every
+// advance draws from an Rng seeded by (campaign seed, round, thread index) —
+// never from the shared generator — so serial and parallel execution
+// produce bitwise-identical populations and winners. init/advance/cost must
+// be safe to call concurrently (pure functions of their inputs plus their
+// own Rng).
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <limits>
 #include <span>
 #include <utility>
@@ -97,6 +97,13 @@ GwtwResult<State> go_with_the_winners(const GwtwProblem<State>& prob, const Gwtw
       double cost = prob.cost(next);
       return std::make_pair(std::move(next), cost);
     };
+    // Dead thread: the advance crashed. Keep the prior state at infinite
+    // cost — ranking puts it last and a winner is cloned over it, so the
+    // population width survives the fault.
+    const auto dead_thread = [&](std::size_t i) {
+      obs::Registry::global().counter("opt.gwtw_dead_threads").add();
+      return std::make_pair(population[i], std::numeric_limits<double>::infinity());
+    };
     std::vector<std::pair<State, double>> advanced(population.size());
     if (prob.advance_batch) {
       // Batched advance: same per-thread seeds as the scalar path, one call
@@ -114,31 +121,22 @@ GwtwResult<State> go_with_the_winners(const GwtwProblem<State>& prob, const Gwtw
         advanced[i] = {std::move(next[i]), cost};
       }
     } else if (opt.executor) {
-      std::vector<std::future<std::pair<State, double>>> futures;
-      futures.reserve(population.size());
+      std::vector<exec::RoundJob<std::pair<State, double>>> jobs(population.size());
       for (std::size_t i = 0; i < population.size(); ++i) {
-        futures.push_back(opt.executor->submit(
-            "gwtw_r" + std::to_string(round) + "#" + std::to_string(i), 0,
-            [&advance_one, i](exec::RunContext&) { return advance_one(i); }));
+        jobs[i].label = "gwtw_r" + std::to_string(round) + "#" + std::to_string(i);
+        jobs[i].body = [&advance_one, i](exec::RunContext&) { return advance_one(i); };
       }
+      auto outcomes = exec::dispatch_round(*opt.executor, std::move(jobs));
       for (std::size_t i = 0; i < population.size(); ++i) {
-        try {
-          advanced[i] = futures[i].get();
-        } catch (const std::exception&) {
-          // Dead thread: the advance crashed. Keep the prior state at
-          // infinite cost — ranking puts it last and a winner is cloned
-          // over it, so the population width survives the fault.
-          obs::Registry::global().counter("opt.gwtw_dead_threads").add();
-          advanced[i] = {population[i], std::numeric_limits<double>::infinity()};
-        }
+        if (outcomes[i].value) advanced[i] = std::move(*outcomes[i].value);
+        else advanced[i] = dead_thread(i);
       }
     } else {
       for (std::size_t i = 0; i < population.size(); ++i) {
         try {
           advanced[i] = advance_one(i);
         } catch (const std::exception&) {
-          obs::Registry::global().counter("opt.gwtw_dead_threads").add();
-          advanced[i] = {population[i], std::numeric_limits<double>::infinity()};
+          advanced[i] = dead_thread(i);
         }
       }
     }

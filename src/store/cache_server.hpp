@@ -43,10 +43,9 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
+#include "metrics/frame.hpp"
 #include "store/run_cache.hpp"
 
 namespace maestro::store {
@@ -72,8 +71,10 @@ class CacheServer {
 
   bool start();
   void stop();
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return listener_.running(); }
   const std::string& socket_path() const { return opt_.socket_path; }
+  /// Connection threads not yet joined (live plus finished-but-unreaped).
+  std::size_t tracked_connections() const { return listener_.tracked_connections(); }
 
   std::uint64_t requests() const { return requests_.load(std::memory_order_relaxed); }
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
@@ -90,7 +91,6 @@ class CacheServer {
     double inserted_ms = 0.0;  ///< steady-clock stamp for TTL
   };
 
-  void accept_loop();
   void serve_connection(int fd);
   /// Reply payload for one request; sets *close_conn for "bye".
   std::string handle_request(const util::Json& req, bool* close_conn);
@@ -100,12 +100,7 @@ class CacheServer {
 
   RunCache* cache_;
   CacheServerOptions opt_;
-  std::atomic<bool> running_{false};
-  int listen_fd_ = -1;
-  std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  metrics::frame::Listener listener_;
 
   mutable std::mutex lru_mu_;
   std::list<Entry> lru_;  ///< front = most recent

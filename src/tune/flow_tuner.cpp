@@ -48,17 +48,30 @@ util::Json choice_json(const std::vector<std::size_t>& choice) {
   return util::Json{std::move(a)};
 }
 
-std::vector<std::size_t> choice_from(const util::Json& j) {
+/// Index list; clears `ok` when an entry is not an exact unsigned integer.
+std::vector<std::size_t> choice_from(const util::Json& j, bool& ok) {
   std::vector<std::size_t> out;
-  for (const auto& c : j.as_array()) out.push_back(static_cast<std::size_t>(c.as_number()));
+  for (const auto& c : j.as_array()) {
+    const auto u = c.as_uint();
+    ok = ok && u.has_value();
+    out.push_back(static_cast<std::size_t>(u.value_or(0)));
+  }
   return out;
 }
 
-util::Json tune_state_json(const TuneCampaignState& st, const TuneOptions& opt,
-                           const std::vector<flow::KnobDim>& dims) {
+/// True when `choice` picks an in-range value of every dimension.
+bool valid_choice(const std::vector<std::size_t>& choice, const std::vector<flow::KnobDim>& dims) {
+  if (choice.size() != dims.size()) return false;
+  for (std::size_t d = 0; d < dims.size(); ++d) {
+    if (choice[d] >= dims[d].values.size()) return false;
+  }
+  return true;
+}
+
+/// Campaign identity, validated on resume: a checkpoint written under a
+/// different knob space or schedule must not be continued.
+util::JsonObject tune_identity(const TuneOptions& opt, const std::vector<flow::KnobDim>& dims) {
   util::JsonObject o;
-  // Campaign identity, validated on resume: a checkpoint written under a
-  // different knob space or schedule must not be continued.
   o["design"] = util::Json{opt.design};
   util::JsonArray dim_ids;
   for (const auto& d : dims) {
@@ -86,6 +99,12 @@ util::Json tune_state_json(const TuneCampaignState& st, const TuneOptions& opt,
   fo["fps"] = util::Json{opt.forest.features_per_split};
   fo["thr"] = util::Json{opt.forest.max_thresholds};
   o["forest"] = util::Json{std::move(fo)};
+  return o;
+}
+
+util::Json tune_state_json(const TuneCampaignState& st, const TuneOptions& opt,
+                           const std::vector<flow::KnobDim>& dims) {
+  util::JsonObject o = tune_identity(opt, dims);
 
   o["base_seed"] = u64_json(st.base_seed);
   o["next_round"] = util::Json{st.next_round};
@@ -100,6 +119,9 @@ util::Json tune_state_json(const TuneCampaignState& st, const TuneOptions& opt,
     so["c"] = choice_json(s.choice);
     so["s"] = util::Json{s.score};
     so["ok"] = util::Json{s.success};
+    // Written only for censored samples, so a fault-free campaign's
+    // checkpoint bytes are unchanged; absent reads as "observed".
+    if (s.censored) so["cen"] = util::Json{true};
     samples.push_back(util::Json{std::move(so)});
   }
   o["samples"] = util::Json{std::move(samples)};
@@ -147,54 +169,34 @@ std::optional<TuneCampaignState> tune_state_from_json(const util::Json& j,
                                                       const TuneOptions& opt,
                                                       const std::vector<flow::KnobDim>& dims) {
   if (!j.is_object()) return std::nullopt;
-  if (j.at("design").as_string() != opt.design) return std::nullopt;
-  const auto& dim_ids = j.at("dims").as_array();
-  if (dim_ids.size() != dims.size()) return std::nullopt;
-  for (std::size_t i = 0; i < dims.size(); ++i) {
-    if (dim_ids[i].at("name").as_string() != dims[i].qualified()) return std::nullopt;
-    if (static_cast<std::size_t>(dim_ids[i].at("arms").as_number()) != dims[i].values.size()) {
-      return std::nullopt;
-    }
-  }
-  if (static_cast<std::size_t>(j.at("batch").as_number()) != opt.batch) return std::nullopt;
-  if (j.at("policy").as_string() != to_string(opt.policy)) return std::nullopt;
-  if (j.at("epsilon").as_number() != opt.epsilon) return std::nullopt;
-  if (j.at("tau").as_number() != opt.tau) return std::nullopt;
-  if (static_cast<std::size_t>(j.at("warmup").as_number()) != opt.warmup_rounds) {
-    return std::nullopt;
-  }
-  if (static_cast<std::size_t>(j.at("focus_dims").as_number()) != opt.focus_dims) {
-    return std::nullopt;
-  }
-  if (static_cast<std::size_t>(j.at("refit_every").as_number()) != opt.refit_every) {
-    return std::nullopt;
-  }
-  if (static_cast<std::size_t>(j.at("min_rows").as_number()) != opt.min_surrogate_rows) {
-    return std::nullopt;
-  }
-  const auto& fo = j.at("forest");
-  if (static_cast<std::size_t>(fo.at("trees").as_number()) != opt.forest.trees ||
-      static_cast<std::size_t>(fo.at("depth").as_number()) != opt.forest.max_depth ||
-      static_cast<std::size_t>(fo.at("min_leaf").as_number()) != opt.forest.min_leaf ||
-      static_cast<std::size_t>(fo.at("fps").as_number()) != opt.forest.features_per_split ||
-      static_cast<std::size_t>(fo.at("thr").as_number()) != opt.forest.max_thresholds) {
-    return std::nullopt;
+  // Counts and indices are checked integers: a NaN, negative or huge value
+  // rejects the checkpoint instead of reaching an undefined double -> size_t
+  // cast, and an index outside its dimension never reaches a posterior.
+  bool ok = true;
+  const auto count = [&ok](const util::Json& v) {
+    const auto u = v.as_uint();
+    ok = ok && u.has_value();
+    return static_cast<std::size_t>(u.value_or(0));
+  };
+  for (const auto& [key, value] : tune_identity(opt, dims)) {
+    if (j.at(key).dump() != value.dump()) return std::nullopt;
   }
 
   TuneCampaignState st;
   st.base_seed = u64_from(j.at("base_seed"));
-  st.next_round = static_cast<std::size_t>(j.at("next_round").as_number());
+  st.next_round = count(j.at("next_round"));
   st.best_score = j.at("best_score").as_number();
-  st.best_choice = choice_from(j.at("best_choice"));
+  st.best_choice = choice_from(j.at("best_choice"), ok);
   st.rng_state = j.at("rng");
   if (st.rng_state.as_array().size() != 6) return std::nullopt;
-  st.mined_rows = static_cast<std::size_t>(j.at("mined_rows").as_number());
+  st.mined_rows = count(j.at("mined_rows"));
   for (const auto& s : j.at("samples").as_array()) {
     TuneSample sample;
-    sample.round = static_cast<std::size_t>(s.at("r").as_number());
-    sample.choice = choice_from(s.at("c"));
+    sample.round = count(s.at("r"));
+    sample.choice = choice_from(s.at("c"), ok);
     sample.score = s.at("s").as_number();
     sample.success = s.at("ok").as_bool();
+    sample.censored = s.at("cen").as_bool(false);
     st.samples.push_back(std::move(sample));
   }
   for (const auto& b : j.at("best_per_round").as_array()) {
@@ -204,7 +206,7 @@ std::optional<TuneCampaignState> tune_state_from_json(const util::Json& j,
     std::vector<ml::ArmStats> arms;
     for (const auto& a : dim_stats.as_array()) {
       ml::ArmStats stats;
-      stats.pulls = static_cast<std::size_t>(a.at("pulls").as_number());
+      stats.pulls = count(a.at("pulls"));
       stats.reward_sum = a.at("rsum").as_number();
       stats.reward_sq_sum = a.at("rsq").as_number();
       arms.push_back(stats);
@@ -218,14 +220,17 @@ std::optional<TuneCampaignState> tune_state_from_json(const util::Json& j,
   for (const auto& row : j.at("dataset").as_array()) {
     std::vector<double> x;
     for (const auto& v : row.at("x").as_array()) x.push_back(v.as_number());
+    if (x.size() != dims.size()) return std::nullopt;  // the surrogate's feature width
     st.dataset.add(std::move(x), row.at("y").as_number());
   }
   for (const auto& a : j.at("active").as_array()) st.active.push_back(a.as_bool());
-  st.frozen = choice_from(j.at("frozen"));
+  st.frozen = choice_from(j.at("frozen"), ok);
   for (const auto& v : j.at("importance").as_array()) st.importance.push_back(v.as_number());
-  st.focus = choice_from(j.at("focus"));
+  st.focus = choice_from(j.at("focus"), ok);
   for (const auto& f : j.at("distinct").as_array()) st.distinct.push_back(u64_from(f));
-  if (st.active.size() != dims.size() || st.frozen.size() != dims.size()) return std::nullopt;
+  if (!ok) return std::nullopt;
+  if (st.active.size() != dims.size() || !valid_choice(st.frozen, dims)) return std::nullopt;
+  if (!st.best_choice.empty() && !valid_choice(st.best_choice, dims)) return std::nullopt;
   return st;
 }
 
@@ -304,6 +309,10 @@ FlowTuner::FlowTuner(TuneOptions options) : options_(std::move(options)) {
   assert(!dims_.empty());
 }
 
+bool FlowTuner::resumes_from(const util::Json& state) const {
+  return tune_state_from_json(state, options_, dims_).has_value();
+}
+
 std::unique_ptr<ml::BanditPolicy> FlowTuner::make_policy(std::size_t arms) const {
   switch (options_.policy) {
     case TunePolicy::Thompson: return std::make_unique<ml::ThompsonGaussian>(arms);
@@ -360,6 +369,7 @@ TuneResult FlowTuner::run(const TuneOracle& oracle, util::Rng& rng,
         res.samples = std::move(st->samples);
         res.best_per_round = std::move(st->best_per_round);
         res.total_runs = res.samples.size();
+        for (const auto& s : res.samples) res.censored_runs += s.censored ? 1 : 0;
         res.mined_rows = st->mined_rows;
         res.importance = std::move(st->importance);
         res.focus = std::move(st->focus);
@@ -471,39 +481,45 @@ TuneResult FlowTuner::run(const TuneOracle& oracle, util::Rng& rng,
     }
     obs::Registry::global().counter("tune.trajectories").add(options_.batch);
 
-    // Parallel: dispatch the batch. Seeds (and so run-key fingerprints)
-    // derive purely from (base_seed, choice indices) — a repeat trajectory
-    // is a repeat fingerprint, served by the cache or joined in flight.
-    std::vector<std::future<flow::FlowResult>> futures;
-    std::vector<flow::FlowTrajectory> trajectories;
-    std::vector<std::uint64_t> seeds;
-    futures.reserve(options_.batch);
-    trajectories.reserve(options_.batch);
-    seeds.reserve(options_.batch);
+    // Parallel: dispatch the batch as one round. Seeds (and so run-key
+    // fingerprints) derive purely from (base_seed, choice indices) — a
+    // repeat trajectory is a repeat fingerprint, served by the cache or
+    // joined in flight.
+    std::vector<exec::RoundJob<flow::FlowResult, store::KeyedRunCache>> jobs(options_.batch);
+    std::vector<flow::FlowTrajectory> trajectories(options_.batch);
+    std::vector<std::uint64_t> seeds(options_.batch);
     for (std::size_t b = 0; b < options_.batch; ++b) {
-      const std::uint64_t seed = trajectory_seed(base_seed, choices[b]);
-      flow::FlowTrajectory traj = flow::trajectory_from_indices(dims_, choices[b]);
-      const std::string label = "tune#" + std::to_string(r * options_.batch + b);
-      auto body = [&oracle, traj, seed](exec::RunContext&) { return oracle(traj, seed); };
-      if (options_.cache) {
-        store::KeyedRunCache keyed{*options_.cache,
-                                   trajectory_key(options_.design, traj, seed)};
-        distinct.insert(keyed.fingerprint());
-        futures.push_back(
-            pool.submit_memo(label, seed, keyed.fingerprint(), keyed, std::move(body)));
-      } else {
-        distinct.insert(trajectory_key(options_.design, traj, seed).fingerprint());
-        futures.push_back(pool.submit(label, seed, std::move(body)));
-      }
-      trajectories.push_back(std::move(traj));
-      seeds.push_back(seed);
+      auto& job = jobs[b];
+      job.label = "tune#" + std::to_string(r * options_.batch + b);
+      job.seed = seeds[b] = trajectory_seed(base_seed, choices[b]);
+      trajectories[b] = flow::trajectory_from_indices(dims_, choices[b]);
+      job.body = [&oracle, &traj = trajectories[b]](exec::RunContext& ctx) {
+        return oracle(traj, ctx.seed);
+      };
+      store::RunKey key = trajectory_key(options_.design, trajectories[b], job.seed);
+      distinct.insert(key.fingerprint());
+      if (options_.cache) job.memo.emplace(*options_.cache, std::move(key));
     }
+    auto outcomes = exec::dispatch_round(pool, std::move(jobs));
 
     // Barrier, then serial: observe in submission order, share each run's
     // objective into every dimension's posterior (FlowTune's end-to-end
-    // credit assignment) and grow the surrogate training set.
+    // credit assignment) and grow the surrogate training set. A run that
+    // died is censored: it carries no objective, so it updates no
+    // posterior, adds no surrogate row and transmits no record.
     for (std::size_t b = 0; b < options_.batch; ++b) {
-      const flow::FlowResult fr = futures[b].get();
+      TuneSample s;
+      s.round = r;
+      s.choice = choices[b];
+      ++res.total_runs;
+      if (!outcomes[b].value) {
+        obs::Registry::global().counter("tune.censored_runs").add();
+        s.censored = true;
+        res.samples.push_back(std::move(s));
+        ++res.censored_runs;
+        continue;
+      }
+      const flow::FlowResult& fr = *outcomes[b].value;
       const double score = objective(fr);
       std::vector<double> row(n_dims);
       for (std::size_t d = 0; d < n_dims; ++d) {
@@ -515,13 +531,9 @@ TuneResult FlowTuner::run(const TuneOracle& oracle, util::Rng& rng,
         options_.metrics->submit(
             tune_record(options_.design, trajectories[b], seeds[b], fr, score));
       }
-      TuneSample s;
-      s.round = r;
-      s.choice = choices[b];
       s.score = score;
       s.success = fr.success();
       res.samples.push_back(std::move(s));
-      ++res.total_runs;
       if (score > res.best_score) {
         res.best_score = score;
         res.best_choice = choices[b];
@@ -574,7 +586,8 @@ TuneResult FlowTuner::run(const TuneOracle& oracle, util::Rng& rng,
   }
   run_span.arg("best_score", res.best_score)
       .arg("total_runs", static_cast<double>(res.total_runs))
-      .arg("distinct_runs", static_cast<double>(res.distinct_runs));
+      .arg("distinct_runs", static_cast<double>(res.distinct_runs))
+      .arg("censored_runs", static_cast<double>(res.censored_runs));
   return res;
 }
 

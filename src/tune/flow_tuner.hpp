@@ -109,12 +109,16 @@ struct TuneOptions {
   metrics::Server* metrics = nullptr;
 };
 
-/// One observed trajectory run.
+/// One dispatched trajectory run.
 struct TuneSample {
   std::size_t round = 0;
   std::vector<std::size_t> choice;  ///< value index per dimension
   double score = 0.0;
   bool success = false;
+  /// True when the run died (crash, timeout) and produced no observation:
+  /// no posterior update, no surrogate row, no metrics record — a censored
+  /// run, not a zero score.
+  bool censored = false;
 };
 
 struct TuneResult {
@@ -125,6 +129,7 @@ struct TuneResult {
   flow::FlowTrajectory best_trajectory;
 
   std::size_t total_runs = 0;
+  std::size_t censored_runs = 0;  ///< runs that died without an observation
   /// Unique trajectory fingerprints dispatched. total_runs - distinct_runs
   /// of the campaign's dispatches were served from the memo layer (cache
   /// hit or in-flight join) when a cache is configured.
@@ -141,13 +146,18 @@ class FlowTuner {
   explicit FlowTuner(TuneOptions options);
 
   /// Run the campaign. Selection is serial on `rng`, the batch dispatches on
-  /// `pool`, observation is serial in submission order — bitwise identical
-  /// at any pool size.
+  /// `pool` as one exec::dispatch_round, observation is serial in
+  /// submission order — bitwise identical at any pool size. A run whose
+  /// oracle throws is censored (TuneSample::censored); the campaign goes on.
   TuneResult run(const TuneOracle& oracle, util::Rng& rng, exec::RunExecutor& pool) const;
   /// Convenience: private pool sized by MAESTRO_THREADS.
   TuneResult run(const TuneOracle& oracle, util::Rng& rng) const;
 
   const TuneOptions& options() const { return options_; }
+  /// True when run() would resume from `state`, a persisted
+  /// "tune:<campaign_id>" checkpoint: it decodes and matches these options.
+  /// Checkpoints come from WAL bytes, so anything else is rejected.
+  bool resumes_from(const util::Json& state) const;
   /// The flattened dimensions the tuner optimizes over (stable order).
   const std::vector<flow::KnobDim>& dimensions() const { return dims_; }
 

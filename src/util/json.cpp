@@ -16,6 +16,17 @@ const Json& Json::at(std::string_view key) const {
   return it != obj_.end() ? it->second : kNullJson;
 }
 
+std::optional<std::uint64_t> Json::as_uint() const {
+  // 2^64 is exact as a double, and every integral double below it converts
+  // to uint64 exactly. NaN fails the first comparison, +inf the second.
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  if (type_ != Type::Number || !(num_ >= 0.0) || !(num_ < kTwoTo64) ||
+      num_ != std::floor(num_)) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(num_);
+}
+
 namespace {
 
 /// Appends `d` in the writer's number format (see json.hpp).

@@ -62,6 +62,11 @@ class Json {
 
   bool as_bool(bool fallback = false) const { return type_ == Type::Bool ? bool_ : fallback; }
   double as_number(double fallback = 0.0) const { return type_ == Type::Number ? num_ : fallback; }
+  /// The number as an exact unsigned integer: nullopt unless this is a
+  /// finite, integral number in [0, 2^64). Ids, counts and sizes read from
+  /// untrusted bytes (a socket, a WAL, a checkpoint) go through this — a
+  /// static_cast of a NaN, negative or too-large double is undefined.
+  std::optional<std::uint64_t> as_uint() const;
   const std::string& as_string() const { return str_; }
   const JsonArray& as_array() const { return arr_; }
   const JsonObject& as_object() const { return obj_; }

@@ -9,23 +9,43 @@
 //   * parse() returns (a value or nullopt) without crashing;
 //   * for every document it accepts, parse(dump(x)) succeeds and dumps to
 //     the same bytes as dump(x).
+// The decoders behind those bytes get the same treatment: metrics
+// Record::from_json (socket and WAL records) and the MAB, flow-tree-search
+// and tuner checkpoint decoders (WAL "state" entries) see byte-mutated
+// documents and documents whose values were swapped for hostile ones (NaN,
+// infinities, negatives, 2^64, fractions, wrong types, dropped keys); they
+// must accept or reject without crashing and without undefined behaviour.
 // No external fuzzer is needed; runs are reproducible from the seed. Build
-// with -DMAESTRO_SANITIZE=address,undefined to turn memory errors and UB
-// into failures.
+// with -DMAESTRO_SANITIZE=address,undefined,float-cast-overflow to turn
+// memory errors and UB (GCC's `undefined` group leaves out
+// float-cast-overflow) into failures.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <filesystem>
+#include <limits>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
+#include "core/flow_search.hpp"
+#include "core/mab_scheduler.hpp"
+#include "exec/executor.hpp"
 #include "metrics/record.hpp"
 #include "store/run_store.hpp"
 #include "store/wal_frame.hpp"
+#include "tune/flow_tuner.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
+namespace mc = maestro::core;
+namespace mf = maestro::flow;
+namespace mm = maestro::metrics;
 namespace ms = maestro::store;
+namespace mt = maestro::tune;
 namespace mu = maestro::util;
+namespace mx = maestro::exec;
 
 namespace {
 
@@ -180,4 +200,190 @@ TEST(JsonFuzz, MutatedWalLinesNeverCrashTheFrameDecoder) {
     if (const auto payload = ms::wal_frame::decode(body)) check_one(*payload, stats);
     if (HasFatalFailure()) return;
   }
+}
+
+// ------------------------------------------------------------ decoder fuzzing
+
+namespace {
+
+constexpr int kDecoderIterations = 20'000;
+
+/// Values a hostile writer can put where a decoder expects a count, an id
+/// or an index.
+std::vector<mu::Json> hostile_values() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  return {mu::Json{nan},        mu::Json{inf},   mu::Json{-inf},
+          mu::Json{-1.0},       mu::Json{-0.0},  mu::Json{0.5},
+          mu::Json{1e300},      mu::Json{-1e300},
+          mu::Json{18446744073709551616.0},  // 2^64
+          mu::Json{18446744073709549568.0},  // the largest double below 2^64
+          mu::Json{1e15},       mu::Json{3.0},   mu::Json{"7"},
+          mu::Json{true},       mu::Json{},      mu::Json{mu::JsonArray{}},
+          mu::Json{mu::JsonObject{}}};
+}
+
+void collect_nodes(mu::Json& j, std::vector<mu::Json*>& out) {
+  out.push_back(&j);
+  if (j.is_array()) {
+    for (auto& v : j.as_array()) collect_nodes(v, out);
+  } else if (j.is_object()) {
+    for (auto& [k, v] : j.as_object()) collect_nodes(v, out);
+  }
+}
+
+/// One to three value-level edits: replace a random node (leaf or
+/// container) with a hostile value, or drop a random key of an object.
+mu::Json mutate_values(mu::Json doc, mu::Rng& rng) {
+  static const std::vector<mu::Json> hostile = hostile_values();
+  const int edits = 1 + static_cast<int>(rng.next() % 3);
+  for (int e = 0; e < edits; ++e) {
+    std::vector<mu::Json*> nodes;
+    collect_nodes(doc, nodes);
+    mu::Json& node = *nodes[rng.next() % nodes.size()];
+    if (node.is_object() && !node.as_object().empty() && rng.next() % 4 == 0) {
+      auto it = node.as_object().begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.next() % node.as_object().size()));
+      node.as_object().erase(it);
+    } else {
+      node = hostile[rng.next() % hostile.size()];
+    }
+  }
+  return doc;
+}
+
+/// Run `decode` on value-mutated and on byte-mutated copies of `valid`.
+template <typename Decode>
+void fuzz_decoder(const mu::Json& valid, Decode decode, std::uint64_t seed) {
+  const std::vector<std::string> docs{valid.dump()};
+  mu::Rng rng{seed};
+  std::size_t accepted = 0;
+  for (int i = 0; i < kDecoderIterations; ++i) {
+    if (i % 2 == 0) {
+      accepted += decode(mutate_values(valid, rng)) ? 1 : 0;
+    } else if (const auto doc = mu::Json::parse(mutate(docs[0], docs, rng))) {
+      accepted += decode(*doc) ? 1 : 0;
+    }
+  }
+  // Some mutants land on fields the decoder does not check (doubles,
+  // booleans) and are still accepted; most are not.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, static_cast<std::size_t>(kDecoderIterations));
+}
+
+std::string fuzz_store_dir(const char* tag) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("maestro_fuzz_" + std::string(tag) + "_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  return dir.string();
+}
+
+mf::FlowResult synthetic_result(double area, bool ok) {
+  mf::FlowResult r;
+  r.completed = true;
+  r.timing_met = ok;
+  r.drc_clean = true;
+  r.constraints_met = true;
+  r.area_um2 = area;
+  return r;
+}
+
+}  // namespace
+
+TEST(DecoderFuzz, RecordFromJsonRejectsOutOfRangeIdsWithoutUb) {
+  for (const std::uint64_t n : {0ULL, 1ULL, 2ULL}) {
+    const mu::Json valid = metric_record(n);
+    ASSERT_TRUE(mm::Record::from_json(valid).has_value());
+    fuzz_decoder(valid, [](const mu::Json& j) { return mm::Record::from_json(j).has_value(); },
+                 10 + n);
+  }
+  // The checked conversion's edges, on the numeric run_id and seed fields.
+  const auto with = [](const char* field, mu::Json v) {
+    mu::JsonObject o = metric_record(0).as_object();
+    o[field] = std::move(v);
+    return mm::Record::from_json(mu::Json{std::move(o)});
+  };
+  for (const char* field : {"run_id", "seed"}) {
+    EXPECT_FALSE(with(field, mu::Json{std::nan("")}).has_value()) << field;
+    EXPECT_FALSE(with(field, mu::Json{-1.0}).has_value()) << field;
+    EXPECT_FALSE(with(field, mu::Json{0.5}).has_value()) << field;
+    EXPECT_FALSE(with(field, mu::Json{18446744073709551616.0}).has_value()) << field;
+    EXPECT_FALSE(with(field, mu::Json{std::numeric_limits<double>::infinity()}).has_value());
+    const auto top = with(field, mu::Json{18446744073709549568.0});
+    ASSERT_TRUE(top.has_value()) << field;
+    EXPECT_EQ(std::string(field) == "seed" ? top->seed : top->run_id, 18446744073709549568ULL);
+  }
+}
+
+TEST(DecoderFuzz, MabCheckpointDecoderNeverCrashes) {
+  const std::string dir = fuzz_store_dir("mab");
+  ms::RunStore store(dir);
+  mc::MabOptions opt;
+  opt.frequency_arms_ghz = mc::frequency_arms(0.8, 1.6, 3);
+  opt.iterations = 3;
+  opt.concurrency = 2;
+  opt.checkpoint = &store;
+  const mc::MabScheduler sched{opt};
+  mx::RunExecutor pool{{.threads = 1}};
+  mu::Rng rng{3};
+  (void)sched.run([](double ghz, std::uint64_t) { return synthetic_result(1.0, ghz <= 1.2); },
+                  rng, pool);
+  const auto state = store.get_state("mab:" + opt.campaign_id);
+  ASSERT_TRUE(state.has_value());
+  ASSERT_TRUE(sched.resumes_from(*state));
+  fuzz_decoder(*state, [&](const mu::Json& j) { return sched.resumes_from(j); }, 21);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DecoderFuzz, FlowSearchCheckpointDecoderNeverCrashes) {
+  const std::string dir = fuzz_store_dir("fts");
+  ms::RunStore store(dir);
+  mc::FlowSearchOptions opt;
+  opt.population = 3;
+  opt.rounds = 2;
+  opt.checkpoint = &store;
+  const mc::FlowTreeSearch search{mf::default_knob_spaces(), opt};
+  mu::Rng rng{4};
+  (void)search.run(
+      [](const mf::FlowTrajectory&, std::uint64_t seed) {
+        return synthetic_result(static_cast<double>(seed % 97), true);
+      },
+      rng);
+  const auto state = store.get_state("fts:" + opt.campaign_id);
+  ASSERT_TRUE(state.has_value());
+  ASSERT_TRUE(search.resumes_from(*state));
+  fuzz_decoder(*state, [&](const mu::Json& j) { return search.resumes_from(j); }, 22);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DecoderFuzz, TunerCheckpointDecoderNeverCrashes) {
+  const std::string dir = fuzz_store_dir("tune");
+  ms::RunStore store(dir);
+  mt::TuneOptions opt;
+  std::vector<mf::KnobSpace> spaces(1);
+  spaces[0].step = mf::FlowStep::Synthesis;
+  spaces[0].knobs = {{"a", {"a0", "a1", "a2"}}, {"b", {"b0", "b1"}}, {"c", {"c0", "c1"}}};
+  opt.spaces = spaces;
+  opt.rounds = 4;
+  opt.batch = 3;
+  opt.warmup_rounds = 2;
+  opt.refit_every = 1;
+  opt.min_surrogate_rows = 4;
+  opt.focus_dims = 1;
+  opt.forest.trees = 4;
+  opt.checkpoint = &store;
+  const mt::FlowTuner tuner{opt};
+  mx::RunExecutor pool{{.threads = 1}};
+  mu::Rng rng{5};
+  (void)tuner.run(
+      [](const mf::FlowTrajectory& t, std::uint64_t) {
+        return synthetic_result(t.value(mf::FlowStep::Synthesis, "a", "a0") == "a2" ? 1.0 : 2.0,
+                                true);
+      },
+      rng, pool);
+  const auto state = store.get_state("tune:" + opt.campaign_id);
+  ASSERT_TRUE(state.has_value());
+  ASSERT_TRUE(tuner.resumes_from(*state));
+  fuzz_decoder(*state, [&](const mu::Json& j) { return tuner.resumes_from(j); }, 23);
+  std::filesystem::remove_all(dir);
 }

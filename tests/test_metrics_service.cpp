@@ -13,7 +13,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -380,6 +382,45 @@ TEST(MetricsService, WireRoundTripInProcess) {
   EXPECT_EQ(collector.connections_accepted(), 1u);
   // Preset run ids survive the wire: arrival is bit-identical.
   EXPECT_EQ(sorted_dumps(sent), sorted_dumps(server.all()));
+}
+
+/// Threads of this process, counted from /proc/self/task (read only).
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e : std::filesystem::directory_iterator("/proc/self/task")) ++n;
+  return n;
+}
+
+TEST(MetricsService, CollectorReapsFinishedConnectionThreads) {
+  const std::string path = temp_socket_path("reap");
+  mm::Server server;
+  mm::Collector collector(server, {.socket_path = path});
+  ASSERT_TRUE(collector.start());
+  const std::size_t threads0 = thread_count();
+
+  constexpr int kClients = 500;
+  for (int i = 0; i < kClients; ++i) {
+    mm::RemoteTransmitter tx(path);
+    ASSERT_TRUE(tx.connected());
+    ASSERT_TRUE(tx.submit(child_record(/*base_id=*/1, static_cast<std::uint64_t>(i))));
+    ASSERT_TRUE(tx.flush());  // sync/ack handshake
+    ASSERT_TRUE(tx.close());  // bye/ack, then disconnect
+  }
+  // Finished readers are joined as new clients arrive and on idle accept
+  // polls, so threads and bookkeeping return to their starting level
+  // instead of growing by one per client.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((thread_count() > threads0 + 1 || collector.tracked_connections() > 1) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(thread_count(), threads0 + 1);
+  EXPECT_LE(collector.tracked_connections(), 1u);
+  EXPECT_EQ(collector.connections_accepted(), static_cast<std::uint64_t>(kClients));
+  EXPECT_EQ(collector.records_received(), static_cast<std::uint64_t>(kClients));
+  collector.stop();
+  EXPECT_EQ(collector.tracked_connections(), 0u);
+  EXPECT_LE(thread_count(), threads0 - 1);  // the accept thread is gone too
 }
 
 TEST(MetricsService, CollectorAssignsIdsToUnnumberedRecords) {

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -1084,6 +1085,49 @@ TEST(CacheServer, ServesHitsAcrossClientsWithTenantAttribution) {
   EXPECT_EQ(server.hits(), 3u);
   EXPECT_EQ(server.misses(), 1u);
   server.stop();
+}
+
+/// Threads of this process, counted from /proc/self/task (read only).
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e : fs::directory_iterator("/proc/self/task")) ++n;
+  return n;
+}
+
+TEST(CacheServer, ReapsFinishedConnectionThreads) {
+  const std::string dir = temp_store("srv_reap");
+  ms::RunStore store(dir);
+  ms::RunCache cache(store);
+  const std::string sock = temp_socket("reap");
+  ms::CacheServer server(cache, {.socket_path = sock});
+  ASSERT_TRUE(server.start());
+  const std::size_t threads0 = thread_count();
+
+  constexpr int kClients = 500;
+  std::string reply;
+  for (int i = 0; i < kClients; ++i) {
+    const int fd = mm::frame::connect_unix(sock);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(mm::frame::write_frame(fd, R"({"type":"stats"})"));
+    ASSERT_EQ(mm::frame::read_frame(fd, 1 << 20, &reply), 1);
+    ASSERT_TRUE(mm::frame::write_frame(fd, R"({"type":"bye"})"));
+    ASSERT_EQ(mm::frame::read_frame(fd, 1 << 20, &reply), 1);
+    ::close(fd);
+  }
+  // Finished readers are joined as new clients arrive and on idle accept
+  // polls, so threads and bookkeeping return to their starting level
+  // instead of growing by one per client.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((thread_count() > threads0 + 1 || server.tracked_connections() > 1) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(thread_count(), threads0 + 1);
+  EXPECT_LE(server.tracked_connections(), 1u);
+  EXPECT_EQ(server.requests(), 2u * kClients);
+  server.stop();
+  EXPECT_EQ(server.tracked_connections(), 0u);
+  EXPECT_LE(thread_count(), threads0 - 1);  // the accept thread is gone too
 }
 
 TEST(CacheServer, InsertIsVisibleToOtherClientsButResidencyOnly) {

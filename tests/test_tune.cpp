@@ -18,6 +18,7 @@
 #include "flow/knobs.hpp"
 #include "metrics/server.hpp"
 #include "obs/registry.hpp"
+#include "resil/fault.hpp"
 #include "store/run_cache.hpp"
 #include "store/run_store.hpp"
 #include "tune/flow_tuner.hpp"
@@ -100,14 +101,24 @@ void expect_same_tune_result(const mt::TuneResult& x, const mt::TuneResult& y) {
     EXPECT_EQ(x.samples[i].choice, y.samples[i].choice);
     EXPECT_EQ(x.samples[i].score, y.samples[i].score);  // bitwise
     EXPECT_EQ(x.samples[i].success, y.samples[i].success);
+    EXPECT_EQ(x.samples[i].censored, y.samples[i].censored);
   }
   EXPECT_EQ(x.best_per_round, y.best_per_round);
   EXPECT_EQ(x.best_score, y.best_score);
   EXPECT_EQ(x.best_choice, y.best_choice);
   EXPECT_EQ(x.total_runs, y.total_runs);
+  EXPECT_EQ(x.censored_runs, y.censored_runs);
   EXPECT_EQ(x.distinct_runs, y.distinct_runs);
   EXPECT_EQ(x.importance, y.importance);
   EXPECT_EQ(x.focus, y.focus);
+}
+
+/// area_oracle() that crashes on every seed divisible by 5.
+mt::TuneOracle crashing_oracle() {
+  return [inner = area_oracle()](const mf::FlowTrajectory& t, std::uint64_t seed) {
+    if (seed % 5 == 0) throw maestro::resil::InjectedCrash{"oracle"};
+    return inner(t, seed);
+  };
 }
 
 }  // namespace
@@ -195,6 +206,67 @@ TEST(Tuner, RepeatTrajectoriesAreServedFromTheMemoLayer) {
       (counter("exec.cache_hits") - hits0) + (counter("exec.inflight_joins") - joins0);
   EXPECT_EQ(served, res.total_runs - res.distinct_runs);
   EXPECT_EQ(store.run_count(), res.distinct_runs);
+}
+
+TEST(Tuner, CrashedRunsAreCensoredNotFatal) {
+  // A run whose oracle throws is censored: the campaign completes, the dead
+  // run is a sample with no observation, and nothing else learns from it.
+  const auto campaign = [](std::size_t threads, mm::Server& server) {
+    const std::string dir = temp_store("crash" + std::to_string(threads));
+    ms::RunStore store(dir);
+    ms::RunCache cache(store);
+    mt::TuneOptions opt = base_options();
+    opt.cache = &cache;
+    opt.metrics = &server;
+    mx::RunExecutor pool{{.threads = threads}};
+    Rng rng{31};
+    return mt::FlowTuner{opt}.run(crashing_oracle(), rng, pool);
+  };
+  mm::Server server1;
+  mm::Server server4;
+  const auto serial = campaign(1, server1);
+  const auto parallel = campaign(4, server4);
+
+  const mt::TuneOptions opt = base_options();
+  EXPECT_EQ(serial.total_runs, opt.rounds * opt.batch);
+  EXPECT_EQ(serial.samples.size(), serial.total_runs);
+  EXPECT_GT(serial.censored_runs, 0u);
+  EXPECT_LT(serial.censored_runs, serial.total_runs);
+  std::size_t censored = 0;
+  for (const auto& s : serial.samples) {
+    if (!s.censored) continue;
+    ++censored;
+    EXPECT_FALSE(s.success);
+    EXPECT_EQ(s.score, 0.0);
+  }
+  EXPECT_EQ(censored, serial.censored_runs);
+  // Only observed runs are transmitted.
+  EXPECT_EQ(server1.for_step("tune").size(), serial.total_runs - serial.censored_runs);
+  EXPECT_GT(serial.best_score, 1.0);
+  expect_same_tune_result(serial, parallel);
+}
+
+TEST(TuneResume, CensoredSamplesSurviveACheckpoint) {
+  Rng rng_full{77};
+  const auto full = mt::FlowTuner{base_options()}.run(crashing_oracle(), rng_full);
+  ASSERT_GT(full.censored_runs, 0u);
+
+  const std::string dir = temp_store("resume_censored");
+  ms::RunStore store(dir);
+  mt::TuneOptions half = base_options();
+  half.rounds = 5;
+  half.checkpoint = &store;
+  half.campaign_id = "campaign-C";
+  Rng rng_half{77};
+  (void)mt::FlowTuner{half}.run(crashing_oracle(), rng_half);
+
+  mt::TuneOptions resumed = base_options();
+  resumed.checkpoint = &store;
+  resumed.campaign_id = "campaign-C";
+  Rng rng_resume{1};
+  const auto cont = mt::FlowTuner{resumed}.run(crashing_oracle(), rng_resume);
+  EXPECT_TRUE(cont.resumed);
+  expect_same_tune_result(full, cont);
 }
 
 // ------------------------------------------------ checkpoint/resume discipline
