@@ -100,7 +100,6 @@ class CacheServer {
 
   RunCache* cache_;
   CacheServerOptions opt_;
-  metrics::frame::Listener listener_;
 
   mutable std::mutex lru_mu_;
   std::list<Entry> lru_;  ///< front = most recent
@@ -113,6 +112,8 @@ class CacheServer {
   std::atomic<std::uint64_t> inserts_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> fault_seq_{0};
+  /// Last: its reader threads use every member above.
+  metrics::frame::Listener listener_;
 };
 
 }  // namespace maestro::store
