@@ -38,7 +38,7 @@
 // of runs (through submit_memo when a job has a memo handle, else through
 // submit_resilient when ResilOptions are given, else submit), wait for all
 // of them, and return each run's value or error text in submission order.
-// A failed run never throws out of the round; each driver folds a dead run
+// A failed run never throws out of the round; each campaign folds a dead run
 // in its own way (a censored pull, a dead branch, a crashed robot).
 
 #include <algorithm>

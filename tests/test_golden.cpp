@@ -124,7 +124,7 @@ std::string digest_of(const std::vector<mr::RoutedSegment>& segments) {
 struct Digests {
   std::map<std::string, std::string> flow;    ///< "<case>/seed<k>" -> FlowResult digest
   std::map<std::string, std::string> groute;  ///< "<case>/seed<k>" -> segment-path digest
-  std::map<std::string, std::string> campaign;  ///< "<driver>/<case>" -> campaign digest
+  std::map<std::string, std::string> campaign;  ///< "<campaign>/<case>" -> campaign digest
   std::vector<std::string> problems;          ///< runs whose digests cannot be trusted
 };
 
