@@ -24,6 +24,18 @@ namespace {
 
 using Path = std::vector<std::size_t>;
 
+/// Phase B stops once negotiation has stalled: the overflow is still above
+/// zero but two rounds kept more than this share of it (o[r] > 0.88 o[r-2]).
+constexpr double kStalledOverflowRatio = 0.88;
+
+/// The stop rule, a pure function of the overflow series (so an incremental
+/// reroute, which replays the same series, stops at the same round).
+bool negotiation_stalled(const std::vector<double>& overflow) {
+  const std::size_t n = overflow.size();
+  return n >= 3 && overflow[n - 1] > 0.0 &&
+         overflow[n - 1] > kStalledOverflowRatio * overflow[n - 3];
+}
+
 RouteStateKey key_of(const RouteOptions& opt) {
   return {opt.gcells_x,      opt.gcells_y,           opt.h_capacity,
           opt.v_capacity,    opt.max_rounds,         opt.present_cost_weight,
@@ -273,11 +285,14 @@ struct PlanRevisions {
 
 /// The kernel: Phase A (search missing initial paths against the empty
 /// grid, commit all in canonical order) + Phase B negotiation rounds
-/// (rip-up batches, parallel search, canonical-order commit). `graph` must
+/// (rip-up batches, parallel search, canonical-order commit) until the
+/// overflow reaches zero, the rounds cap, or a stall. `graph` must
 /// be freshly constructed (zero usage and history).
 RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
                        const PlanRevisions& revs) {
   static obs::Counter& ripup_counter = obs::Registry::global().counter("route.ripup_segments");
+  static obs::Counter& stopped_counter =
+      obs::Registry::global().counter("route.rounds_stopped_early");
   const std::size_t n_segs = plan.segment_count();
   assert(graph.edge_count() <= std::size_t{0xffffffffu});  // 32-bit edge ids
 
@@ -380,6 +395,13 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
         .arg("ripped", static_cast<double>(victims.size()))
         .arg("batches", static_cast<double>(batches.size()))
         .arg("overflow", res.overflow_per_round.back());
+    // The rounds cap still bounds the loop; a stall before it ends the route.
+    if (res.rounds_used < opt.max_rounds && negotiation_stalled(res.overflow_per_round)) {
+      res.stopped_early = true;
+      stopped_counter.add();
+      span.arg("stopped_early", 1.0);
+      break;
+    }
   }
   res.converged = res.overflow_per_round.back() <= 0.0;
 

@@ -22,6 +22,16 @@
 //    usage deltas commit in canonical segment order, so results are
 //    bitwise identical to the serial router at any thread count.
 //
+// Phase B ends at zero overflow, at RouteOptions::max_rounds (the cap,
+// counting Phase A as round 1), or once negotiation has stalled: after a
+// round r >= 3 whose overflow is still above zero and more than 88% of the
+// overflow two rounds earlier (o[r] > 0.88 o[r-2]). Rounds past that point
+// buy a few percent of overflow each and cannot change the route's DRV
+// count, whose difficulty term is already saturated at such overflow. The
+// rule reads only the overflow series, so an incremental reroute stops at
+// the same round as a from-scratch route; RouteResult::stopped_early and
+// the route.rounds_stopped_early counter report it.
+//
 // Searches run on a MazeArena: window-local, epoch-stamped scratch reused
 // across all segments (O(window) per route instead of O(grid), no div/mod
 // per node) with one 128-bit key per open-list entry. While a route runs,
@@ -40,8 +50,11 @@
 //
 // Trace spans (obs): groute_plan (net plan build), groute_phase_a (args
 // segments, searched) with children groute_search and groute_commit, then
-// one groute_round per negotiation round with children groute_victims,
-// groute_color (args victims, batches) and groute_reroute.
+// one groute_round per negotiation round (args round, ripped, batches,
+// overflow, and stopped_early = 1 on the round the stall rule ends) with
+// children groute_victims, groute_color (args victims, batches) and
+// groute_reroute. Counters: route.ripup_segments (victims per round, summed)
+// and route.rounds_stopped_early (routes the stall rule ended).
 //
 // The kernel draws no random numbers: results are a pure function of
 // (placement, options). Seed diversity in the flow comes from placement and
@@ -134,6 +147,8 @@ struct RouteResult {
   double max_utilization = 0.0;
   int rounds_used = 0;
   bool converged = false;           ///< zero overflow reached
+  /// Phase B ended on the stall rule before max_rounds (see the header).
+  bool stopped_early = false;
   std::vector<double> overflow_per_round;
   /// Per-segment paths, for downstream detailed routing (kept only when
   /// RouteOptions::keep_segments is set).

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "exec/executor.hpp"
+#include "flow/flow.hpp"
 #include "flow/tools.hpp"
 #include "netlist/design_view.hpp"
 #include "netlist/generators.hpp"
@@ -840,4 +841,163 @@ TEST(FlowRoute, RepeatedRunRouteUsesIncrementalStateAndMatchesFresh) {
     ASSERT_EQ(incr_ds.routed.usage(e), fresh_ds.routed.usage(e));
     ASSERT_EQ(incr_ds.routed.history(e), fresh_ds.routed.history(e));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Phase B stop rule: negotiation ends once two rounds keep more than 88% of
+// the overflow, before the rounds cap.
+
+namespace {
+
+/// A flow run on the benchmark's design matrix, kept per (case, tool seed):
+/// the stop-rule tests read its global route and reroute its placement.
+const mf::DesignState& flow_state(mf::DesignSpec::Kind kind, std::size_t scale,
+                                  std::uint64_t rtl_seed, std::uint64_t seed) {
+  static std::map<std::tuple<int, std::size_t, std::uint64_t, std::uint64_t>,
+                  std::unique_ptr<mf::DesignState>>
+      states;
+  auto& slot = states[{static_cast<int>(kind), scale, rtl_seed, seed}];
+  if (!slot) {
+    mf::FlowRecipe recipe;
+    recipe.design.kind = kind;
+    recipe.design.scale = scale;
+    recipe.design.rtl_seed = rtl_seed;
+    recipe.target_ghz = 0.6;
+    recipe.seed = seed;
+    slot = std::make_unique<mf::DesignState>();
+    const mf::FlowManager fm{lib()};
+    EXPECT_TRUE(fm.run_keep_state(recipe, mf::FlowConstraints{}, *slot).completed);
+  }
+  return *slot;
+}
+
+const mf::DesignState& rand_s3(std::uint64_t seed) {
+  return flow_state(mf::DesignSpec::Kind::RandomLogic, 3, 4, seed);
+}
+
+}  // namespace
+
+TEST(StopRule, CongestedRandS3StopsBeforeTheCap) {
+  // rand@3 (RTL seed 4) gains 1-4% overflow a round after round 5: the rule
+  // ends it there, and a fresh route of the same placement agrees.
+  for (const std::uint64_t seed : {1u, 2u}) {
+    const mf::DesignState& ds = rand_s3(seed);
+    const mr::RouteResult& flow_route = ds.groute;
+    const mr::RouteOptions opt = mf::route_options(*ds.fp, {});
+    EXPECT_TRUE(flow_route.stopped_early) << "seed " << seed;
+    EXPECT_LT(flow_route.rounds_used, opt.max_rounds) << "seed " << seed;
+    EXPECT_FALSE(flow_route.converged);
+
+    const auto stops_before = counter_value("route.rounds_stopped_early");
+    mn::DesignView view{*ds.nl};
+    mr::GridGraph g;
+    const auto res = mr::global_route(*ds.pl, view, opt, g);
+    EXPECT_EQ(counter_value("route.rounds_stopped_early"), stops_before + 1);
+    EXPECT_TRUE(res.stopped_early);
+    EXPECT_EQ(res.overflow_per_round, flow_route.overflow_per_round);
+    const auto& o = res.overflow_per_round;
+    ASSERT_GE(o.size(), 3u);
+    EXPECT_GT(o.back(), 0.88 * o[o.size() - 3]);  // the stall that ended it
+    for (std::size_t r = 2; r + 1 < o.size(); ++r) EXPECT_LE(o[r], 0.88 * o[r - 2]);
+  }
+}
+
+TEST(StopRule, GoldenScaleOneDesignsNeverStop) {
+  const std::tuple<mf::DesignSpec::Kind, const char*> cases[] = {
+      {mf::DesignSpec::Kind::CpuLike, "cpu"},
+      {mf::DesignSpec::Kind::RandomLogic, "rand"},
+      {mf::DesignSpec::Kind::Rent, "rent"}};
+  for (const auto& [kind, name] : cases) {
+    for (const std::uint64_t seed : {1u, 2u}) {
+      const mr::RouteResult& res = flow_state(kind, 1, 1, seed).groute;
+      EXPECT_FALSE(res.stopped_early) << name << "@1 seed " << seed;
+    }
+  }
+}
+
+TEST(StopRule, SpanArgMarksTheLastRound) {
+  const mf::DesignState& ds = rand_s3(1);
+  const mr::RouteOptions opt = mf::route_options(*ds.fp, {});
+  obs::Tracer tracer;
+  obs::Tracer::install(&tracer);
+  const auto res = mr::global_route(*ds.pl, opt);
+  obs::Tracer::uninstall();
+  ASSERT_TRUE(res.stopped_early);
+  ASSERT_EQ(tracer.dropped(), 0u);
+  std::vector<double> marked;  // stopped_early arg per groute_round, in order
+  for (const auto& ev : tracer.snapshot()) {
+    if (ev.name != "groute_round") continue;
+    std::map<std::string, double> args(ev.num_args.begin(), ev.num_args.end());
+    marked.push_back(args.count("stopped_early") != 0 ? args["stopped_early"] : 0.0);
+  }
+  ASSERT_EQ(marked.size(), static_cast<std::size_t>(res.rounds_used - 1));
+  EXPECT_EQ(marked.back(), 1.0);
+  EXPECT_EQ(std::count(marked.begin(), marked.end(), 0.0),
+            static_cast<std::ptrdiff_t>(marked.size() - 1));
+}
+
+TEST(StopRule, IncrementalRerouteOfAStoppedRouteMatchesFromScratch) {
+  const mf::DesignState& ds = rand_s3(1);
+  mr::RouteOptions opt = mf::route_options(*ds.fp, {});
+  opt.keep_segments = true;
+  opt.keep_state = true;
+  mn::DesignView view{*ds.nl};
+  mr::GridGraph g0;
+  const auto prev = mr::global_route(*ds.pl, view, opt, g0);
+  ASSERT_TRUE(prev.stopped_early);
+
+  // Move ~1% of the cells to random spots (routing needs no legality).
+  mp::Placement pl = *ds.pl;
+  Rng rng{2024};
+  const auto& core = ds.fp->core();
+  for (std::size_t i = 0; i < ds.nl->instance_count(); ++i) {
+    if (rng.uniform() < 0.01) {
+      pl.set_loc(static_cast<mn::InstanceId>(i),
+                 {core.lo.x + static_cast<maestro::geom::Dbu>(
+                                  rng.below(static_cast<std::uint64_t>(core.width()))),
+                  core.lo.y + static_cast<maestro::geom::Dbu>(
+                                  rng.below(static_cast<std::uint64_t>(core.height())))});
+    }
+  }
+  mr::GridGraph g_incr;
+  const auto incr = mr::global_route_incremental(pl, view, opt, g_incr, prev, {});
+  mn::DesignView view_full{*ds.nl};
+  mr::GridGraph g_full;
+  const auto full = mr::global_route(pl, view_full, opt, g_full);
+  EXPECT_TRUE(full.stopped_early);
+  EXPECT_EQ(incr.stopped_early, full.stopped_early);
+  expect_results_identical(full, incr);
+  expect_grids_identical(g_full, g_incr);
+}
+
+TEST(StopRule, RoundsKnobStillCaps) {
+  // With a cap of 3 the rule never gets a round to save: rounds 1-3 run and
+  // the route ends on the cap, overflow and all.
+  const mf::DesignState& ds = rand_s3(1);
+  mr::RouteOptions opt = mf::route_options(*ds.fp, {});
+  opt.max_rounds = 3;
+  const auto res = mr::global_route(*ds.pl, opt);
+  EXPECT_EQ(res.rounds_used, 3);
+  EXPECT_FALSE(res.stopped_early);
+  EXPECT_FALSE(res.converged);
+  EXPECT_GT(res.total_overflow, 0.0);
+}
+
+TEST(StopRule, ConvergingRouteIsNeverStopped) {
+  // Overflow that reaches zero within the cap ends on convergence: on this
+  // design it falls 1007 -> 20 -> 4 -> 3 -> 3 -> 2 -> 1 -> 0, never keeping
+  // 88% over two rounds.
+  std::unique_ptr<mn::Netlist> nl;
+  std::unique_ptr<mp::Floorplan> fp;
+  const auto pl = placed_design(53, 800, 0.75, nl, fp);
+  mr::RouteOptions opt;
+  opt.gcells_x = opt.gcells_y = 24;
+  opt.h_capacity = opt.v_capacity = 19.0;
+  opt.max_rounds = 16;
+  const auto res = mr::global_route(pl, opt);
+  EXPECT_GE(res.rounds_used, 5);
+  EXPECT_LT(res.rounds_used, opt.max_rounds);
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.overflow_per_round.back(), 0.0);
+  EXPECT_FALSE(res.stopped_early);
 }
