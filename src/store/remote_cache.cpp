@@ -31,6 +31,7 @@ std::string insert_request(std::uint64_t fp, const RunKey& key,
 struct RemoteCounters {
   obs::Counter& errors;
   obs::Counter& reconnects;
+  obs::Counter& retries;
   obs::Counter& hits;
   obs::Counter& misses;
   obs::Counter& cache_hit;
@@ -43,6 +44,7 @@ RemoteCounters& remote_counters() {
   static RemoteCounters c{
       obs::Registry::global().counter("store.remote_errors"),
       obs::Registry::global().counter("store.remote_reconnects"),
+      obs::Registry::global().counter("store.remote_retries"),
       obs::Registry::global().counter("store.remote_hits"),
       obs::Registry::global().counter("store.remote_misses"),
       obs::Registry::global().counter("store.cache_hit"),
@@ -51,6 +53,14 @@ RemoteCounters& remote_counters() {
       obs::Registry::global().gauge("store.remote_degraded"),
   };
   return c;
+}
+
+/// Send one request frame and read one reply frame; false when either side
+/// fails (timeout, short frame, closed connection).
+bool exchange(int fd, const std::string& payload, std::size_t max_frame_bytes,
+              std::string* reply) {
+  return metrics::frame::write_frame(fd, payload) &&
+         metrics::frame::read_frame(fd, max_frame_bytes, reply) == 1;
 }
 
 }  // namespace
@@ -121,11 +131,7 @@ void RemoteRunCache::drop_connection_locked(const char* why) {
   remote_counters().degraded.set(1.0);
 }
 
-bool RemoteRunCache::ensure_connected_locked() {
-  if (fd_ >= 0) return true;
-  if (gave_up_ || opt_.socket_path.empty()) return false;
-  // Non-blocking schedule: between retries every op goes local. No sleeps.
-  if (Clock::now() < next_retry_) return false;
+bool RemoteRunCache::connect_locked() {
   const int fd = metrics::frame::connect_unix(opt_.socket_path);
   if (fd < 0) {
     drop_connection_locked("connect failed");
@@ -133,22 +139,37 @@ bool RemoteRunCache::ensure_connected_locked() {
   }
   metrics::frame::set_io_timeout(fd, opt_.op_timeout_ms);
   fd_ = fd;
+  remote_counters().reconnects.add();
+  return true;
+}
+
+bool RemoteRunCache::ensure_connected_locked() {
+  if (fd_ >= 0) return true;
+  if (gave_up_ || opt_.socket_path.empty()) return false;
+  // Non-blocking schedule: between retries every op goes local. No sleeps.
+  if (Clock::now() < next_retry_) return false;
+  if (!connect_locked()) return false;
   failed_attempts_ = 0;
   next_retry_ = Clock::time_point{};
-  remote_counters().reconnects.add();
   remote_counters().degraded.set(0.0);
   return true;
 }
 
 std::optional<util::Json> RemoteRunCache::request_locked(const std::string& payload) {
-  if (!metrics::frame::write_frame(fd_, payload)) {
-    drop_connection_locked("send failed");
-    return std::nullopt;
-  }
   std::string reply;
-  if (metrics::frame::read_frame(fd_, opt_.max_frame_bytes, &reply) != 1) {
-    drop_connection_locked("receive failed");
-    return std::nullopt;
+  if (!exchange(fd_, payload, opt_.max_frame_bytes, &reply)) {
+    // A timeout or short frame on a live connection: the server may only
+    // have been slow once. Lookup and insert are idempotent, so reconnect
+    // once and resend before counting a remote error; the stale connection
+    // (and any late reply on it) is discarded.
+    ::close(fd_);
+    fd_ = -1;
+    if (!connect_locked()) return std::nullopt;
+    remote_counters().retries.add();
+    if (!exchange(fd_, payload, opt_.max_frame_bytes, &reply)) {
+      drop_connection_locked("no reply after a reconnect");
+      return std::nullopt;
+    }
   }
   auto doc = util::Json::parse(reply);
   if (!doc || !doc->is_object()) {

@@ -12,7 +12,11 @@
 //   3. memory   — an internal map when no fallback was given, so inserts
 //                 are never dropped even with no store at all.
 //
-// A failed remote op (connect refused, timeout, short frame, garbage reply)
+// A send or receive that fails on a live connection (a timeout or a short
+// frame) is retried once: the client reconnects at once and resends the op,
+// which is safe because lookup and insert are both idempotent, so a server
+// that was slow for one reply costs one reconnect, not an error. A failed
+// remote op (connect refused, no reply after that retry, garbage reply)
 // drops the connection and schedules a reconnect with exponential backoff
 // (resil::RetryPolicy — the same policy shape the executor uses for flaky
 // tools). The schedule is consulted inline and never blocks: between
@@ -21,8 +25,9 @@
 // local-only — campaigns finish bitwise-identically either way, because a
 // cache tier can only *skip* work, never change a result.
 //
-// Observability: store.remote_hits / _misses / _errors / _reconnects
-// counters and the store.remote_degraded gauge.
+// Observability: store.remote_hits / _misses / _errors / _reconnects /
+// _retries counters and the store.remote_degraded gauge. A retry that gets
+// its reply counts in _reconnects and _retries, not in _errors.
 
 #include <chrono>
 #include <cstdint>
@@ -77,10 +82,14 @@ class RemoteRunCache : public FlowCache {
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// Open a fresh connection with the op deadline installed; a refused
+  /// connect drops through drop_connection_locked.
+  bool connect_locked();
   bool ensure_connected_locked();
   void drop_connection_locked(const char* why);
-  /// One request/reply over the live connection; nullopt drops the
-  /// connection and schedules a reconnect.
+  /// One request/reply over the live connection, resent once on a fresh
+  /// connection if the first exchange fails; nullopt drops the connection
+  /// and schedules a reconnect.
   std::optional<util::Json> request_locked(const std::string& payload);
 
   RemoteCacheOptions opt_;

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string_view>
 #include <thread>
@@ -1333,6 +1334,111 @@ TEST(RemoteCache, GarbageRepliesTripDegradationNotCrashes) {
   }
   EXPECT_GE(client.remote_errors(), 1u);
   maestro::resil::FaultInjector::clear();
+  server.stop();
+}
+
+namespace {
+
+/// A cache server written for these tests: every lookup is a hit for
+/// `result`, and the reply to request k (counted across connections) is held
+/// back `stall_ms` when `stalls(k)` says so.
+class StallingServer {
+ public:
+  StallingServer(const std::string& path, const mf::FlowResult& result,
+                 std::function<bool(int)> stalls, int stall_ms)
+      : hit_("{\"result\":" + ms::flow_result_to_json(result).dump() + ",\"type\":\"hit\"}"),
+        stalls_(std::move(stalls)),
+        stall_ms_(stall_ms) {
+    started_ = listener_.start(path, 8, [this](int fd) { serve(fd); });
+  }
+  bool started() const { return started_; }
+  int requests() const { return requests_.load(); }
+  std::uint64_t connections() const { return listener_.accepted(); }
+  void stop() { listener_.stop(); }
+
+ private:
+  void serve(int fd) {
+    std::string request;
+    while (mm::frame::read_frame(fd, 1 << 20, &request) == 1) {
+      if (stalls_(requests_.fetch_add(1))) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms_));
+      }
+      if (!mm::frame::write_frame(fd, hit_)) return;
+    }
+  }
+
+  const std::string hit_;
+  const std::function<bool(int)> stalls_;
+  const int stall_ms_;
+  std::atomic<int> requests_{0};
+  bool started_ = false;
+  mm::frame::Listener listener_;  // last: its readers use the members above
+};
+
+}  // namespace
+
+TEST(RemoteCache, OneSlowReplyIsResentOnAFreshConnection) {
+  const auto run = sample_run(7, 70.0);
+  const std::string sock = temp_socket("slow_once");
+  StallingServer server(sock, run.result, [](int k) { return k == 0; }, 600);
+  ASSERT_TRUE(server.started());
+
+  ms::RemoteCacheOptions opt;
+  opt.socket_path = sock;
+  opt.op_timeout_ms = 150.0;  // well under the stall, well over a loaded reply
+  ms::RemoteRunCache client(opt);  // no local rung: a hit can only be the server's
+  const std::uint64_t retries0 = counter("store.remote_retries");
+  const std::uint64_t reconnects0 = counter("store.remote_reconnects");
+  const auto hit = client.lookup(run.fingerprint);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_DOUBLE_EQ(hit->area_um2, 70.0);
+  EXPECT_EQ(client.remote_errors(), 0u);
+  EXPECT_EQ(client.remote_hits(), 1u);
+  EXPECT_TRUE(client.connected());
+  EXPECT_EQ(counter("store.remote_retries"), retries0 + 1);
+  EXPECT_EQ(counter("store.remote_reconnects"), reconnects0 + 2);  // first connect + retry
+  EXPECT_EQ(server.requests(), 2);
+  EXPECT_EQ(server.connections(), 2u);
+
+  // The fresh connection carries on: no further retry.
+  ASSERT_TRUE(client.lookup(run.fingerprint).has_value());
+  EXPECT_EQ(client.remote_hits(), 2u);
+  EXPECT_EQ(counter("store.remote_retries"), retries0 + 1);
+  EXPECT_EQ(server.connections(), 2u);
+  server.stop();
+}
+
+TEST(RemoteCache, EverySlowReplyDegradesAfterOneRetry) {
+  const std::string dir = temp_store("remote_slow");
+  ms::RunStore store(dir);
+  ms::RunCache local(store);
+  const auto run = sample_run(8, 80.0);
+  local.insert(run.fingerprint, run.key, run.result);
+  mf::FlowResult remote_result = run.result;
+  remote_result.area_um2 = 81.0;
+
+  const std::string sock = temp_socket("slow_always");
+  StallingServer server(sock, remote_result, [](int) { return true; }, 600);
+  ASSERT_TRUE(server.started());
+  ms::RemoteCacheOptions opt;
+  opt.socket_path = sock;
+  opt.op_timeout_ms = 150.0;
+  opt.reconnect.backoff_ms = 10000.0;  // no reconnect within this test
+  ms::RemoteRunCache client(opt, &local);
+  const std::uint64_t retries0 = counter("store.remote_retries");
+
+  const auto hit = client.lookup(run.fingerprint);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_DOUBLE_EQ(hit->area_um2, 80.0);  // the local rung's answer
+  EXPECT_EQ(client.remote_errors(), 1u);
+  EXPECT_FALSE(client.connected());
+  EXPECT_EQ(counter("store.remote_retries"), retries0 + 1);
+  EXPECT_EQ(server.requests(), 2);  // the op and its one resend
+
+  // Degraded: the next op stays local and never reaches the server.
+  ASSERT_TRUE(client.lookup(run.fingerprint).has_value());
+  EXPECT_EQ(server.requests(), 2);
+  EXPECT_EQ(client.remote_errors(), 1u);
   server.stop();
 }
 
