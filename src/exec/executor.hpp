@@ -253,6 +253,8 @@ class RunExecutor {
           resil::retry_seed(st->base_seed, attempt, st->opt.retry.perturb_seed);
 
       auto body = [this, st, fn, self, attempt, is_hedge](RunContext& ctx) mutable -> R {
+        std::exception_ptr exhausted_error;
+        std::string exhausted_what = "unknown error";
         try {
           if (resil::FaultInjector::decide("exec.license", ctx.seed) ==
               resil::FaultKind::LicenseDrop) {
@@ -316,13 +318,22 @@ class RunExecutor {
                                 [self, next] { (*self)(next, /*is_hedge=*/false); });
             }
           }
-          if (exhausted) {
-            const std::exception_ptr err = std::current_exception();
-            if (st->on_fail) st->on_fail(RunState::Failed, err);
-            st->promise.set_exception(err);
+          if (!exhausted) throw;  // journal this attempt as Failed
+          exhausted_error = std::current_exception();
+          try {
+            throw;
+          } catch (const std::exception& e) {
+            exhausted_what = e.what();
+          } catch (...) {
           }
-          throw;  // journal this attempt as Failed
         }
+        // Out of options: the caller gets the exception. It may free it as
+        // soon as the promise settles, so this worker settles outside the
+        // handler, hands over its only reference, and journals the attempt
+        // from the text it copied before.
+        if (st->on_fail) st->on_fail(RunState::Failed, exhausted_error);
+        st->promise.set_exception(std::move(exhausted_error));
+        throw std::runtime_error(exhausted_what);  // journal this attempt as Failed
       };
       this->submit(std::move(attempt_label), attempt_seed, std::move(body), token,
                    st->deadline);
