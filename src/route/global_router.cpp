@@ -29,11 +29,11 @@ using Path = std::vector<std::size_t>;
 constexpr double kStalledOverflowRatio = 0.88;
 
 /// The stop rule, a pure function of the overflow series (so an incremental
-/// reroute, which replays the same series, stops at the same round).
+/// reroute, which replays the same series, stops at the same round). Overflow
+/// is never negative, so a stall implies it is still above zero.
 bool negotiation_stalled(const std::vector<double>& overflow) {
   const std::size_t n = overflow.size();
-  return n >= 3 && overflow[n - 1] > 0.0 &&
-         overflow[n - 1] > kStalledOverflowRatio * overflow[n - 3];
+  return n >= 3 && overflow[n - 1] > kStalledOverflowRatio * overflow[n - 3];
 }
 
 RouteStateKey key_of(const RouteOptions& opt) {

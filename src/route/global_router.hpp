@@ -26,11 +26,13 @@
 // counting Phase A as round 1), or once negotiation has stalled: after a
 // round r >= 3 whose overflow is still above zero and more than 88% of the
 // overflow two rounds earlier (o[r] > 0.88 o[r-2]). Rounds past that point
-// buy a few percent of overflow each and cannot change the route's DRV
-// count, whose difficulty term is already saturated at such overflow. The
-// rule reads only the overflow series, so an incremental reroute stops at
-// the same round as a from-scratch route; RouteResult::stopped_early and
-// the route.rounds_stopped_early counter report it.
+// buy a few percent of overflow each. On rand@3, where it fires for every
+// tool seed, the DRV model's difficulty term is already saturated there, so
+// the DRV count does not move; a route stopped below that saturation can end
+// with more DRVs. The rule reads only the overflow series, so an incremental
+// reroute stops at the same round as a from-scratch route;
+// RouteResult::stopped_early and the route.rounds_stopped_early counter
+// report it.
 //
 // Searches run on a MazeArena: window-local, epoch-stamped scratch reused
 // across all segments (O(window) per route instead of O(grid), no div/mod
@@ -84,7 +86,7 @@ struct RouteOptions {
   std::size_t gcells_y = 32;
   double h_capacity = 24.0;       ///< tracks per horizontal GCell edge
   double v_capacity = 20.0;
-  int max_rounds = 8;             ///< rip-up-and-reroute rounds (incl. initial)
+  int max_rounds = 8;             ///< round cap (incl. initial); a stall ends earlier
   double present_cost_weight = 1.0;
   double history_cost_weight = 0.4;
   bool keep_segments = false;     ///< populate RouteResult::segments
