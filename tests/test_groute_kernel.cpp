@@ -12,7 +12,9 @@
 //    greedy it replaced (kept here as the oracle), batch for batch;
 //  * determinism: serial == 1-thread pool == 8-thread pool, bitwise; and
 //    incremental reroute == from-scratch route after a placement
-//    perturbation, including the flow-level run_route wiring.
+//    perturbation, including the flow-level run_route wiring;
+//  * the Phase B stop rule: which golden routes stall, the counter and span
+//    arg, the rounds cap, and incremental == from-scratch on a stalled route.
 
 #include <gtest/gtest.h>
 
@@ -849,8 +851,9 @@ TEST(FlowRoute, RepeatedRunRouteUsesIncrementalStateAndMatchesFresh) {
 
 namespace {
 
-/// A flow run on the benchmark's design matrix, kept per (case, tool seed):
-/// the stop-rule tests read its global route and reroute its placement.
+/// A flow run at 0.6 GHz on one of the golden designs (test_golden.cpp),
+/// kept per (design, tool seed): the stop-rule tests read its global route
+/// and reroute its placement.
 const mf::DesignState& flow_state(mf::DesignSpec::Kind kind, std::size_t scale,
                                   std::uint64_t rtl_seed, std::uint64_t seed) {
   static std::map<std::tuple<int, std::size_t, std::uint64_t, std::uint64_t>,
