@@ -1,49 +1,34 @@
 // perf_groute — the global-route kernel benchmark and acceptance gate.
 //
 // Routes one congested large design (192x192 GCell grid, >= 40k nets in the
-// release build) four ways:
+// release build) three ways:
 //   * reference — the seed router kept verbatim as global_route_reference:
 //     per-segment full-grid scratch allocation, O(p^2) pin dedup, serial
 //     selective rip-up with O(E) per-round scans
 //   * kernel    — arena maze search (epoch-stamped O(window) scratch) over
-//     the incremental overflow ledger, serial
-//   * parallel  — the same kernel with Phase A searches and Phase B rip-up
-//     batches on an 8-thread exec::RunExecutor
+//     the incremental overflow ledger
 //   * incremental — global_route_incremental after moving <= 1% of the
 //     cells, reusing the keep_state Phase-A paths of the unmoved nets
 //
 // Acceptance (exits nonzero on regression, so ctest gates it, label
 // "groute"):
 //   * kernel full route >= 3x the reference router
-//   * parallel rip-up-reroute >= 2x the serial kernel at 8 threads AND
-//     bitwise identical to it (result fields and per-edge usage/history)
 //   * incremental reroute after the perturbation >= 5x a from-scratch route
-//     of the new placement AND bitwise identical to it
+//     of the new placement AND bitwise identical to it (result fields and
+//     per-edge usage/history)
 //
 // A second case routes the configuration the flow actually uses: cpu@1
 // placed by the flow's own synthesis/floorplan/place steps at 0.6 GHz, on
 // the flow's 32x32 grid with run_route's capacity model
-// (flow::route_options). It gates serial == 8-thread parallel and
-// incremental == from-scratch, both bitwise, and the kernel's full route at
-// >= 1.3x the reference router, as the median ratio of 5 alternating
-// reference/kernel pairs, with the reference capped at the rounds the
-// kernel's stall rule left it. There nearly every rip-up batch holds one
-// segment, so this gate measures the per-search constant factor that the
-// 192x192 case's Phase A and parallel batches hide.
-//
-// The parallel *speed* floor only makes sense where the host can actually
-// run the pool in parallel: it applies in full on >= 4 hardware threads,
-// relaxes to 1.2x on 2-3, and is waived (reported, not gated) on a
-// single-core host where any pool is pure overhead. The bitwise-identity
-// half of the gate is hardware-independent and always enforced. The pool
-// routes untimed for 3 s before its samples, so idle host cores are back
-// at speed when timing starts; then serial and parallel routes alternate,
-// and the speedup is the median of the per-pair ratios.
+// (flow::route_options). It gates incremental == from-scratch bitwise and
+// the kernel's full route at >= 1.3x the reference router, as the median
+// ratio of 5 alternating reference/kernel pairs, with the reference capped
+// at the rounds the kernel's stall rule left it. This gate measures the
+// per-search constant factor that the 192x192 case's Phase A hides.
 //
 // Under ThreadSanitizer the case shrinks (96x96, 8k gates) and the floors
-// relax — instrumentation taxes the parallel path's synchronization far more
-// than the arithmetic — and the flow-grid speed ratio is only reported, but
-// every bitwise-identity gate stays exact.
+// relax, and the flow-grid speed ratio is only reported, but every
+// bitwise-identity gate stays exact.
 //
 // Results are written as machine-readable JSON (default BENCH_groute.json):
 //   perf_groute [output.json]
@@ -53,10 +38,8 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "exec/executor.hpp"
 #include "flow/tools.hpp"
 #include "netlist/design_view.hpp"
 #include "netlist/generators.hpp"
@@ -152,13 +135,12 @@ struct FlowGridCase {
   double reference_ms = 0.0;  ///< median sample
   double kernel_ms = 0.0;     ///< median sample
   double speedup = 0.0;       ///< median of the per-pair reference/kernel ratios
-  bool parallel_bitwise = false;
   bool incremental_bitwise = false;
 };
 
 /// cpu@1 through the flow's own steps, routed on run_route's 32x32 grid;
 /// `pairs` alternating reference/kernel samples time it.
-FlowGridCase run_flow_grid(const netlist::CellLibrary& lib, exec::RunExecutor& pool, int pairs) {
+FlowGridCase run_flow_grid(const netlist::CellLibrary& lib, int pairs) {
   flow::DesignState ds;
   ds.lib = &lib;
   flow::DesignSpec spec;
@@ -178,20 +160,19 @@ FlowGridCase run_flow_grid(const netlist::CellLibrary& lib, exec::RunExecutor& p
   out.grid = ro.gcells_x;
 
   netlist::DesignView view{pl.netlist()};
-  route::RouteResult serial;
-  route::GridGraph serial_grid;
+  route::RouteResult kernel_route;
   // The seed router has no stall rule: cap it at the kernel's round count,
   // so the gate compares the work per round and not the rounds the rule
   // saves.
   {
     route::GridGraph g;
-    serial = route::global_route(pl, view, ro, g);
+    kernel_route = route::global_route(pl, view, ro, g);
   }
   route::RouteOptions ro_ref = ro;
-  ro_ref.max_rounds = serial.rounds_used;
+  ro_ref.max_rounds = kernel_route.rounds_used;
   // Reference and kernel samples alternate and the speedup is the median of
-  // the per-pair ratios, as in gate 2: both halves of a pair see the same
-  // host load.
+  // the per-pair ratios: both halves of a pair see the same host load, which
+  // on a shared host drifts by tens of percent over the seconds a run takes.
   std::vector<double> reference_samples;
   std::vector<double> kernel_samples;
   std::vector<double> ratios;
@@ -203,8 +184,7 @@ FlowGridCase run_flow_grid(const netlist::CellLibrary& lib, exec::RunExecutor& p
     });
     const double kernel_ms = bench_ms(1, 1, [&] {
       route::GridGraph g;
-      serial = route::global_route(pl, view, ro, g);
-      serial_grid = std::move(g);
+      kernel_route = route::global_route(pl, view, ro, g);
     });
     reference_samples.push_back(reference_ms);
     kernel_samples.push_back(kernel_ms);
@@ -213,15 +193,9 @@ FlowGridCase run_flow_grid(const netlist::CellLibrary& lib, exec::RunExecutor& p
   out.reference_ms = median(reference_samples);
   out.kernel_ms = median(kernel_samples);
   out.speedup = median(ratios);
-  out.segments = serial.state.seg_from.size();
-  out.rounds_used = serial.rounds_used;
-  out.stopped_early = serial.stopped_early;
-
-  route::RouteOptions ro_par = ro;
-  ro_par.executor = &pool;
-  route::GridGraph par_grid;
-  const auto par = route::global_route(pl, view, ro_par, par_grid);
-  out.parallel_bitwise = results_identical(serial, par) && grids_identical(serial_grid, par_grid);
+  out.segments = kernel_route.state.seg_from.size();
+  out.rounds_used = kernel_route.rounds_used;
+  out.stopped_early = kernel_route.stopped_early;
 
   const std::size_t n_moves = std::max<std::size_t>(1, pl.netlist().instance_count() / 100);
   const place::Placement pl2 = perturbed(pl, n_moves, 77);
@@ -230,7 +204,7 @@ FlowGridCase run_flow_grid(const netlist::CellLibrary& lib, exec::RunExecutor& p
   const auto full = route::global_route(pl2, view_full, ro, full_grid);
   netlist::DesignView view_incr{pl.netlist()};
   route::GridGraph incr_grid;
-  const auto incr = route::global_route_incremental(pl2, view_incr, ro, incr_grid, serial, {});
+  const auto incr = route::global_route_incremental(pl2, view_incr, ro, incr_grid, kernel_route, {});
   out.incremental_bitwise = results_identical(full, incr) && grids_identical(full_grid, incr_grid);
   return out;
 }
@@ -247,14 +221,12 @@ int main(int argc, char** argv) {
   constexpr std::size_t kGates = 8000;
   constexpr std::size_t kGrid = 96;
   constexpr double kFullFloor = 2.0;
-  constexpr double kParFloor = 1.2;
   constexpr double kIncrFloor = 2.5;
 #else
   const bool sanitized = false;
   constexpr std::size_t kGates = 40000;
   constexpr std::size_t kGrid = 192;
   constexpr double kFullFloor = 3.0;
-  constexpr double kParFloor = 2.0;
   constexpr double kIncrFloor = 5.0;
 #endif
   // The flow-grid case is the same size in every build; under TSan its
@@ -295,74 +267,21 @@ int main(int argc, char** argv) {
     util::Rng r{42};
     (void)route::global_route_reference(pl, ro, g, r);
   });
-  route::RouteResult serial_res;
-  route::GridGraph serial_grid;
+  route::RouteResult kernel_res;
   const double kernel_ms = bench_ms(3, 1, [&] {
     route::GridGraph g;
-    serial_res = route::global_route(pl, ro, g);
-    serial_grid = std::move(g);
+    kernel_res = route::global_route(pl, ro, g);
   });
   const double full_speedup = kernel_ms > 0.0 ? ref_ms / kernel_ms : 0.0;
   const bool full_pass = full_speedup >= kFullFloor;
   std::printf("reference full route  : %9.1f ms\n", ref_ms);
   std::printf("kernel full route     : %9.1f ms  (%.1fx, gate >= %.0fx: %s)\n", kernel_ms,
               full_speedup, kFullFloor, full_pass ? "OK" : "FAIL");
-  std::printf("  rounds %d, converged %d, overflow %.1f, max util %.2f\n", serial_res.rounds_used,
-              serial_res.converged ? 1 : 0, serial_res.total_overflow,
-              serial_res.max_utilization);
+  std::printf("  rounds %d, converged %d, overflow %.1f, max util %.2f\n", kernel_res.rounds_used,
+              kernel_res.converged ? 1 : 0, kernel_res.total_overflow,
+              kernel_res.max_utilization);
 
-  // ------------------------------------------- gate 2: parallel rip-up-reroute
-  // Scale the speed floor to what the host can express: the full floor
-  // needs real cores under the 8-thread pool. Identity is always gated.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const double par_floor = hw >= 4 ? kParFloor : (hw >= 2 ? 1.2 : 0.0);
-  if (par_floor < kParFloor) {
-    std::printf("host has %u hardware thread(s): parallel speed floor %s\n", hw,
-                par_floor > 0.0 ? "relaxed to 1.2x" : "waived (identity still gated)");
-  }
-  exec::RunExecutor pool{{.threads = 8}};
-  route::RouteOptions ro_par = ro;
-  ro_par.executor = &pool;
-  // Untimed warm-up. On a virtualized host, cores that sat idle through the
-  // serial phase can take a second or more to run at full speed again; a
-  // pool route in that window runs at one-core speed (its CPU time equals
-  // its wall time), so it measures the host, not the kernel.
-  const auto warm_until = std::chrono::steady_clock::now() + std::chrono::seconds(3);
-  do {
-    route::GridGraph g;
-    (void)route::global_route(pl, ro_par, g);
-  } while (std::chrono::steady_clock::now() < warm_until);
-  // Serial and parallel samples alternate and the speedup is the median of
-  // the per-pair ratios: both halves of a pair see the same host load, which
-  // on a shared host drifts by tens of percent over the seconds a run takes.
-  constexpr int kParPairs = 5;
-  route::RouteResult par_res;
-  route::GridGraph par_grid;
-  std::vector<double> par_samples;
-  std::vector<double> par_ratios;
-  for (int s = 0; s < kParPairs; ++s) {
-    const double serial_ms = bench_ms(1, 1, [&] {
-      route::GridGraph g;
-      (void)route::global_route(pl, ro, g);
-    });
-    const double pool_ms = bench_ms(1, 1, [&] {
-      route::GridGraph g;
-      par_res = route::global_route(pl, ro_par, g);
-      par_grid = std::move(g);
-    });
-    par_samples.push_back(pool_ms);
-    par_ratios.push_back(pool_ms > 0.0 ? serial_ms / pool_ms : 0.0);
-  }
-  const double parallel_ms = median(par_samples);
-  const double par_speedup = median(par_ratios);
-  const bool par_bitwise = results_identical(serial_res, par_res) &&
-                           grids_identical(serial_grid, par_grid);
-  const bool par_pass = par_speedup >= par_floor && par_bitwise;
-  std::printf("parallel (8 threads)  : %9.1f ms  (%.2fx vs serial, gate >= %.1fx: %s)\n",
-              parallel_ms, par_speedup, par_floor, par_speedup >= par_floor ? "OK" : "FAIL");
-  std::printf("parallel bitwise-identical to serial: %s\n", par_bitwise ? "OK" : "FAIL");
-
-  // -------------------------------------------- gate 3: incremental reroute
+  // -------------------------------------------- gate 2: incremental reroute
   // Route with keep_state, then move <= 1% of the gates to random snapped
   // in-core sites (a local ECO / sizing-style perturbation).
   route::RouteOptions ro_state = ro;
@@ -403,7 +322,7 @@ int main(int argc, char** argv) {
               incr_bitwise ? "OK" : "FAIL");
 
   // ------------------------------------- flow grid: what the flow routes
-  const FlowGridCase fg = run_flow_grid(lib, pool, kFlowGridPairs);
+  const FlowGridCase fg = run_flow_grid(lib, kFlowGridPairs);
   std::printf("flow grid (cpu@1, %zux%zu, run_route capacities): %zu segments, %d rounds%s\n",
               fg.grid, fg.grid, fg.segments, fg.rounds_used,
               fg.stopped_early ? " (stalled; reference capped to match)" : "");
@@ -412,17 +331,16 @@ int main(int argc, char** argv) {
               "gate >= %.1fx: %s)\n",
               fg.reference_ms, fg.kernel_ms, kFlowGridPairs, fg.speedup, kFlowGridFloor,
               sanitized ? "waived under TSan" : (fg_speed_pass ? "OK" : "FAIL"));
-  std::printf("  parallel bitwise-identical to serial: %s\n", fg.parallel_bitwise ? "OK" : "FAIL");
   std::printf("  incremental bitwise-identical to from-scratch: %s\n",
               fg.incremental_bitwise ? "OK" : "FAIL");
-  const bool fg_pass = fg_speed_pass && fg.parallel_bitwise && fg.incremental_bitwise;
+  const bool fg_pass = fg_speed_pass && fg.incremental_bitwise;
 
   // A congestion benchmark that never congests measures nothing: require the
   // negotiation loop to have actually run rip-up rounds, in both cases.
-  const bool congested = serial_res.rounds_used > 1 && fg.rounds_used > 1;
+  const bool congested = kernel_res.rounds_used > 1 && fg.rounds_used > 1;
   if (!congested) std::fputs("FAIL: test case never overflowed; no rip-up exercised\n", stderr);
 
-  const bool pass = full_pass && par_pass && incr_pass && fg_pass && congested;
+  const bool pass = full_pass && incr_pass && fg_pass && congested;
 
   util::JsonObject report;
   report["schema"] = util::Json{"maestro.bench.groute.v1"};
@@ -431,19 +349,13 @@ int main(int argc, char** argv) {
   report["nets"] = util::Json{static_cast<double>(nl.net_count())};
   report["grid"] = util::Json{static_cast<double>(kGrid)};
   report["segments"] = util::Json{static_cast<double>(base.state.seg_from.size())};
-  report["rounds_used"] = util::Json{static_cast<double>(serial_res.rounds_used)};
-  report["converged"] = util::Json{serial_res.converged};
-  report["final_overflow"] = util::Json{serial_res.total_overflow};
+  report["rounds_used"] = util::Json{static_cast<double>(kernel_res.rounds_used)};
+  report["converged"] = util::Json{kernel_res.converged};
+  report["final_overflow"] = util::Json{kernel_res.total_overflow};
   report["reference_ms"] = util::Json{ref_ms};
   report["kernel_ms"] = util::Json{kernel_ms};
   report["full_speedup"] = util::Json{full_speedup};
   report["full_floor"] = util::Json{kFullFloor};
-  report["hw_threads"] = util::Json{static_cast<double>(hw)};
-  report["parallel_ms"] = util::Json{parallel_ms};
-  report["parallel_speedup"] = util::Json{par_speedup};
-  report["parallel_floor"] = util::Json{kParFloor};
-  report["parallel_floor_effective"] = util::Json{par_floor};
-  report["parallel_bitwise"] = util::Json{par_bitwise};
   report["cells_moved"] = util::Json{static_cast<double>(n_moves)};
   report["scratch_ms"] = util::Json{scratch_ms};
   report["incremental_ms"] = util::Json{incr_ms};
@@ -460,7 +372,6 @@ int main(int argc, char** argv) {
   flow_grid["kernel_ms"] = util::Json{fg.kernel_ms};
   flow_grid["kernel_speedup"] = util::Json{fg.speedup};
   flow_grid["kernel_floor"] = util::Json{kFlowGridFloor};
-  flow_grid["parallel_bitwise"] = util::Json{fg.parallel_bitwise};
   flow_grid["incremental_bitwise"] = util::Json{fg.incremental_bitwise};
   report["flow_grid"] = util::Json{std::move(flow_grid)};
   report["pass"] = util::Json{pass};

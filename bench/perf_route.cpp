@@ -5,14 +5,13 @@
 //     util::ToolLog (the seed pattern used by the multistart drivers)
 //   * batched — one simulate_drv_batch call: per-seed SoA state, one RNG
 //     stream per seed, no log materialization
-// and verifies the batch is bit-identical to the scalar runs, serially and
-// under chunk-parallel execution on a RunExecutor.
+// and verifies the batch is bit-identical to the scalar runs.
 //
 // Acceptance (exits nonzero on regression, so ctest gates it, label
 // "route"):
 //   * batched 8-seed advance >= 2x faster than 8 sequential runs
 //   * every per-seed trajectory and success flag bitwise identical to
-//     simulate_drv_run, and parallel batch identical to serial batch
+//     simulate_drv_run
 //
 // Results are written as machine-readable JSON (default BENCH_route.json):
 //   perf_route [output.json]
@@ -24,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/executor.hpp"
 #include "route/drv_sim.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -70,31 +68,21 @@ int main(int argc, char** argv) {
   route::DrvBatchOptions bo;
   bo.iterations = so.iterations;
 
-  // Correctness before speed: batch == scalar per seed, and the
-  // chunk-parallel batch == the serial batch, all bitwise.
-  const route::DrvBatch serial_batch = route::simulate_drv_batch(diffs, seeds, bo);
-  bool batch_ok = serial_batch.size() == kRuns;
+  // Correctness before speed: batch == scalar per seed, bitwise.
+  const route::DrvBatch batch = route::simulate_drv_batch(diffs, seeds, bo);
+  bool batch_ok = batch.size() == kRuns;
   for (std::size_t i = 0; i < kRuns; ++i) {
     route::DrvSimOptions o = so;
     o.seed = seeds[i];
     util::Rng r{seeds[i]};
     const route::DrvRun run = route::simulate_drv_run(diffs[i], o, r);
-    const auto traj = serial_batch.trajectory(i);
+    const auto traj = batch.trajectory(i);
     if (run.drvs.size() != traj.size() ||
         !std::equal(run.drvs.begin(), run.drvs.end(), traj.begin()) ||
-        run.succeeded != (serial_batch.succeeded[i] != 0)) {
+        run.succeeded != (batch.succeeded[i] != 0)) {
       batch_ok = false;
     }
   }
-
-  exec::RunExecutor executor{{.threads = 4}};
-  route::DrvBatchOptions po = bo;
-  po.executor = &executor;
-  po.chunk = 2;
-  const route::DrvBatch parallel_batch = route::simulate_drv_batch(diffs, seeds, po);
-  const bool parallel_ok = parallel_batch.drvs == serial_batch.drvs &&
-                           parallel_batch.succeeded == serial_batch.succeeded &&
-                           parallel_batch.difficulty == serial_batch.difficulty;
 
   const double seq_ms = bench_ms(5, 40, [&] {
     for (std::size_t i = 0; i < kRuns; ++i) {
@@ -108,14 +96,13 @@ int main(int argc, char** argv) {
   const double speedup = batch_ms_v > 0.0 ? seq_ms / batch_ms_v : 0.0;
 
   const bool speed_pass = speedup >= 2.0;
-  const bool pass = speed_pass && batch_ok && parallel_ok;
+  const bool pass = speed_pass && batch_ok;
 
   std::printf("sequential %zu runs : %8.3f ms\n", kRuns, seq_ms);
   std::printf("batched one pass   : %8.3f ms  (%.1fx, gate >= 2x: %s)\n", batch_ms_v, speedup,
               speed_pass ? "OK" : "FAIL");
   std::printf("per-seed trajectories bitwise identical to scalar: %s\n",
               batch_ok ? "OK" : "FAIL");
-  std::printf("chunk-parallel batch identical to serial: %s\n", parallel_ok ? "OK" : "FAIL");
 
   util::JsonObject report;
   report["schema"] = util::Json{"maestro.bench.route.v1"};
@@ -126,7 +113,6 @@ int main(int argc, char** argv) {
   report["speedup"] = util::Json{speedup};
   report["speedup_floor"] = util::Json{2.0};
   report["trajectories_bitwise"] = util::Json{batch_ok};
-  report["parallel_bitwise"] = util::Json{parallel_ok};
   report["pass"] = util::Json{pass};
   std::ofstream out(out_path);
   out << util::Json{std::move(report)}.dump() << '\n';

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "exec/executor.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
@@ -83,17 +82,23 @@ DrvRun DrvBatch::run(std::size_t r) const {
   return out;
 }
 
-namespace {
+DrvBatch simulate_drv_batch(std::span<const RouteDifficulty> difficulties,
+                            std::span<const std::uint64_t> seeds, const DrvBatchOptions& opt) {
+  assert(difficulties.size() == seeds.size());
+  obs::Span span("drv_batch", "route");
+  const std::size_t n = seeds.size();
 
-/// Advance runs [r0, r1) of the batch: per-run setup draws, then one
-/// t-outer / run-inner pass over the chunk's SoA state. Each run owns its
-/// util::Rng{seeds[r]}, so its draw sequence — and therefore its trajectory
-/// — is bit-identical to simulate_drv_run's, just interleaved across runs.
-/// All writes land in this chunk's disjoint slice of `batch`.
-void simulate_drv_chunk(std::span<const RouteDifficulty> difficulties,
-                        std::span<const std::uint64_t> seeds, const DrvBatchOptions& opt,
-                        DrvBatch& batch, std::size_t r0, std::size_t r1) {
-  const std::size_t n = r1 - r0;
+  DrvBatch batch;
+  batch.iterations = opt.iterations;
+  batch.difficulty.assign(n, 0.0);
+  batch.drvs.assign(n * static_cast<std::size_t>(opt.iterations), 0.0);
+  batch.succeeded.assign(n, 0);
+  if (opt.emit_logs) batch.logs.resize(n);
+
+  // Per-run setup draws, then one t-outer / run-inner pass over the SoA
+  // state. Each run owns its util::Rng{seeds[i]}, so its draw sequence — and
+  // therefore its trajectory — is bit-identical to simulate_drv_run's, just
+  // interleaved across runs.
   std::vector<util::Rng> rng;
   rng.reserve(n);
   std::vector<double> drv(n), drv0(n), rate(n), floor_drvs(n), growth(n);
@@ -101,10 +106,9 @@ void simulate_drv_chunk(std::span<const RouteDifficulty> difficulties,
   std::vector<int> onset(n);
 
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t r = r0 + i;
-    rng.emplace_back(seeds[r]);
-    const double d = std::clamp(difficulties[r].value, 0.0, 1.0);
-    batch.difficulty[r] = d;
+    rng.emplace_back(seeds[i]);
+    const double d = std::clamp(difficulties[i].value, 0.0, 1.0);
+    batch.difficulty[i] = d;
     drv0[i] = opt.initial_drv_scale * (0.3 + 1.4 * d) * std::exp(rng[i].gauss(0.0, 0.25));
     drv[i] = drv0[i];
     rate[i] = 0.45 + 0.50 * d;
@@ -113,9 +117,9 @@ void simulate_drv_chunk(std::span<const RouteDifficulty> difficulties,
     onset[i] = static_cast<int>(7 + rng[i].below(8));
     growth[i] = 1.04 + 0.45 * std::max(d - 0.72, 0.0);
     if (opt.emit_logs) {
-      util::ToolLog& log = batch.logs[r];
+      util::ToolLog& log = batch.logs[i];
       log.tool = "detail_route";
-      log.seed = seeds[r];
+      log.seed = seeds[i];
       log.metadata["difficulty"] = std::to_string(d);
       log.completed = true;
     }
@@ -124,7 +128,6 @@ void simulate_drv_chunk(std::span<const RouteDifficulty> difficulties,
   const auto iters = static_cast<std::size_t>(opt.iterations);
   for (std::size_t t = 0; t < iters; ++t) {
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t r = r0 + i;
       const double noise = std::exp(rng[i].gauss(0.0, 0.11));
       double v = drv[i];
       if (thrashes[i] != 0 && static_cast<int>(t) >= onset[i]) {
@@ -135,58 +138,26 @@ void simulate_drv_chunk(std::span<const RouteDifficulty> difficulties,
       v = std::max(v, 0.0);
       const double recorded = std::floor(v + rng[i].uniform(0.0, 1.0));
       drv[i] = v;
-      batch.drvs[r * iters + t] = recorded;
+      batch.drvs[i * iters + t] = recorded;
       if (opt.emit_logs) {
         util::LogIteration it;
         it.iteration = static_cast<int>(t);
         it.values["drvs"] = recorded;
         it.values["delta_drvs"] = t == 0 ? recorded - std::floor(drv0[i])
-                                         : recorded - batch.drvs[r * iters + t - 1];
-        batch.logs[r].iterations.push_back(std::move(it));
+                                         : recorded - batch.drvs[i * iters + t - 1];
+        batch.logs[i].iterations.push_back(std::move(it));
       }
     }
   }
 
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t r = r0 + i;
-    const bool ok = iters > 0 && batch.drvs[r * iters + iters - 1] < opt.success_threshold;
-    batch.succeeded[r] = ok ? 1 : 0;
-    if (opt.emit_logs) batch.logs[r].metadata["succeeded"] = ok ? "1" : "0";
-  }
-}
-
-}  // namespace
-
-DrvBatch simulate_drv_batch(std::span<const RouteDifficulty> difficulties,
-                            std::span<const std::uint64_t> seeds, const DrvBatchOptions& opt) {
-  assert(difficulties.size() == seeds.size());
-  obs::Span span("drv_batch", "route");
-  const std::size_t runs = seeds.size();
-
-  DrvBatch batch;
-  batch.iterations = opt.iterations;
-  batch.difficulty.assign(runs, 0.0);
-  batch.drvs.assign(runs * static_cast<std::size_t>(opt.iterations), 0.0);
-  batch.succeeded.assign(runs, 0);
-  if (opt.emit_logs) batch.logs.resize(runs);
-
-  if (opt.executor != nullptr && opt.chunk > 0 && runs > opt.chunk) {
-    // Chunk-parallel: each pooled task advances a disjoint run range, so
-    // every array write is race-free and the result is bitwise identical to
-    // the serial pass below (runs never read each other's state).
-    const std::size_t n_chunks = (runs + opt.chunk - 1) / opt.chunk;
-    opt.executor->map("drv_batch", 0, n_chunks, [&](std::size_t c, exec::RunContext&) {
-      const std::size_t lo = c * opt.chunk;
-      const std::size_t hi = std::min(lo + opt.chunk, runs);
-      simulate_drv_chunk(difficulties, seeds, opt, batch, lo, hi);
-      return 0;
-    });
-  } else {
-    simulate_drv_chunk(difficulties, seeds, opt, batch, 0, runs);
+    const bool ok = iters > 0 && batch.drvs[i * iters + iters - 1] < opt.success_threshold;
+    batch.succeeded[i] = ok ? 1 : 0;
+    if (opt.emit_logs) batch.logs[i].metadata["succeeded"] = ok ? "1" : "0";
   }
 
-  obs::Registry::global().counter("route.batched_seeds").add(runs);
-  span.arg("seeds", static_cast<double>(runs))
+  obs::Registry::global().counter("route.batched_seeds").add(n);
+  span.arg("seeds", static_cast<double>(n))
       .arg("iterations", static_cast<double>(opt.iterations));
   return batch;
 }

@@ -27,10 +27,6 @@
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
-namespace maestro::exec {
-class RunExecutor;
-}
-
 namespace maestro::route {
 
 /// Difficulty in [0, 1]: 0 = trivially routable, 1 = hopeless.
@@ -69,12 +65,6 @@ struct DrvBatchOptions {
   /// Off by default: the per-iteration string-map log is the dominant
   /// allocation cost of the scalar path and GWTW only reads trajectories.
   bool emit_logs = false;
-  /// With `executor` set and chunk > 0, seeds advance in parallel chunks of
-  /// this many runs; each chunk writes a disjoint slice of the SoA state,
-  /// so results are bitwise identical to the serial pass at any thread
-  /// count. chunk == 0 or a null executor runs serially.
-  std::size_t chunk = 0;
-  exec::RunExecutor* executor = nullptr;
 };
 
 /// Result of a batched simulation: per-seed trajectories in one run-major

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <future>
 #include <limits>
 #include <optional>
 #include <utility>
 
-#include "exec/cancel.hpp"
-#include "exec/executor.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "route/maze_arena.hpp"
@@ -224,38 +221,16 @@ struct NetPlan {
 };
 
 /// Maze-route every segment in `idxs` against the (const) grid, writing the
-/// paths to out[k] for idxs[k]. With an executor, fixed-grain chunks fan out
-/// to the pool — the grain is independent of the thread count and each chunk
-/// writes disjoint slots, so results are identical at any pool size.
+/// paths to out[k] for idxs[k].
 void search_many(const GridGraph& g, const NetPlan& plan, const std::vector<std::uint32_t>& idxs,
-                 std::vector<Path>& out, const RouteOptions& opt, std::size_t grain) {
-  out.assign(idxs.size(), {});
-  if (idxs.empty()) return;
-  auto search_range = [&](std::size_t lo, std::size_t hi) {
-    MazeArena& arena = thread_arena();
-    for (std::size_t k = lo; k < hi; ++k) {
-      const std::uint32_t i = idxs[k];
-      out[k] = arena_maze_route(g, arena, plan.seg_from[i], plan.seg_to[i],
-                                opt.present_cost_weight, opt.history_cost_weight);
-    }
-  };
-  if (opt.executor == nullptr || idxs.size() <= grain) {
-    search_range(0, idxs.size());
-    return;
+                 std::vector<Path>& out, const RouteOptions& opt) {
+  MazeArena& arena = thread_arena();
+  out.resize(idxs.size());
+  for (std::size_t k = 0; k < idxs.size(); ++k) {
+    const std::uint32_t i = idxs[k];
+    out[k] = arena_maze_route(g, arena, plan.seg_from[i], plan.seg_to[i], opt.present_cost_weight,
+                              opt.history_cost_weight);
   }
-  const std::size_t n_chunks = (idxs.size() + grain - 1) / grain;
-  std::vector<std::future<int>> futures;
-  futures.reserve(n_chunks);
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    const std::size_t lo = c * grain;
-    const std::size_t hi = std::min(idxs.size(), lo + grain);
-    futures.push_back(opt.executor->submit("groute_search", exec::derive_run_seed(0x6721u, c),
-                                           [&search_range, lo, hi](exec::RunContext&) {
-                                             search_range(lo, hi);
-                                             return 0;
-                                           }));
-  }
-  for (auto& f : futures) f.get();
 }
 
 /// Spatial coloring of one round's victims (see ripup_coloring.hpp): batches
@@ -314,7 +289,7 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
     std::vector<Path> found;
     {
       obs::Span search_span("groute_search", "route");
-      search_many(graph, plan, missing, found, opt, /*grain=*/512);
+      search_many(graph, plan, missing, found, opt);
     }
     obs::Span commit_span("groute_commit", "route");
     plan.fill_initial(missing, found);
@@ -336,7 +311,6 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
 
   // ---- Phase B: negotiation rounds over the overflowed set ----
   std::vector<std::uint32_t> victims;
-  std::vector<Path> rerouted;
   std::vector<std::uint8_t> overflowed(graph.edge_count(), 0);
   while (res.overflow_per_round.back() > 0.0 && res.rounds_used < opt.max_rounds) {
     obs::Span span("groute_round", "route");
@@ -373,17 +347,13 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
     }
     {
       obs::Span reroute_span("groute_reroute", "route");
+      MazeArena& arena = thread_arena();
       for (const auto& batch : batches) {
-        // Rip up every batch member first (canonical order), so each search
-        // sees exactly the state a serial rip-search-commit would see — the
-        // other members' deltas all live outside its disjoint window.
         for (const std::uint32_t i : batch) {
           for (const std::uint32_t e : plan.current(i)) graph.add_usage(e, -1.0);
-        }
-        search_many(graph, plan, batch, rerouted, opt, /*grain=*/8);
-        for (std::size_t k = 0; k < batch.size(); ++k) {
-          const std::uint32_t i = batch[k];
-          plan.set_current(i, rerouted[k]);
+          plan.set_current(i, arena_maze_route(graph, arena, plan.seg_from[i], plan.seg_to[i],
+                                               opt.present_cost_weight,
+                                               opt.history_cost_weight));
           for (const std::uint32_t e : plan.current(i)) graph.add_usage(e, 1.0);
         }
       }

@@ -75,10 +75,6 @@
 #include "route/grid_graph.hpp"
 #include "util/rng.hpp"
 
-namespace maestro::exec {
-class RunExecutor;
-}
-
 namespace maestro::route {
 
 struct RouteOptions {
@@ -91,9 +87,6 @@ struct RouteOptions {
   double history_cost_weight = 0.4;
   bool keep_segments = false;     ///< populate RouteResult::segments
   bool keep_state = false;        ///< populate RouteResult::state for incremental reroute
-  /// When set, Phase A searches and Phase B rip-up batches run concurrently
-  /// on this pool; results stay bitwise identical to executor == nullptr.
-  exec::RunExecutor* executor = nullptr;
 };
 
 /// One routed two-pin connection: endpoints plus the edge-id path.

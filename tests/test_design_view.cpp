@@ -7,7 +7,6 @@
 //   * sa_place is bitwise identical to the seed annealer across seeds and
 //     configs,
 //   * batched multi-seed DRV simulation matches the scalar runs per seed,
-//     serially and chunk-parallel on a RunExecutor,
 //   * the congestion, global-route and timing-graph view paths match their
 //     pin-scanning equivalents,
 //   * revision counters detect staleness and trigger exactly the right
@@ -18,7 +17,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "exec/executor.hpp"
 #include "netlist/design_view.hpp"
 #include "netlist/generators.hpp"
 #include "opt/gwtw.hpp"
@@ -414,28 +412,6 @@ TEST(DrvBatch, MatchesSequentialScalarRunsPerSeed) {
     EXPECT_EQ(mat.log.series("drvs"), scalar.log.series("drvs"));
     EXPECT_EQ(mat.log.series("delta_drvs"), scalar.log.series("delta_drvs"));
     EXPECT_EQ(mat.log.completed, scalar.log.completed);
-  }
-}
-
-TEST(DrvBatch, ChunkParallelMatchesSerialAtAnyChunking) {
-  std::vector<route::RouteDifficulty> diffs;
-  std::vector<std::uint64_t> seeds;
-  for (std::size_t i = 0; i < 13; ++i) {  // deliberately not a chunk multiple
-    diffs.push_back({0.1 + 0.07 * static_cast<double>(i)});
-    seeds.push_back(0x7700 + i);
-  }
-  route::DrvBatchOptions serial;
-  const route::DrvBatch base = route::simulate_drv_batch(diffs, seeds, serial);
-
-  exec::RunExecutor pool{{.threads = 4}};
-  for (const std::size_t chunk : {1ul, 3ul, 5ul}) {
-    route::DrvBatchOptions po;
-    po.executor = &pool;
-    po.chunk = chunk;
-    const route::DrvBatch par = route::simulate_drv_batch(diffs, seeds, po);
-    EXPECT_EQ(par.drvs, base.drvs) << "chunk " << chunk;
-    EXPECT_EQ(par.succeeded, base.succeeded) << "chunk " << chunk;
-    EXPECT_EQ(par.difficulty, base.difficulty) << "chunk " << chunk;
   }
 }
 

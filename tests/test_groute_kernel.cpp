@@ -10,9 +10,9 @@
 //    segment paths;
 //  * rip-up coloring: the linear-time first-fit colorer == the rescanning
 //    greedy it replaced (kept here as the oracle), batch for batch;
-//  * determinism: serial == 1-thread pool == 8-thread pool, bitwise; and
-//    incremental reroute == from-scratch route after a placement
-//    perturbation, including the flow-level run_route wiring;
+//  * determinism: incremental reroute == from-scratch route after a
+//    placement perturbation, bitwise, including the flow-level run_route
+//    wiring;
 //  * the Phase B stop rule: which golden routes stall, the counter and span
 //    arg, the rounds cap, and incremental == from-scratch on a stalled route.
 
@@ -32,7 +32,6 @@
 #include <tuple>
 #include <vector>
 
-#include "exec/executor.hpp"
 #include "flow/flow.hpp"
 #include "flow/tools.hpp"
 #include "netlist/design_view.hpp"
@@ -47,7 +46,6 @@
 namespace mn = maestro::netlist;
 namespace mp = maestro::place;
 namespace mr = maestro::route;
-namespace me = maestro::exec;
 namespace mf = maestro::flow;
 namespace obs = maestro::obs;
 using maestro::util::Rng;
@@ -668,31 +666,6 @@ TEST(GlobalRouter, PerNetSegmentsMatchDeduplicatedPins) {
     const std::size_t pins = seen.size();
     const std::size_t segs = st.net_seg_begin[n + 1] - st.net_seg_begin[n];
     EXPECT_EQ(segs, pins >= 2 ? pins - 1 : 0u) << "net " << n;
-  }
-}
-
-TEST(GlobalRouter, ParallelBitwiseIdenticalToSerial) {
-  std::unique_ptr<mn::Netlist> nl;
-  std::unique_ptr<mp::Floorplan> fp;
-  const auto pl = placed_design(41, 1200, 0.8, nl, fp);
-  mr::RouteOptions opt;
-  opt.gcells_x = opt.gcells_y = 32;
-  opt.h_capacity = opt.v_capacity = 8.0;  // congested: Phase B runs batches
-  opt.keep_segments = true;
-
-  mr::GridGraph g_serial;
-  const auto serial = mr::global_route(pl, opt, g_serial);
-  EXPECT_GT(serial.rounds_used, 1);  // negotiation must actually engage
-
-  me::RunExecutor pool1{{.threads = 1}};
-  me::RunExecutor pool8{{.threads = 8}};
-  for (me::RunExecutor* pool : {&pool1, &pool8}) {
-    mr::RouteOptions popt = opt;
-    popt.executor = pool;
-    mr::GridGraph g_par;
-    const auto par = mr::global_route(pl, popt, g_par);
-    expect_results_identical(serial, par);
-    expect_grids_identical(g_serial, g_par);
   }
 }
 
