@@ -10,7 +10,6 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "route/maze_arena.hpp"
-#include "route/ripup_coloring.hpp"
 
 namespace maestro::route {
 
@@ -220,47 +219,14 @@ struct NetPlan {
   }
 };
 
-/// Maze-route every segment in `idxs` against the (const) grid, writing the
-/// paths to out[k] for idxs[k].
-void search_many(const GridGraph& g, const NetPlan& plan, const std::vector<std::uint32_t>& idxs,
-                 std::vector<Path>& out, const RouteOptions& opt) {
-  MazeArena& arena = thread_arena();
-  out.resize(idxs.size());
-  for (std::size_t k = 0; k < idxs.size(); ++k) {
-    const std::uint32_t i = idxs[k];
-    out[k] = arena_maze_route(g, arena, plan.seg_from[i], plan.seg_to[i], opt.present_cost_weight,
-                              opt.history_cost_weight);
-  }
-}
-
-/// Spatial coloring of one round's victims (see ripup_coloring.hpp): batches
-/// of segment ids whose bloated search windows share no 8x8 GCell tile.
-/// Within a batch, rip-up/search/commit of one segment cannot touch any edge
-/// another member reads or writes, so members may search concurrently
-/// against the frozen grid with results identical to processing them one
-/// at a time.
-std::vector<std::vector<std::uint32_t>> color_batches(const GridGraph& g, const NetPlan& plan,
-                                                      const std::vector<std::uint32_t>& victims) {
-  std::vector<TileRect> rects(victims.size());
-  for (std::size_t k = 0; k < victims.size(); ++k) {
-    const std::uint32_t i = victims[k];
-    rects[k] = tile_rect(search_window(g, plan.seg_from[i], plan.seg_to[i]));
-  }
-  auto batches = color_first_fit(rects);
-  for (auto& batch : batches) {
-    for (std::uint32_t& member : batch) member = victims[member];
-  }
-  return batches;
-}
-
 struct PlanRevisions {
   std::uint64_t netlist = 0;
   std::uint64_t placement = 0;
 };
 
 /// The kernel: Phase A (search missing initial paths against the empty
-/// grid, commit all in canonical order) + Phase B negotiation rounds
-/// (rip-up batches, parallel search, canonical-order commit) until the
+/// grid, commit all in canonical order) + Phase B negotiation rounds (each
+/// victim, in canonical order, ripped up, searched and committed) until the
 /// overflow reaches zero, the rounds cap, or a stall. `graph` must
 /// be freshly constructed (zero usage and history).
 RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
@@ -274,6 +240,11 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
   // The router's own weights are fixed for the whole route: keep their edge
   // costs as a table the searches read instead of re-deriving them.
   graph.track_costs(opt.present_cost_weight, opt.history_cost_weight);
+  MazeArena& arena = thread_arena();
+  auto search = [&](std::size_t i) {
+    return arena_maze_route(graph, arena, plan.seg_from[i], plan.seg_to[i],
+                            opt.present_cost_weight, opt.history_cost_weight);
+  };
 
   // ---- Phase A: order-independent initial routes on the empty grid ----
   std::vector<std::uint32_t> missing;
@@ -289,7 +260,8 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
     std::vector<Path> found;
     {
       obs::Span search_span("groute_search", "route");
-      search_many(graph, plan, missing, found, opt);
+      found.reserve(missing.size());
+      for (const std::uint32_t i : missing) found.push_back(search(i));
     }
     obs::Span commit_span("groute_commit", "route");
     plan.fill_initial(missing, found);
@@ -338,24 +310,13 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
     ripup_counter.add(victims.size());
     if (victims.empty()) break;  // external usage only; nothing we can move
 
-    std::vector<std::vector<std::uint32_t>> batches;
-    {
-      obs::Span color_span("groute_color", "route");
-      batches = color_batches(graph, plan, victims);
-      color_span.arg("victims", static_cast<double>(victims.size()))
-          .arg("batches", static_cast<double>(batches.size()));
-    }
     {
       obs::Span reroute_span("groute_reroute", "route");
-      MazeArena& arena = thread_arena();
-      for (const auto& batch : batches) {
-        for (const std::uint32_t i : batch) {
-          for (const std::uint32_t e : plan.current(i)) graph.add_usage(e, -1.0);
-          plan.set_current(i, arena_maze_route(graph, arena, plan.seg_from[i], plan.seg_to[i],
-                                               opt.present_cost_weight,
-                                               opt.history_cost_weight));
-          for (const std::uint32_t e : plan.current(i)) graph.add_usage(e, 1.0);
-        }
+      reroute_span.arg("victims", static_cast<double>(victims.size()));
+      for (const std::uint32_t i : victims) {
+        for (const std::uint32_t e : plan.current(i)) graph.add_usage(e, -1.0);
+        plan.set_current(i, search(i));
+        for (const std::uint32_t e : plan.current(i)) graph.add_usage(e, 1.0);
       }
     }
 
@@ -363,7 +324,6 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
     res.overflow_per_round.push_back(graph.total_overflow());
     span.arg("round", static_cast<double>(res.rounds_used))
         .arg("ripped", static_cast<double>(victims.size()))
-        .arg("batches", static_cast<double>(batches.size()))
         .arg("overflow", res.overflow_per_round.back());
     // The rounds cap still bounds the loop; a stall before it ends the route.
     if (res.rounds_used < opt.max_rounds && negotiation_stalled(res.overflow_per_round)) {

@@ -7,20 +7,14 @@
 //
 //  * Phase A (initial): every segment is maze-routed independently against
 //    the empty grid. Initial paths therefore depend only on the segment's
-//    endpoints and the grid dimensions — they are order-independent,
-//    embarrassingly parallel, and cacheable across reroutes of the same
-//    placement (the incremental entry point below reuses them verbatim for
-//    nets whose pins did not move).
-//  * Phase B (negotiation): rip-up-and-reroute rounds. Each round snapshots
-//    the segments crossing an overflowed edge and bins them into
-//    conflict-free batches by bloated search window: exact first-fit
-//    coloring over 8x8 GCell tiles (ripup_coloring.hpp), each victim in
-//    canonical order joining the lowest batch it shares no tile with, in
-//    O(victims x tiles per window) plus a per-rectangle cursor sweep over
-//    the batches. Each batch is
-//    rerouted — concurrently when RouteOptions::executor is set — and
-//    usage deltas commit in canonical segment order, so results are
-//    bitwise identical to the serial router at any thread count.
+//    endpoints and the grid dimensions — they are order-independent and
+//    cacheable across reroutes of the same placement (the incremental entry
+//    point below reuses them verbatim for nets whose pins did not move).
+//  * Phase B (negotiation): rip-up-and-reroute rounds. Each round charges
+//    history on the overflowed edges and snapshots the victims, the
+//    segments crossing an overflowed edge; then each victim, in canonical
+//    (ascending segment) order, is ripped up, searched against the grid as
+//    the earlier victims left it, and committed.
 //
 // Phase B ends at zero overflow, at RouteOptions::max_rounds (the cap,
 // counting Phase A as round 1), or once negotiation has stalled: after a
@@ -43,7 +37,7 @@
 // per-round convergence check and history charging O(overflowed) instead of
 // O(E).
 //
-// Serial commit work is kept proportional to what changed: Phase A commits
+// Commit work is kept proportional to what changed: Phase A commits
 // usage as one add_usage(e, count) per touched edge, and paths live in flat
 // 32-bit arrays — Phase-A paths as one CSR (an incremental reroute copies a
 // clean net's cached paths once, as a range) and a segment's current path
@@ -52,11 +46,11 @@
 //
 // Trace spans (obs): groute_plan (net plan build), groute_phase_a (args
 // segments, searched) with children groute_search and groute_commit, then
-// one groute_round per negotiation round (args round, ripped, batches,
-// overflow, and stopped_early = 1 on the round the stall rule ends) with
-// children groute_victims, groute_color (args victims, batches) and
-// groute_reroute. Counters: route.ripup_segments (victims per round, summed)
-// and route.rounds_stopped_early (routes the stall rule ended).
+// one groute_round per negotiation round (args round, ripped, overflow, and
+// stopped_early = 1 on the round the stall rule ends) with children
+// groute_victims and groute_reroute (arg victims). Counters:
+// route.ripup_segments (victims per round, summed) and
+// route.rounds_stopped_early (routes the stall rule ended).
 //
 // The kernel draws no random numbers: results are a pure function of
 // (placement, options). Seed diversity in the flow comes from placement and

@@ -52,8 +52,7 @@ enum class Dir : std::uint8_t { East, North };
 /// Thread-safety: const queries of per-edge state (capacity/usage/history)
 /// are safe concurrently with each other; mutations and the ledger queries
 /// (total_overflow, max_utilization, overflowed*) must be serialized by the
-/// caller — the parallel router only reads per-edge state from workers and
-/// funnels every mutation through its canonical-order commit sections.
+/// caller.
 class GridGraph {
  public:
   GridGraph() = default;

@@ -34,8 +34,8 @@
 // depend on which one a search used.
 //
 // Arenas are cheap to keep per-thread (a 192x192 window is under 1 MiB of
-// scratch) and are NOT thread-safe; the parallel router hands each worker
-// its own via thread_arena().
+// scratch) and are NOT thread-safe; thread_arena() gives each thread its
+// own.
 
 #include <cstdint>
 #include <vector>
@@ -45,9 +45,7 @@
 namespace maestro::route {
 
 /// Search window of a segment: its bounding box bloated by the detour
-/// margin, clamped to the grid. Both the router and any reference
-/// implementation must derive windows through this one function — window
-/// disjointness is what makes parallel rip-up batches conflict-free.
+/// margin, clamped to the grid.
 struct SearchWindow {
   std::uint32_t col_lo = 0;
   std::uint32_t col_hi = 0;
@@ -56,9 +54,6 @@ struct SearchWindow {
 
   bool contains(const GCell& c) const {
     return c.col >= col_lo && c.col <= col_hi && c.row >= row_lo && c.row <= row_hi;
-  }
-  bool overlaps(const SearchWindow& o) const {
-    return col_lo <= o.col_hi && o.col_lo <= col_hi && row_lo <= o.row_hi && o.row_lo <= row_hi;
   }
 };
 
@@ -76,9 +71,10 @@ class MazeArena {
   void prepare(std::size_t slots);
 
   /// Expansions are batched per-arena and flushed to the global
-  /// `route.maze_expansions` counter once this many accumulate, so parallel
-  /// workers don't ping-pong one shared cacheline on every search. The
-  /// counter may therefore lag reality by < kExpansionFlush per live arena.
+  /// `route.maze_expansions` counter once this many accumulate, so threads
+  /// searching at once don't ping-pong one shared cacheline on every
+  /// search. The counter may therefore lag reality by < kExpansionFlush per
+  /// live arena.
   static constexpr std::uint64_t kExpansionFlush = 1 << 14;
 
   std::size_t size() const { return slots_.size(); }
@@ -115,9 +111,8 @@ std::vector<std::size_t> arena_maze_route(const GridGraph& g, MazeArena& arena,
                                           const GCell& from, const GCell& to,
                                           double present_weight, double history_weight);
 
-/// Per-thread arena for ad-hoc callers (the detailed router's reroutes, the
-/// public maze_route_segment). Workers of the parallel router each see their
-/// own instance.
+/// Per-thread arena: the global router's searches, the detailed router's
+/// reroutes and the public maze_route_segment all search on it.
 MazeArena& thread_arena();
 
 }  // namespace maestro::route
