@@ -2,7 +2,8 @@
 //
 // Routes one congested large design (192x192 GCell grid, >= 40k nets in the
 // release build) three ways:
-//   * reference — the seed router kept verbatim as global_route_reference:
+//   * reference — the seed router kept verbatim as global_route_reference
+//     (perf_groute_reference.cpp):
 //     per-segment full-grid scratch allocation, O(p^2) pin dedup, serial
 //     selective rip-up with O(E) per-round scans
 //   * kernel    — arena maze search (epoch-stamped O(window) scratch) over
@@ -43,6 +44,7 @@
 #include "flow/tools.hpp"
 #include "netlist/design_view.hpp"
 #include "netlist/generators.hpp"
+#include "perf_groute_reference.hpp"
 #include "place/placer.hpp"
 #include "route/global_router.hpp"
 #include "util/json.hpp"
@@ -180,7 +182,7 @@ FlowGridCase run_flow_grid(const netlist::CellLibrary& lib, int pairs) {
     const double reference_ms = bench_ms(1, 1, [&] {
       route::GridGraph g;
       util::Rng r{42};
-      (void)route::global_route_reference(pl, ro_ref, g, r);
+      (void)bench::global_route_reference(pl, ro_ref, g, r);
     });
     const double kernel_ms = bench_ms(1, 1, [&] {
       route::GridGraph g;
@@ -265,7 +267,7 @@ int main(int argc, char** argv) {
   const double ref_ms = bench_ms(1, 1, [&] {
     route::GridGraph g;
     util::Rng r{42};
-    (void)route::global_route_reference(pl, ro, g, r);
+    (void)bench::global_route_reference(pl, ro, g, r);
   });
   route::RouteResult kernel_res;
   const double kernel_ms = bench_ms(3, 1, [&] {

@@ -1,10 +1,10 @@
 // The pre-kernel (seed) global router, preserved verbatim as the benchmark
 // baseline: per-segment full-grid scratch allocation, O(p^2) pin dedup,
 // seeded rip-up order, and O(E) per-round history/convergence scans. The
-// production kernel in global_router.cpp must beat this by the margins
-// bench/perf_groute.cpp enforces.
+// production kernel in src/route/global_router.cpp must beat this by the
+// margins perf_groute.cpp enforces.
 
-#include "route/global_router.hpp"
+#include "perf_groute_reference.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -12,8 +12,9 @@
 #include <limits>
 #include <queue>
 
-namespace maestro::route {
+namespace maestro::bench {
 
+using namespace route;
 using netlist::InstanceId;
 using netlist::NetId;
 
@@ -229,4 +230,4 @@ RouteResult global_route_reference(const place::Placement& pl, const RouteOption
   return route_collected(segments, opt, graph, rng);
 }
 
-}  // namespace maestro::route
+}  // namespace maestro::bench

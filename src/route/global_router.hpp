@@ -67,7 +67,6 @@
 #include "netlist/design_view.hpp"
 #include "place/placement.hpp"
 #include "route/grid_graph.hpp"
-#include "util/rng.hpp"
 
 namespace maestro::route {
 
@@ -184,12 +183,5 @@ RouteResult global_route_incremental(const place::Placement& pl, netlist::Design
 std::vector<std::size_t> maze_route_segment(const GridGraph& g, const GCell& from,
                                             const GCell& to, double present_weight,
                                             double history_weight);
-
-/// The seed (pre-kernel) router, kept verbatim as the benchmark baseline and
-/// reference implementation: per-segment full-grid scratch allocation,
-/// O(p^2) pin dedup, serial rip-up with O(E) per-round scans, seeded
-/// rip-up order. Not used by the flow.
-RouteResult global_route_reference(const place::Placement& pl, const RouteOptions& opt,
-                                   GridGraph& graph, util::Rng& rng);
 
 }  // namespace maestro::route
