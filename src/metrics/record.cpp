@@ -1,5 +1,6 @@
 #include "metrics/record.hpp"
 
+#include <charconv>
 #include <cmath>
 
 namespace maestro::metrics {
@@ -25,6 +26,20 @@ double decode_value(const util::Json& j) {
   return j.as_number();
 }
 
+/// A run id or seed: a number must be an exact unsigned integer
+/// (Json::as_uint), a string only decimal digits with a value below 2^64;
+/// otherwise the record is rejected. A missing (or non-number, non-string)
+/// field reads as 0.
+std::optional<std::uint64_t> decode_id(const util::Json& j) {
+  if (j.is_number()) return j.as_uint();
+  if (!j.is_string()) return 0;
+  const std::string& s = j.as_string();
+  std::uint64_t out = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  if (ec != std::errc{} || end != s.data() + s.size()) return std::nullopt;
+  return out;
+}
+
 }  // namespace
 
 std::optional<double> Record::value(const std::string& name) const {
@@ -41,10 +56,11 @@ std::optional<std::string> Record::knob(const std::string& name) const {
 
 util::Json Record::to_json() const {
   util::JsonObject obj;
-  obj["run_id"] = util::Json{static_cast<double>(run_id)};
+  // 64-bit ids and seeds do not fit in a JSON double; store them as
+  // decimal strings.
+  obj["run_id"] = util::Json{std::to_string(run_id)};
   obj["design"] = util::Json{design};
   obj["step"] = util::Json{step};
-  // 64-bit seeds do not fit in a JSON double; store as a decimal string.
   obj["seed"] = util::Json{std::to_string(seed)};
   util::JsonObject k;
   for (const auto& [name, v] : knobs) k[name] = util::Json{v};
@@ -57,25 +73,14 @@ util::Json Record::to_json() const {
 
 std::optional<Record> Record::from_json(const util::Json& j) {
   if (!j.is_object()) return std::nullopt;
-  // A numeric id or seed must be an exact unsigned integer; a missing or
-  // non-numeric one reads as 0.
-  const auto checked = [](const util::Json& v) {
-    return v.is_number() ? v.as_uint() : std::optional<std::uint64_t>{0};
-  };
+  const auto run_id = decode_id(j.at("run_id"));
+  const auto seed = decode_id(j.at("seed"));
+  if (!run_id || !seed) return std::nullopt;
   Record r;
-  const auto run_id = checked(j.at("run_id"));
-  if (!run_id) return std::nullopt;
   r.run_id = *run_id;
   r.design = j.at("design").as_string();
   r.step = j.at("step").as_string();
-  const auto& seed_field = j.at("seed");
-  if (seed_field.is_string()) {
-    r.seed = std::strtoull(seed_field.as_string().c_str(), nullptr, 10);
-  } else {
-    const auto seed = checked(seed_field);
-    if (!seed) return std::nullopt;
-    r.seed = *seed;
-  }
+  r.seed = *seed;
   // Missing "knobs"/"values" fields read as empty objects (at() returns a
   // null Json whose as_object() is empty), so partial records stay loadable.
   for (const auto& [k, v] : j.at("knobs").as_object()) r.knobs[k] = v.as_string();

@@ -312,6 +312,17 @@ TEST(DecoderFuzz, RecordFromJsonRejectsOutOfRangeIdsWithoutUb) {
     const auto top = with(field, mu::Json{18446744073709549568.0});
     ASSERT_TRUE(top.has_value()) << field;
     EXPECT_EQ(std::string(field) == "seed" ? top->seed : top->run_id, 18446744073709549568ULL);
+    // The decimal-string form: digits only, at most 2^64 - 1.
+    for (const char* bad : {"-1", "12abc", "", " 1", "+1", "1.0", "0x10",
+                            "18446744073709551616", "99999999999999999999999"}) {
+      EXPECT_FALSE(with(field, mu::Json{bad}).has_value()) << field << " \"" << bad << '"';
+    }
+    const auto max = with(field, mu::Json{"18446744073709551615"});
+    ASSERT_TRUE(max.has_value()) << field;
+    EXPECT_EQ(std::string(field) == "seed" ? max->seed : max->run_id, 18446744073709551615ULL);
+    const auto zero = with(field, mu::Json{"0"});
+    ASSERT_TRUE(zero.has_value()) << field;
+    EXPECT_EQ(std::string(field) == "seed" ? zero->seed : zero->run_id, 0u);
   }
 }
 

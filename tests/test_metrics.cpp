@@ -95,6 +95,24 @@ TEST(Record, JsonRoundTripLargeSeed) {
   EXPECT_EQ(back->seed, 0xffffffffffffffffULL);
 }
 
+TEST(Record, JsonRoundTripLargeRunIds) {
+  // Ids above 2^53 are not exact as JSON doubles; through the text form,
+  // as the wire and the WAL carry records, they come back unchanged.
+  for (const std::uint64_t id : {(std::uint64_t{1} << 53) + 1, std::uint64_t{0xffffffffffffffff}}) {
+    mm::Record r;
+    r.run_id = id;
+    r.design = "dut";
+    r.step = "flow";
+    r.seed = id;
+    const auto parsed = maestro::util::Json::parse(r.to_json().dump());
+    ASSERT_TRUE(parsed.has_value());
+    const auto back = mm::Record::from_json(*parsed);
+    ASSERT_TRUE(back.has_value()) << id;
+    EXPECT_EQ(back->run_id, id);
+    EXPECT_EQ(back->seed, id);
+  }
+}
+
 TEST(Record, FromJsonToleratesMissingOptionalFields) {
   const auto minimal = maestro::util::Json::parse(R"({"design":"dut","step":"flow"})");
   ASSERT_TRUE(minimal.has_value());
