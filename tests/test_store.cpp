@@ -47,9 +47,23 @@ using maestro::util::Rng;
 
 namespace {
 
-/// A fresh, empty store directory under the system temp dir.
+/// This process's directory for test stores: private, so concurrent test
+/// runs cannot share or delete each other's stores.
+fs::path temp_root() {
+  return fs::temp_directory_path() / ("maestro_store_tests_" + std::to_string(::getpid()));
+}
+
+/// Removes this process's test stores when the test program ends.
+class TempRootCleanup : public ::testing::Environment {
+ public:
+  void TearDown() override { fs::remove_all(temp_root()); }
+};
+[[maybe_unused]] ::testing::Environment* const kTempRootCleanup =
+    ::testing::AddGlobalTestEnvironment(new TempRootCleanup);
+
+/// A fresh, empty store directory under temp_root().
 std::string temp_store(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / "maestro_store_tests" / name;
+  const fs::path dir = temp_root() / name;
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir.string();
