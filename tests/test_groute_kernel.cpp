@@ -519,7 +519,7 @@ TEST(GlobalRouter, PhaseSpansArePerRound) {
   }
   // One plan, one Phase A with one search and one commit; every Phase B
   // round scans for victims, and all but a last one that finds none go on
-  // to reroute them. Coloring is gone, so no groute_color span remains.
+  // to reroute them; no round has a groute_color span.
   EXPECT_EQ(count["groute_plan"], 1);
   EXPECT_EQ(count["groute_phase_a"], 1);
   EXPECT_EQ(count["groute_search"], 1);
