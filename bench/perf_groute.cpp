@@ -1,35 +1,31 @@
 // perf_groute — the global-route kernel benchmark and acceptance gate.
 //
 // Routes one congested large design (192x192 GCell grid, >= 40k nets in the
-// release build) three ways:
+// release build) two ways:
 //   * reference — the seed router kept verbatim as global_route_reference
 //     (perf_groute_reference.cpp):
 //     per-segment full-grid scratch allocation, O(p^2) pin dedup, serial
 //     selective rip-up with O(E) per-round scans
 //   * kernel    — arena maze search (epoch-stamped O(window) scratch) over
 //     the incremental overflow ledger
-//   * incremental — global_route_incremental after moving <= 1% of the
-//     cells, reusing the keep_state Phase-A paths of the unmoved nets
 //
 // Acceptance (exits nonzero on regression, so ctest gates it, label
-// "groute"):
-//   * kernel full route >= 3x the reference router
-//   * incremental reroute after the perturbation >= 5x a from-scratch route
-//     of the new placement AND bitwise identical to it (result fields and
-//     per-edge usage/history)
+// "groute"): the kernel's full route >= 3x the reference router.
 //
 // A second case routes the configuration the flow actually uses: cpu@1
 // placed by the flow's own synthesis/floorplan/place steps at 0.6 GHz, on
 // the flow's 32x32 grid with run_route's capacity model
-// (flow::route_options). It gates incremental == from-scratch bitwise and
-// the kernel's full route at >= 1.3x the reference router, as the median
-// ratio of 5 alternating reference/kernel pairs, with the reference capped
-// at the rounds the kernel's stall rule left it. This gate measures the
-// per-search constant factor that the 192x192 case's Phase A hides.
+// (flow::route_options). It gates the kernel's full route at >= 1.3x the
+// reference router, as the median ratio of 5 alternating reference/kernel
+// pairs, with the reference capped at the rounds the kernel's stall rule
+// left it. This gate measures the per-search constant factor that the
+// 192x192 case's Phase A hides.
+//
+// Both cases must negotiate: a route that never overflows exercises no
+// rip-up, so the bench fails when either ends after Phase A.
 //
 // Under ThreadSanitizer the case shrinks (96x96, 8k gates) and the floors
-// relax, and the flow-grid speed ratio is only reported, but every
-// bitwise-identity gate stays exact.
+// relax, and the flow-grid speed ratio is only reported.
 //
 // Results are written as machine-readable JSON (default BENCH_groute.json):
 //   perf_groute [output.json]
@@ -83,49 +79,11 @@ double bench_ms(int samples, int iters, Fn&& fn) {
   return median(std::move(ms));
 }
 
-bool results_identical(const route::RouteResult& a, const route::RouteResult& b) {
-  return a.wirelength_gcells == b.wirelength_gcells && a.total_overflow == b.total_overflow &&
-         a.overflowed_edges == b.overflowed_edges && a.max_utilization == b.max_utilization &&
-         a.rounds_used == b.rounds_used && a.converged == b.converged &&
-         a.overflow_per_round == b.overflow_per_round;
-}
-
-bool grids_identical(const route::GridGraph& a, const route::GridGraph& b) {
-  if (a.edge_count() != b.edge_count()) return false;
-  for (std::size_t e = 0; e < a.edge_count(); ++e) {
-    if (a.usage(e) != b.usage(e) || a.history(e) != b.history(e)) return false;
-  }
-  return true;
-}
-
-/// `pl` with `n_moves` random non-I/O cells moved to snapped in-core sites
-/// (a local ECO / sizing-style perturbation).
-place::Placement perturbed(const place::Placement& pl, std::size_t n_moves, std::uint64_t seed) {
-  const netlist::Netlist& nl = pl.netlist();
-  const place::Floorplan& fp = pl.floorplan();
-  std::vector<netlist::InstanceId> movable;
-  for (std::size_t i = 0; i < nl.instance_count(); ++i) {
-    const auto id = static_cast<netlist::InstanceId>(i);
-    const auto f = nl.master_of(id).function;
-    if (f != netlist::CellFunction::Input && f != netlist::CellFunction::Output) {
-      movable.push_back(id);
-    }
-  }
-  place::Placement out = pl;
-  util::Rng rng{seed};
-  const auto& core = fp.core();
-  for (std::size_t i = 0; i < n_moves; ++i) {
-    const auto id = movable[rng.below(movable.size())];
-    geom::Point cand{
-        core.lo.x + static_cast<geom::Dbu>(
-                        rng.below(static_cast<std::uint64_t>(std::max<geom::Dbu>(core.width(), 1)))),
-        core.lo.y + static_cast<geom::Dbu>(rng.below(
-                        static_cast<std::uint64_t>(std::max<geom::Dbu>(core.height(), 1))))};
-    cand.x = std::clamp(cand.x, core.lo.x, core.hi.x - fp.site_width());
-    cand.y = std::clamp(cand.y, core.lo.y, core.hi.y - 1);
-    out.set_loc(id, fp.snap(cand));
-  }
-  return out;
+/// Two-pin segments the router decomposes `pl`'s nets into.
+std::size_t segment_count(const place::Placement& pl, route::RouteOptions ro) {
+  ro.keep_segments = true;
+  ro.max_rounds = 1;
+  return route::global_route(pl, ro).segments.size();
 }
 
 /// What the flow-grid case measured.
@@ -137,7 +95,6 @@ struct FlowGridCase {
   double reference_ms = 0.0;  ///< median sample
   double kernel_ms = 0.0;     ///< median sample
   double speedup = 0.0;       ///< median of the per-pair reference/kernel ratios
-  bool incremental_bitwise = false;
 };
 
 /// cpu@1 through the flow's own steps, routed on run_route's 32x32 grid;
@@ -158,7 +115,6 @@ FlowGridCase run_flow_grid(const netlist::CellLibrary& lib, int pairs) {
   }
   const place::Placement& pl = *ds.pl;
   route::RouteOptions ro = flow::route_options(*ds.fp, {});
-  ro.keep_state = true;
   out.grid = ro.gcells_x;
 
   netlist::DesignView view{pl.netlist()};
@@ -195,19 +151,9 @@ FlowGridCase run_flow_grid(const netlist::CellLibrary& lib, int pairs) {
   out.reference_ms = median(reference_samples);
   out.kernel_ms = median(kernel_samples);
   out.speedup = median(ratios);
-  out.segments = kernel_route.state.seg_from.size();
+  out.segments = segment_count(pl, ro);
   out.rounds_used = kernel_route.rounds_used;
   out.stopped_early = kernel_route.stopped_early;
-
-  const std::size_t n_moves = std::max<std::size_t>(1, pl.netlist().instance_count() / 100);
-  const place::Placement pl2 = perturbed(pl, n_moves, 77);
-  netlist::DesignView view_full{pl.netlist()};
-  route::GridGraph full_grid;
-  const auto full = route::global_route(pl2, view_full, ro, full_grid);
-  netlist::DesignView view_incr{pl.netlist()};
-  route::GridGraph incr_grid;
-  const auto incr = route::global_route_incremental(pl2, view_incr, ro, incr_grid, kernel_route, {});
-  out.incremental_bitwise = results_identical(full, incr) && grids_identical(full_grid, incr_grid);
   return out;
 }
 
@@ -223,13 +169,11 @@ int main(int argc, char** argv) {
   constexpr std::size_t kGates = 8000;
   constexpr std::size_t kGrid = 96;
   constexpr double kFullFloor = 2.0;
-  constexpr double kIncrFloor = 2.5;
 #else
   const bool sanitized = false;
   constexpr std::size_t kGates = 40000;
   constexpr std::size_t kGrid = 192;
   constexpr double kFullFloor = 3.0;
-  constexpr double kIncrFloor = 5.0;
 #endif
   // The flow-grid case is the same size in every build; under TSan its
   // speed is only reported, so fewer pairs time it.
@@ -283,46 +227,6 @@ int main(int argc, char** argv) {
               kernel_res.converged ? 1 : 0, kernel_res.total_overflow,
               kernel_res.max_utilization);
 
-  // -------------------------------------------- gate 2: incremental reroute
-  // Route with keep_state, then move <= 1% of the gates to random snapped
-  // in-core sites (a local ECO / sizing-style perturbation).
-  route::RouteOptions ro_state = ro;
-  ro_state.keep_state = true;
-  netlist::DesignView view{nl};
-  route::GridGraph base_grid;
-  const route::RouteResult base = route::global_route(pl, view, ro_state, base_grid);
-
-  const std::size_t n_moves = std::max<std::size_t>(1, nl.instance_count() / 300);  // ~0.3%
-  const place::Placement pl2 = perturbed(pl, n_moves, 99);
-
-  netlist::DesignView view_full{nl};
-  route::RouteResult full_res;
-  route::GridGraph full_grid;
-  const double scratch_ms = bench_ms(3, 1, [&] {
-    route::GridGraph g;
-    full_res = route::global_route(pl2, view_full, ro_state, g);
-    full_grid = std::move(g);
-  });
-  netlist::DesignView view_incr{nl};
-  route::RouteResult incr_res;
-  route::GridGraph incr_grid;
-  const double incr_ms = bench_ms(5, 1, [&] {
-    route::GridGraph g;
-    incr_res = route::global_route_incremental(pl2, view_incr, ro_state, g, base, {});
-    incr_grid = std::move(g);
-  });
-  const double incr_speedup = incr_ms > 0.0 ? scratch_ms / incr_ms : 0.0;
-  const bool incr_bitwise = results_identical(full_res, incr_res) &&
-                            grids_identical(full_grid, incr_grid);
-  const bool incr_pass = incr_speedup >= kIncrFloor && incr_bitwise;
-  std::printf("moved %zu of %zu cells (%.2f%%)\n", n_moves, nl.instance_count(),
-              100.0 * static_cast<double>(n_moves) / static_cast<double>(nl.instance_count()));
-  std::printf("from-scratch reroute  : %9.1f ms\n", scratch_ms);
-  std::printf("incremental reroute   : %9.1f ms  (%.1fx, gate >= %.0fx: %s)\n", incr_ms,
-              incr_speedup, kIncrFloor, incr_speedup >= kIncrFloor ? "OK" : "FAIL");
-  std::printf("incremental bitwise-identical to from-scratch: %s\n",
-              incr_bitwise ? "OK" : "FAIL");
-
   // ------------------------------------- flow grid: what the flow routes
   const FlowGridCase fg = run_flow_grid(lib, kFlowGridPairs);
   std::printf("flow grid (cpu@1, %zux%zu, run_route capacities): %zu segments, %d rounds%s\n",
@@ -333,16 +237,13 @@ int main(int argc, char** argv) {
               "gate >= %.1fx: %s)\n",
               fg.reference_ms, fg.kernel_ms, kFlowGridPairs, fg.speedup, kFlowGridFloor,
               sanitized ? "waived under TSan" : (fg_speed_pass ? "OK" : "FAIL"));
-  std::printf("  incremental bitwise-identical to from-scratch: %s\n",
-              fg.incremental_bitwise ? "OK" : "FAIL");
-  const bool fg_pass = fg_speed_pass && fg.incremental_bitwise;
 
   // A congestion benchmark that never congests measures nothing: require the
   // negotiation loop to have actually run rip-up rounds, in both cases.
   const bool congested = kernel_res.rounds_used > 1 && fg.rounds_used > 1;
   if (!congested) std::fputs("FAIL: test case never overflowed; no rip-up exercised\n", stderr);
 
-  const bool pass = full_pass && incr_pass && fg_pass && congested;
+  const bool pass = full_pass && fg_speed_pass && congested;
 
   util::JsonObject report;
   report["schema"] = util::Json{"maestro.bench.groute.v1"};
@@ -350,7 +251,7 @@ int main(int argc, char** argv) {
   report["gates"] = util::Json{static_cast<double>(kGates)};
   report["nets"] = util::Json{static_cast<double>(nl.net_count())};
   report["grid"] = util::Json{static_cast<double>(kGrid)};
-  report["segments"] = util::Json{static_cast<double>(base.state.seg_from.size())};
+  report["segments"] = util::Json{static_cast<double>(segment_count(pl, ro))};
   report["rounds_used"] = util::Json{static_cast<double>(kernel_res.rounds_used)};
   report["converged"] = util::Json{kernel_res.converged};
   report["final_overflow"] = util::Json{kernel_res.total_overflow};
@@ -358,12 +259,6 @@ int main(int argc, char** argv) {
   report["kernel_ms"] = util::Json{kernel_ms};
   report["full_speedup"] = util::Json{full_speedup};
   report["full_floor"] = util::Json{kFullFloor};
-  report["cells_moved"] = util::Json{static_cast<double>(n_moves)};
-  report["scratch_ms"] = util::Json{scratch_ms};
-  report["incremental_ms"] = util::Json{incr_ms};
-  report["incremental_speedup"] = util::Json{incr_speedup};
-  report["incremental_floor"] = util::Json{kIncrFloor};
-  report["incremental_bitwise"] = util::Json{incr_bitwise};
   util::JsonObject flow_grid;
   flow_grid["design"] = util::Json{"cpu_s1"};
   flow_grid["grid"] = util::Json{static_cast<double>(fg.grid)};
@@ -374,7 +269,6 @@ int main(int argc, char** argv) {
   flow_grid["kernel_ms"] = util::Json{fg.kernel_ms};
   flow_grid["kernel_speedup"] = util::Json{fg.speedup};
   flow_grid["kernel_floor"] = util::Json{kFlowGridFloor};
-  flow_grid["incremental_bitwise"] = util::Json{fg.incremental_bitwise};
   report["flow_grid"] = util::Json{std::move(flow_grid)};
   report["pass"] = util::Json{pass};
   std::ofstream out(out_path);

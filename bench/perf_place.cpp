@@ -10,8 +10,8 @@
 //     per-pin master/library lookups), then revert
 //   * incr_eval — DesignView::trial_move + discard: cached bboxes, exact
 //     integer delta, O(1) for interior pins, at most one contiguous rescan
-// plus the end-to-end annealers (anneal_placement_reference vs sa_place) on
-// identical RNG streams.
+// plus the end-to-end annealers (the seed anneal_placement_reference, kept in
+// perf_place_reference.cpp, vs sa_place) on identical RNG streams.
 //
 // Acceptance (exits nonzero on regression, so ctest gates it, label
 // "place"):
@@ -32,6 +32,7 @@
 
 #include "netlist/design_view.hpp"
 #include "netlist/generators.hpp"
+#include "perf_place_reference.hpp"
 #include "place/placer.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -212,7 +213,7 @@ int main(int argc, char** argv) {
 
     util::Rng ref_rng{seed ^ 0xabcdu};
     const auto t0 = std::chrono::steady_clock::now();
-    const auto ref = place::anneal_placement_reference(ref_pl, ao, ref_rng);
+    const auto ref = bench::anneal_placement_reference(ref_pl, ao, ref_rng);
     ref_anneal_ms += std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - t0).count();
 

@@ -377,20 +377,8 @@ StepOutcome run_route(DesignState& ds, const ToolContext& ctx) {
   ro.keep_segments = engine == "track";
   {
     obs::Span gr_span("global_route", "route");
-    if (ds.view) {
-      // Keep incremental-reroute state on the DesignState: repeated route
-      // calls against the same netlist (flow retries, ECO loops, tuner
-      // evaluations on a kept DesignState) reroute only the nets whose pins
-      // moved across a GCell and replay negotiation from cached paths.
-      ro.keep_state = true;
-      if (ds.groute.state.valid) {
-        ds.groute = route::global_route_incremental(*ds.pl, *ds.view, ro, ds.routed, ds.groute, {});
-      } else {
-        ds.groute = route::global_route(*ds.pl, *ds.view, ro, ds.routed);
-      }
-    } else {
-      ds.groute = route::global_route(*ds.pl, ro, ds.routed);
-    }
+    ds.groute = ds.view ? route::global_route(*ds.pl, *ds.view, ro, ds.routed)
+                        : route::global_route(*ds.pl, ro, ds.routed);
     gr_span.arg("overflow", ds.groute.total_overflow)
         .arg("wirelength_gcells", ds.groute.wirelength_gcells);
   }

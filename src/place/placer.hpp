@@ -33,25 +33,19 @@ struct AnnealResult {
 
 /// Simulated-annealing placement refinement (in place). Pads stay fixed.
 /// Runs the incremental engine (sa_place) over a locally-built DesignView;
-/// accept/reject decisions are bitwise identical to
-/// anneal_placement_reference.
+/// accept/reject decisions are bitwise identical to the seed annealer
+/// (bench/perf_place_reference.hpp).
 AnnealResult anneal_placement(Placement& pl, const AnnealOptions& opt, util::Rng& rng);
 
 /// Incremental SA engine over a shared netlist::DesignView: per-move cost is
 /// an exact integer HPWL delta from the view's cached net bboxes
 /// (trial/commit protocol), so rejected moves never touch the placement and
 /// only nets touching moved cells are ever re-examined. Consumes the same
-/// RNG stream as the reference engine, producing bitwise-identical
+/// RNG stream as the seed reference engine, producing bitwise-identical
 /// accept/reject decisions and final placements. The view is sync()'d on
 /// entry and left in_sync with `pl` on exit.
 AnnealResult sa_place(Placement& pl, netlist::DesignView& view, const AnnealOptions& opt,
                       util::Rng& rng);
-
-/// The seed full-reevaluation annealer, kept verbatim as the equivalence and
-/// performance baseline for sa_place (tests/test_design_view.cpp,
-/// bench/perf_place.cpp). Recomputes every touched net's HPWL from raw pins
-/// before and after each move.
-AnnealResult anneal_placement_reference(Placement& pl, const AnnealOptions& opt, util::Rng& rng);
 
 /// Tetris legalization: assign cells to rows greedily by y, pack left-to-
 /// right without overlap. Returns total displacement in dbu.

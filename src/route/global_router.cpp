@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <utility>
 
 #include "obs/registry.hpp"
@@ -24,18 +23,11 @@ using Path = std::vector<std::size_t>;
 /// zero but two rounds kept more than this share of it (o[r] > 0.88 o[r-2]).
 constexpr double kStalledOverflowRatio = 0.88;
 
-/// The stop rule, a pure function of the overflow series (so an incremental
-/// reroute, which replays the same series, stops at the same round). Overflow
-/// is never negative, so a stall implies it is still above zero.
+/// The stop rule, a pure function of the overflow series. Overflow is never
+/// negative, so a stall implies it is still above zero.
 bool negotiation_stalled(const std::vector<double>& overflow) {
   const std::size_t n = overflow.size();
   return n >= 3 && overflow[n - 1] > kStalledOverflowRatio * overflow[n - 3];
-}
-
-RouteStateKey key_of(const RouteOptions& opt) {
-  return {opt.gcells_x,      opt.gcells_y,           opt.h_capacity,
-          opt.v_capacity,    opt.max_rounds,         opt.present_cost_weight,
-          opt.history_cost_weight};
 }
 
 /// Deduplicate pin GCells preserving first-seen order. O(p) for the common
@@ -117,30 +109,19 @@ std::vector<std::pair<GCell, GCell>> span_net(const std::vector<GCell>& pins) {
   return segs;
 }
 
-/// Per-net pins and flat canonical-order segments (net ascending, span
-/// order) — the working form of RouteState. Paths are stored flat, as
-/// 32-bit edge ids: Phase A lays every segment's initial path out in one CSR
-/// (fill_initial), copying each path exactly once — from the search results
-/// or, for a clean net of an incremental reroute, straight from the
-/// previous RouteState — and a segment's current path is that initial path
-/// until Phase B reroutes it.
+/// Flat canonical-order segments (net ascending, span order) with their
+/// paths stored as 32-bit edge ids: every Phase-A path is appended once to
+/// one CSR, and a segment's current path is that initial path until Phase B
+/// reroutes it.
 struct NetPlan {
   static constexpr std::uint32_t kNotRerouted = 0xffffffffu;
   using EdgePath = std::vector<std::uint32_t>;
 
-  std::vector<std::uint32_t> net_pin_begin{0};
-  std::vector<GCell> pin_cells;
-  std::vector<std::uint32_t> net_seg_begin{0};
   std::vector<GCell> seg_from;
   std::vector<GCell> seg_to;
-  /// Until fill_initial: segment i's cached Phase-A path is cached_edges[
-  /// cached_begin[i], cached_end[i]) (an empty range => needs a search).
-  const std::uint32_t* cached_edges = nullptr;
-  std::vector<std::uint32_t> cached_begin;
-  std::vector<std::uint32_t> cached_end;
-  /// After fill_initial: segment i's Phase-A path is initial_edges[
-  /// initial_begin[i], initial_begin[i + 1]).
-  std::vector<std::uint32_t> initial_begin;
+  /// Segment i's Phase-A path is initial_edges[initial_begin[i],
+  /// initial_begin[i + 1]).
+  std::vector<std::uint32_t> initial_begin{0};
   std::vector<std::uint32_t> initial_edges;
   /// Phase-B paths: rerouted_paths[reroute_slot[i]] once segment i has been
   /// rerouted (kNotRerouted before).
@@ -149,7 +130,6 @@ struct NetPlan {
 
   std::size_t segment_count() const { return seg_from.size(); }
 
-  bool has_cached_path(std::size_t i) const { return cached_begin[i] != cached_end[i]; }
   std::span<const std::uint32_t> initial(std::size_t i) const {
     return {initial_edges.data() + initial_begin[i],
             static_cast<std::size_t>(initial_begin[i + 1] - initial_begin[i])};
@@ -166,62 +146,18 @@ struct NetPlan {
     rerouted_paths[reroute_slot[i]].assign(path.begin(), path.end());
   }
 
-  void add_net(std::vector<GCell> pins) {
-    const auto spans = span_net(pins);
-    pin_cells.insert(pin_cells.end(), pins.begin(), pins.end());
-    net_pin_begin.push_back(static_cast<std::uint32_t>(pin_cells.size()));
-    for (const auto& [a, b] : spans) {
+  void add_net(const std::vector<GCell>& pins) {
+    for (const auto& [a, b] : span_net(pins)) {
       seg_from.push_back(a);
       seg_to.push_back(b);
-      cached_begin.push_back(0);
-      cached_end.push_back(0);
     }
-    net_seg_begin.push_back(static_cast<std::uint32_t>(seg_from.size()));
   }
 
-  /// Append a net whose segments keep their cached Phase-A paths: `begin`
-  /// holds the segments' CSR offsets into cached_edges (one more than
-  /// segments). Nothing is copied until fill_initial.
-  void add_net_cached(std::span<const GCell> pins, std::span<const GCell> from,
-                      std::span<const GCell> to, std::span<const std::uint32_t> begin) {
-    pin_cells.insert(pin_cells.end(), pins.begin(), pins.end());
-    net_pin_begin.push_back(static_cast<std::uint32_t>(pin_cells.size()));
-    seg_from.insert(seg_from.end(), from.begin(), from.end());
-    seg_to.insert(seg_to.end(), to.begin(), to.end());
-    cached_begin.insert(cached_begin.end(), begin.begin(), begin.end() - 1);
-    cached_end.insert(cached_end.end(), begin.begin() + 1, begin.end());
-    net_seg_begin.push_back(static_cast<std::uint32_t>(seg_from.size()));
+  /// Append the next segment's Phase-A path (segments in canonical order).
+  void add_initial(const Path& path) {
+    for (const std::size_t e : path) initial_edges.push_back(static_cast<std::uint32_t>(e));
+    initial_begin.push_back(static_cast<std::uint32_t>(initial_edges.size()));
   }
-
-  /// Lay out every Phase-A path flat, in canonical order: `found[k]` for
-  /// segment `searched[k]` (ascending), the cached range for the rest.
-  void fill_initial(const std::vector<std::uint32_t>& searched, const std::vector<Path>& found) {
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < segment_count(); ++i) total += cached_end[i] - cached_begin[i];
-    for (const Path& p : found) total += p.size();
-    initial_begin.resize(segment_count() + 1);
-    initial_begin[0] = 0;
-    initial_edges.resize(total);
-    std::uint32_t* out = initial_edges.data();
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < segment_count(); ++i) {
-      if (k < searched.size() && searched[k] == i) {
-        for (const std::size_t e : found[k]) *out++ = static_cast<std::uint32_t>(e);
-        ++k;
-      } else {
-        out = std::copy(cached_edges + cached_begin[i], cached_edges + cached_end[i], out);
-      }
-      initial_begin[i + 1] = static_cast<std::uint32_t>(out - initial_edges.data());
-    }
-    cached_edges = nullptr;
-    cached_begin = {};
-    cached_end = {};
-  }
-};
-
-struct PlanRevisions {
-  std::uint64_t netlist = 0;
-  std::uint64_t placement = 0;
 };
 
 /// The kernel: Phase A (search missing initial paths against the empty
@@ -229,8 +165,7 @@ struct PlanRevisions {
 /// victim, in canonical order, ripped up, searched and committed) until the
 /// overflow reaches zero, the rounds cap, or a stall. `graph` must
 /// be freshly constructed (zero usage and history).
-RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
-                       const PlanRevisions& revs) {
+RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph) {
   static obs::Counter& ripup_counter = obs::Registry::global().counter("route.ripup_segments");
   static obs::Counter& stopped_counter =
       obs::Registry::global().counter("route.rounds_stopped_early");
@@ -247,24 +182,22 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
   };
 
   // ---- Phase A: order-independent initial routes on the empty grid ----
-  std::vector<std::uint32_t> missing;
-  for (std::size_t i = 0; i < n_segs; ++i) {
-    if (!plan.has_cached_path(i) && !(plan.seg_from[i] == plan.seg_to[i])) {
-      missing.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
   {
     obs::Span span("groute_phase_a", "route");
-    span.arg("segments", static_cast<double>(n_segs))
-        .arg("searched", static_cast<double>(missing.size()));
-    std::vector<Path> found;
+    std::size_t searched = 0;
     {
       obs::Span search_span("groute_search", "route");
-      found.reserve(missing.size());
-      for (const std::uint32_t i : missing) found.push_back(search(i));
+      for (std::size_t i = 0; i < n_segs; ++i) {
+        if (plan.seg_from[i] == plan.seg_to[i]) {
+          plan.add_initial({});
+        } else {
+          plan.add_initial(search(i));
+          ++searched;
+        }
+      }
     }
+    span.arg("segments", static_cast<double>(n_segs)).arg("searched", static_cast<double>(searched));
     obs::Span commit_span("groute_commit", "route");
-    plan.fill_initial(missing, found);
     plan.reroute_slot.assign(n_segs, NetPlan::kNotRerouted);
     // Usage as per-edge counts: one ledger/cost update per touched edge
     // rather than per path visit. Usage stays an exact integer, history is
@@ -350,21 +283,6 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph,
       res.segments.push_back({plan.seg_from[i], plan.seg_to[i], Path(path.begin(), path.end())});
     }
   }
-  if (opt.keep_state) {
-    RouteState& st = res.state;
-    st.valid = true;
-    st.key = key_of(opt);
-    st.netlist_revision = revs.netlist;
-    st.placement_revision = revs.placement;
-    st.grid_revision = graph.revision();
-    st.net_pin_begin = std::move(plan.net_pin_begin);
-    st.pin_cells = std::move(plan.pin_cells);
-    st.net_seg_begin = std::move(plan.net_seg_begin);
-    st.seg_from = std::move(plan.seg_from);
-    st.seg_to = std::move(plan.seg_to);
-    st.initial_begin = std::move(plan.initial_begin);
-    st.initial_edges = std::move(plan.initial_edges);
-  }
   return res;
 }
 
@@ -402,7 +320,7 @@ RouteResult global_route(const place::Placement& pl, const RouteOptions& opt, Gr
       plan.add_net(pins);
     }
   }
-  return route_plan(plan, opt, graph, {nl.revision(), pl.revision()});
+  return route_plan(plan, opt, graph);
 }
 
 RouteResult global_route(const place::Placement& pl, netlist::DesignView& view,
@@ -420,96 +338,12 @@ RouteResult global_route(const place::Placement& pl, netlist::DesignView& view,
       plan.add_net(pins);
     }
   }
-  return route_plan(plan, opt, graph, {view.structure_revision(), pl.revision()});
+  return route_plan(plan, opt, graph);
 }
 
 RouteResult global_route(const place::Placement& pl, const RouteOptions& opt) {
   GridGraph g;
   return global_route(pl, opt, g);
-}
-
-RouteResult global_route_incremental(const place::Placement& pl, netlist::DesignView& view,
-                                     const RouteOptions& opt, GridGraph& graph,
-                                     const RouteResult& prev,
-                                     std::span<const netlist::NetId> dirty_nets) {
-  static obs::Counter& fallback_counter = obs::Registry::global().counter("route.incr_fallbacks");
-  static obs::Counter& reroute_counter = obs::Registry::global().counter("route.incr_reroutes");
-  static obs::Counter& nets_counter =
-      obs::Registry::global().counter("route.incr_nets_rerouted");
-  static obs::Counter& clean_counter = obs::Registry::global().counter("route.incr_clean_hits");
-
-  view.sync(pl.locs(), pl.revision());
-  const RouteState& st = prev.state;
-  if (!st.valid || st.key != key_of(opt) || st.netlist_revision != view.structure_revision() ||
-      st.net_pin_begin.size() != view.net_count() + 1) {
-    fallback_counter.add();
-    return global_route(pl, view, opt, graph);
-  }
-
-  // The plan span covers the staleness scan and the plan build.
-  std::optional<obs::Span> plan_span(std::in_place, "groute_plan", "route");
-  // Staleness scan: which nets' pins actually changed GCell?
-  const geom::GridIndexer indexer{pl.floorplan().core(), opt.gcells_x, opt.gcells_y};
-  std::vector<NetId> candidates;
-  if (dirty_nets.empty()) {
-    candidates.resize(view.net_count());
-    for (std::size_t n = 0; n < candidates.size(); ++n) candidates[n] = static_cast<NetId>(n);
-  } else {
-    candidates.assign(dirty_nets.begin(), dirty_nets.end());
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
-  }
-  std::vector<std::vector<GCell>> new_pins(view.net_count());
-  std::vector<bool> net_dirty(view.net_count(), false);
-  std::size_t n_dirty = 0;
-  std::vector<GCell> pins;
-  for (const NetId n : candidates) {
-    collect_pins(pins, indexer, [&](InstanceId id) { return view.pin(id); }, view.pins_of(n));
-    const std::span<const GCell> cached{st.pin_cells.data() + st.net_pin_begin[n],
-                                        static_cast<std::size_t>(st.net_pin_begin[n + 1] -
-                                                                 st.net_pin_begin[n])};
-    if (!std::equal(pins.begin(), pins.end(), cached.begin(), cached.end())) {
-      net_dirty[n] = true;
-      new_pins[n] = pins;
-      ++n_dirty;
-    }
-  }
-
-  if (n_dirty == 0 && graph.revision() == st.grid_revision) {
-    // Nothing moved across a GCell and the caller's grid is still the one
-    // this state produced: the from-scratch result would be bit-identical
-    // to the previous one.
-    clean_counter.add();
-    RouteResult out = prev;
-    out.state.placement_revision = pl.revision();
-    return out;
-  }
-  reroute_counter.add();
-  nets_counter.add(n_dirty);
-
-  graph = GridGraph{opt.gcells_x, opt.gcells_y, opt.h_capacity, opt.v_capacity, indexer};
-  NetPlan plan;
-  plan.cached_edges = st.initial_edges.data();
-  plan.seg_from.reserve(st.seg_from.size());
-  plan.seg_to.reserve(st.seg_to.size());
-  plan.cached_begin.reserve(st.seg_from.size());
-  plan.cached_end.reserve(st.seg_from.size());
-  plan.pin_cells.reserve(st.pin_cells.size());
-  for (std::size_t n = 0; n < view.net_count(); ++n) {
-    if (net_dirty[n]) {
-      plan.add_net(std::move(new_pins[n]));
-      continue;
-    }
-    const std::size_t p0 = st.net_pin_begin[n];
-    const std::size_t p1 = st.net_pin_begin[n + 1];
-    const std::size_t s0 = st.net_seg_begin[n];
-    const std::size_t s1 = st.net_seg_begin[n + 1];
-    plan.add_net_cached({st.pin_cells.data() + p0, p1 - p0},
-                        {st.seg_from.data() + s0, s1 - s0}, {st.seg_to.data() + s0, s1 - s0},
-                        {st.initial_begin.data() + s0, s1 - s0 + 1});
-  }
-  plan_span.reset();
-  return route_plan(plan, opt, graph, {view.structure_revision(), pl.revision()});
 }
 
 std::vector<std::size_t> maze_route_segment(const GridGraph& g, const GCell& from,

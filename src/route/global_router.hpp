@@ -79,7 +79,6 @@ struct RouteOptions {
   double present_cost_weight = 1.0;
   double history_cost_weight = 0.4;
   bool keep_segments = false;     ///< populate RouteResult::segments
-  bool keep_state = false;        ///< populate RouteResult::state for incremental reroute
 };
 
 /// One routed two-pin connection: endpoints plus the edge-id path.
@@ -87,45 +86,6 @@ struct RoutedSegment {
   GCell from;
   GCell to;
   std::vector<std::size_t> edges;
-};
-
-/// The algorithmic fields of RouteOptions that determine the routing result.
-/// Incremental reroute refuses to reuse state across a key mismatch.
-struct RouteStateKey {
-  std::size_t gcells_x = 0;
-  std::size_t gcells_y = 0;
-  double h_capacity = 0.0;
-  double v_capacity = 0.0;
-  int max_rounds = 0;
-  double present_cost_weight = 0.0;
-  double history_cost_weight = 0.0;
-  friend bool operator==(const RouteStateKey&, const RouteStateKey&) = default;
-};
-
-/// Reusable routing state captured by a keep_state route: per-net pin GCells
-/// (to detect which nets a placement change actually moved across GCells)
-/// and per-segment Phase-A paths (reused verbatim for clean nets). Keyed to
-/// the netlist/placement/grid revisions it was built from.
-struct RouteState {
-  bool valid = false;
-  RouteStateKey key;
-  std::uint64_t netlist_revision = 0;
-  std::uint64_t placement_revision = 0;
-  std::uint64_t grid_revision = 0;  ///< GridGraph::revision() at completion
-
-  /// Per-net pin GCells (deduplicated, first-seen order): CSR over nets.
-  std::vector<std::uint32_t> net_pin_begin;
-  std::vector<GCell> pin_cells;
-  /// Per-net segment ranges: CSR over nets into the flat segment arrays,
-  /// which hold segments in canonical order (net ascending, span order).
-  std::vector<std::uint32_t> net_seg_begin;
-  std::vector<GCell> seg_from;
-  std::vector<GCell> seg_to;
-  /// Phase-A paths, flat: segment i's edges are initial_edges[
-  /// initial_begin[i], initial_begin[i + 1]) (a CSR over segments, so an
-  /// incremental reroute copies a clean net's paths as one range).
-  std::vector<std::uint32_t> initial_begin;
-  std::vector<std::uint32_t> initial_edges;
 };
 
 struct RouteResult {
@@ -141,8 +101,6 @@ struct RouteResult {
   /// Per-segment paths, for downstream detailed routing (kept only when
   /// RouteOptions::keep_segments is set).
   std::vector<RoutedSegment> segments;
-  /// Incremental-reroute state (kept only when RouteOptions::keep_state).
-  RouteState state;
 };
 
 /// Route all nets of the placement; returns the final grid in `graph` for
@@ -157,24 +115,6 @@ RouteResult global_route(const place::Placement& pl, netlist::DesignView& view,
 
 /// Convenience: route and discard the grid.
 RouteResult global_route(const place::Placement& pl, const RouteOptions& opt);
-
-/// Incremental reroute: reuse `prev.state` (a keep_state result for the same
-/// netlist and options), re-span and re-route Phase A only for nets whose
-/// pins changed GCell, then replay the negotiation rounds. The final
-/// RouteResult and grid are bitwise identical to a from-scratch
-/// global_route(pl, view, opt, graph) on the new placement.
-///
-/// `dirty_nets` narrows the staleness scan to the given nets (callers that
-/// know which cells moved); pass an empty span to scan every net (O(pins) —
-/// still far cheaper than routing). Falls back to a full route when
-/// `prev.state` is missing, the netlist revision moved, or the option key
-/// mismatches (counter route.incr_fallbacks). When nothing moved and the
-/// caller's graph still carries the state's grid revision, returns `prev`
-/// untouched.
-RouteResult global_route_incremental(const place::Placement& pl, netlist::DesignView& view,
-                                     const RouteOptions& opt, GridGraph& graph,
-                                     const RouteResult& prev,
-                                     std::span<const netlist::NetId> dirty_nets);
 
 /// Single-segment congestion-aware maze route on an existing grid (exposed
 /// for the detailed router's rip-up-and-reroute passes). Returns the edge-id

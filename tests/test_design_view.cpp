@@ -20,6 +20,7 @@
 #include "netlist/design_view.hpp"
 #include "netlist/generators.hpp"
 #include "opt/gwtw.hpp"
+#include "perf_place_reference.hpp"
 #include "place/placer.hpp"
 #include "route/drv_sim.hpp"
 #include "route/global_router.hpp"
@@ -229,7 +230,7 @@ TEST(DesignView, SaPlaceBitwiseMatchesReferenceAcrossSeedsAndConfigs) {
 
       util::Rng ref_rng{seed * 7919};
       util::Rng inc_rng{seed * 7919};
-      const auto ref = place::anneal_placement_reference(ref_pl, opt, ref_rng);
+      const auto ref = bench::anneal_placement_reference(ref_pl, opt, ref_rng);
       netlist::DesignView view{f.nl};
       const auto inc = place::sa_place(inc_pl, view, opt, inc_rng);
 
@@ -260,7 +261,7 @@ TEST(DesignView, AnnealPlacementWrapperMatchesReference) {
   util::Rng r1{42};
   util::Rng r2{42};
   const auto ra = place::anneal_placement(a, opt, r1);
-  const auto rb = place::anneal_placement_reference(b, opt, r2);
+  const auto rb = bench::anneal_placement_reference(b, opt, r2);
   EXPECT_EQ(ra.final_hpwl, rb.final_hpwl);
   EXPECT_EQ(ra.moves_accepted, rb.moves_accepted);
   for (std::size_t i = 0; i < f.nl.instance_count(); ++i) {
