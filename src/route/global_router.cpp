@@ -160,13 +160,15 @@ struct NetPlan {
   }
 };
 
-/// The kernel: Phase A (search missing initial paths against the empty
-/// grid, commit all in canonical order) + Phase B negotiation rounds (each
-/// victim, in canonical order, ripped up, searched and committed) until the
-/// overflow reaches zero, the rounds cap, or a stall. `graph` must
-/// be freshly constructed (zero usage and history).
+/// The kernel: Phase A (each segment, in canonical order, searched against
+/// the grid holding the segments before it and committed at once) + Phase B
+/// negotiation rounds (each victim, in canonical order, ripped up, searched
+/// and committed, unless it sits the round out) until the overflow reaches
+/// zero, the rounds cap, or a stall. `graph` must be freshly constructed
+/// (zero usage and history).
 RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph) {
   static obs::Counter& ripup_counter = obs::Registry::global().counter("route.ripup_segments");
+  static obs::Counter& sit_out_counter = obs::Registry::global().counter("route.sit_outs");
   static obs::Counter& stopped_counter =
       obs::Registry::global().counter("route.rounds_stopped_early");
   const std::size_t n_segs = plan.segment_count();
@@ -181,33 +183,21 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph)
                             opt.present_cost_weight, opt.history_cost_weight);
   };
 
-  // ---- Phase A: order-independent initial routes on the empty grid ----
+  // ---- Phase A: congestion-aware initial routes, committed as found ----
   {
     obs::Span span("groute_phase_a", "route");
     std::size_t searched = 0;
-    {
-      obs::Span search_span("groute_search", "route");
-      for (std::size_t i = 0; i < n_segs; ++i) {
-        if (plan.seg_from[i] == plan.seg_to[i]) {
-          plan.add_initial({});
-        } else {
-          plan.add_initial(search(i));
-          ++searched;
-        }
+    for (std::size_t i = 0; i < n_segs; ++i) {
+      Path path;
+      if (!(plan.seg_from[i] == plan.seg_to[i])) {
+        path = search(i);
+        for (const std::size_t e : path) graph.add_usage(e, 1.0);
+        ++searched;
       }
+      plan.add_initial(path);
     }
     span.arg("segments", static_cast<double>(n_segs)).arg("searched", static_cast<double>(searched));
-    obs::Span commit_span("groute_commit", "route");
     plan.reroute_slot.assign(n_segs, NetPlan::kNotRerouted);
-    // Usage as per-edge counts: one ledger/cost update per touched edge
-    // rather than per path visit. Usage stays an exact integer, history is
-    // later charged once per overflowed edge and total_overflow() sums in
-    // edge order, so the result equals committing path by path.
-    std::vector<std::uint32_t> uses(graph.edge_count(), 0);
-    for (const std::uint32_t e : plan.initial_edges) ++uses[e];
-    for (std::size_t e = 0; e < uses.size(); ++e) {
-      if (uses[e] != 0) graph.add_usage(e, static_cast<double>(uses[e]));
-    }
   }
 
   RouteResult res;
@@ -217,6 +207,9 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph)
   // ---- Phase B: negotiation rounds over the overflowed set ----
   std::vector<std::uint32_t> victims;
   std::vector<std::uint8_t> overflowed(graph.edge_count(), 0);
+  // sits_out[i] = 1: segment i's last search returned the path it already
+  // had, so it skips its next round as a victim (path kept, not searched).
+  std::vector<std::uint8_t> sits_out(n_segs, 0);
   while (res.overflow_per_round.back() > 0.0 && res.rounds_used < opt.max_rounds) {
     obs::Span span("groute_round", "route");
     {
@@ -243,20 +236,32 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph)
     ripup_counter.add(victims.size());
     if (victims.empty()) break;  // external usage only; nothing we can move
 
+    std::size_t sat_out = 0;
     {
       obs::Span reroute_span("groute_reroute", "route");
-      reroute_span.arg("victims", static_cast<double>(victims.size()));
       for (const std::uint32_t i : victims) {
-        for (const std::uint32_t e : plan.current(i)) graph.add_usage(e, -1.0);
-        plan.set_current(i, search(i));
+        if (sits_out[i] != 0) {
+          sits_out[i] = 0;
+          ++sat_out;
+          continue;
+        }
+        const auto old = plan.current(i);
+        for (const std::uint32_t e : old) graph.add_usage(e, -1.0);
+        const Path path = search(i);
+        const bool unchanged = std::equal(path.begin(), path.end(), old.begin(), old.end());
+        sits_out[i] = unchanged ? 1 : 0;
+        if (!unchanged) plan.set_current(i, path);
         for (const std::uint32_t e : plan.current(i)) graph.add_usage(e, 1.0);
       }
+      reroute_span.arg("victims", static_cast<double>(victims.size()))
+          .arg("sat_out", static_cast<double>(sat_out));
     }
+    sit_out_counter.add(sat_out);
 
     ++res.rounds_used;
     res.overflow_per_round.push_back(graph.total_overflow());
     span.arg("round", static_cast<double>(res.rounds_used))
-        .arg("ripped", static_cast<double>(victims.size()))
+        .arg("ripped", static_cast<double>(victims.size() - sat_out))
         .arg("overflow", res.overflow_per_round.back());
     // The rounds cap still bounds the loop; a stall before it ends the route.
     if (res.rounds_used < opt.max_rounds && negotiation_stalled(res.overflow_per_round)) {

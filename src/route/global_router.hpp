@@ -5,16 +5,22 @@
 // Nets are decomposed into two-pin segments by a nearest-neighbor spanning
 // tree. Routing runs in two phases:
 //
-//  * Phase A (initial): every segment is maze-routed independently against
-//    the empty grid. Initial paths therefore depend only on the segment's
-//    endpoints and the grid dimensions — they are order-independent and
-//    cacheable across reroutes of the same placement (the incremental entry
-//    point below reuses them verbatim for nets whose pins did not move).
+//  * Phase A (initial): each segment, in canonical order (net ascending,
+//    span order), is maze-routed against the grid holding the segments
+//    before it, on the router's tracked cost table, and committed as soon
+//    as it is found. Present congestion is priced in from the first path,
+//    so initial routes spread over the corridors instead of piling onto the
+//    same ones; a segment's first path depends on the segments before it.
 //  * Phase B (negotiation): rip-up-and-reroute rounds. Each round charges
 //    history on the overflowed edges and snapshots the victims, the
 //    segments crossing an overflowed edge; then each victim, in canonical
-//    (ascending segment) order, is ripped up, searched against the grid as
-//    the earlier victims left it, and committed.
+//    order, is ripped up, searched against the grid as the earlier victims
+//    left it, and committed. A victim whose search returned the path it
+//    already had sits out the next round in which it is a victim: its path
+//    stays committed and it is not searched. It is searched again in the
+//    round after that. A search that just returned the ripped-up path is
+//    the one most likely to return it again, so this skips searches that
+//    would change nothing.
 //
 // Phase B ends at zero overflow, at RouteOptions::max_rounds (the cap,
 // counting Phase A as round 1), or once negotiation has stalled: after a
@@ -23,10 +29,8 @@
 // buy a few percent of overflow each. On rand@3, where it fires for every
 // tool seed, the DRV model's difficulty term is already saturated there, so
 // the DRV count does not move; a route stopped below that saturation can end
-// with more DRVs. The rule reads only the overflow series, so an incremental
-// reroute stops at the same round as a from-scratch route;
-// RouteResult::stopped_early and the route.rounds_stopped_early counter
-// report it.
+// with more DRVs. RouteResult::stopped_early and the
+// route.rounds_stopped_early counter report it.
 //
 // Searches run on a MazeArena: window-local, epoch-stamped scratch reused
 // across all segments (O(window) per route instead of O(grid), no div/mod
@@ -37,20 +41,24 @@
 // per-round convergence check and history charging O(overflowed) instead of
 // O(E).
 //
-// Commit work is kept proportional to what changed: Phase A commits
-// usage as one add_usage(e, count) per touched edge, and paths live in flat
-// 32-bit arrays — Phase-A paths as one CSR (an incremental reroute copies a
-// clean net's cached paths once, as a range) and a segment's current path
-// is its Phase-A path until Phase B replaces it, so nothing is deep-copied
-// path by path.
+// Paths live in flat 32-bit arrays: Phase-A paths as one CSR, and a
+// segment's current path is its Phase-A path until Phase B replaces it, so
+// nothing is deep-copied path by path.
 //
 // Trace spans (obs): groute_plan (net plan build), groute_phase_a (args
-// segments, searched) with children groute_search and groute_commit, then
-// one groute_round per negotiation round (args round, ripped, overflow, and
-// stopped_early = 1 on the round the stall rule ends) with children
-// groute_victims and groute_reroute (arg victims). Counters:
-// route.ripup_segments (victims per round, summed) and
-// route.rounds_stopped_early (routes the stall rule ended).
+// segments, searched; search and commit interleave, so it has no child
+// spans), then one groute_round per negotiation round (args round, ripped =
+// victims searched, overflow, and stopped_early = 1 on the round the stall
+// rule ends) with children groute_victims and groute_reroute (args victims,
+// sat_out). Counters: route.ripup_segments (victims per round, summed) and
+// route.sit_outs (victims that sat their round out, summed), so the
+// Phase-B searches are their difference; route.rounds_stopped_early
+// (routes the stall rule ended).
+//
+// The incremental reroute that reused cached Phase-A paths of unmoved nets
+// is gone: with Phase A pricing congestion, a cached path is no longer the
+// path a from-scratch route would find, and every flow routes a fresh
+// DesignState anyway.
 //
 // The kernel draws no random numbers: results are a pure function of
 // (placement, options). Seed diversity in the flow comes from placement and

@@ -13,8 +13,8 @@
 // add_usage, reset_usage AND bump_history (history feeds the negotiated
 // congestion cost, so a history bump invalidates cached routing state just
 // like a usage change). Consumers caching usage/cost-derived state (the STA
-// SI congestion map, the incremental-reroute fast path) compare revisions
-// instead of rescanning the grid to detect staleness.
+// SI congestion map) compare revisions instead of rescanning the grid to
+// detect staleness.
 //
 // Cost contract: edge_cost() is THE congestion-aware maze cost — one
 // expression shared by every search. While a router holds the grid it calls
