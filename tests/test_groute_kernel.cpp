@@ -1,6 +1,6 @@
 // Global-route kernel equivalence and invariant suite (ctest label: groute).
 //
-// Covers the four legs of the route-kernel rebuild:
+// Covers:
 //  * MazeArena windowed A* == brute-force Dijkstra on the same window
 //    (path-cost equivalence on random congested grids), plus arena reuse
 //    across grids of different sizes;
@@ -8,6 +8,10 @@
 //    under randomized usage churn;
 //  * rip-up bookkeeping: final edge usage == recount over the committed
 //    segment paths;
+//  * Phase A: every initial path optimal on the grid of the segments
+//    routed before it;
+//  * Phase B: an independent oracle loop with the one-round sit-out, which
+//    the router must match path for path and counter for counter;
 //  * the Phase B stop rule: which golden routes stall, the counter and span
 //    arg, and the rounds cap.
 
@@ -727,8 +731,9 @@ const mf::DesignState& rand_s3(std::uint64_t seed) {
 }  // namespace
 
 TEST(StopRule, CongestedRandS3StopsBeforeTheCap) {
-  // rand@3 (RTL seed 4) gains 1-4% overflow a round after round 5: the rule
-  // ends it there, and a fresh route of the same placement agrees.
+  // rand@3 (RTL seed 4) gains only a few percent of overflow a round once
+  // negotiation stalls: the rule ends it (at round 5 for tool seed 1, 4 for
+  // seed 2), and a fresh route of the same placement agrees.
   for (const std::uint64_t seed : {1u, 2u}) {
     const mf::DesignState& ds = rand_s3(seed);
     const mr::RouteResult& flow_route = ds.groute;
