@@ -4,23 +4,28 @@
 // Runs the six cases of perfbench's `flow` workload (cpu@1, rand@1..3,
 // rent@1..2 at 0.6 GHz, default knobs, RTL seed = case index + 1) with the
 // same tool seeds: for seed set s and pass k, case i runs with recipe seed
-// mix(mix(s, k), 2i + 1). Seed sets 1-8 with the default 3 passes make the
-// 144-flow matrix the routing changes are scored on. Flows run serially, so
-// the global route counters read per flow are that flow's alone.
+// mix_seed(mix_seed(s, k), 2i + 1), three passes per seed set like the
+// workload's cycle. Seed sets 1-8 make the 144-flow matrix the routing
+// changes are scored on. Flows run serially, so the global route counters
+// read per flow are that flow's alone.
+//
+// The seed mixer is perfbench's own (perfbench/src/workload.hpp). The case
+// table below mirrors kCases and make_recipes in
+// perfbench/src/flow_workload.cpp and must be kept in step with them.
 //
 // Per case it prints:
-//   * flows, how many finish under the DRV bar, and how many succeed
+//   * flows, how many finish under the 200-DRV bar, and how many succeed
 //     (FlowResult::success());
 //   * median final DRVs and median global-route overflow;
-//   * negotiation rounds (Phase A counts as round 1), summed;
+//   * negotiation rounds (Phase A counts as round 1), summed, and how many
+//     routes the stall rule ended (RouteResult::stopped_early);
 //   * Phase-B searches and sit-outs, summed: a round's victims are either
 //     searched or sit the round out (route.ripup_segments counts victims,
 //     route.sit_outs the sit-outs).
 //
-//   flow_matrix [--seeds FIRST-LAST] [--passes N] [--bar DRVS]
+//   flow_matrix [--seeds FIRST-LAST]      (default --seeds 1-8)
 //
-// Defaults: --seeds 1-8 --passes 3 --bar 200. Exits nonzero only on a bad
-// argument or a flow that did not complete.
+// Exits nonzero only on a bad argument or a flow that did not complete.
 
 #include <algorithm>
 #include <cstdint>
@@ -32,6 +37,7 @@
 #include "flow/flow.hpp"
 #include "netlist/cell_library.hpp"
 #include "obs/registry.hpp"
+#include "workload.hpp"
 
 using namespace maestro;
 
@@ -52,14 +58,12 @@ constexpr Case kCases[] = {
     {"rent_s2", flow::DesignSpec::Kind::Rent, 2},
 };
 constexpr std::size_t kCaseCount = std::size(kCases);
+/// Tool-seed passes per seed set: the workload's kToolSeeds.
+constexpr std::uint64_t kPasses = 3;
+/// A flow counts under the bar when it ends with fewer final DRVs.
+constexpr double kDrvBar = 200.0;
 
-/// SplitMix64 finalizer over (seed, stream): the flow workload's seed mixer.
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (stream + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+using perfbench::mix_seed;
 
 flow::FlowRecipe recipe_for(std::size_t i, std::uint64_t pass_seed) {
   flow::FlowRecipe r;
@@ -85,6 +89,7 @@ struct Tally {
   std::size_t under_bar = 0;
   std::size_t success = 0;
   std::uint64_t rounds = 0;
+  std::size_t stopped_early = 0;
   std::uint64_t searches = 0;
   std::uint64_t sit_outs = 0;
 
@@ -94,15 +99,16 @@ struct Tally {
     under_bar += o.under_bar;
     success += o.success;
     rounds += o.rounds;
+    stopped_early += o.stopped_early;
     searches += o.searches;
     sit_outs += o.sit_outs;
   }
 };
 
 void print_row(const char* name, const Tally& t) {
-  std::printf("%-8s %6zu %10zu %8zu %12.1f %12.1f %7llu %12llu %10llu\n", name, t.drvs.size(),
-              t.under_bar, t.success, median(t.drvs), median(t.overflow),
-              static_cast<unsigned long long>(t.rounds),
+  std::printf("%-8s %6zu %10zu %8zu %12.1f %12.1f %7llu %8zu %12llu %10llu\n", name,
+              t.drvs.size(), t.under_bar, t.success, median(t.drvs), median(t.overflow),
+              static_cast<unsigned long long>(t.rounds), t.stopped_early,
               static_cast<unsigned long long>(t.searches),
               static_cast<unsigned long long>(t.sit_outs));
 }
@@ -126,19 +132,13 @@ bool parse_range(const std::string& s, std::uint64_t& first, std::uint64_t& last
 int main(int argc, char** argv) {
   std::uint64_t first = 1;
   std::uint64_t last = 8;
-  std::uint64_t passes = 3;
-  double bar = 200.0;
   for (int a = 1; a < argc; ++a) {
     const std::string arg = argv[a];
     const bool has_value = a + 1 < argc;
     if (arg == "--seeds" && has_value && parse_range(argv[a + 1], first, last)) {
       ++a;
-    } else if (arg == "--passes" && has_value && (passes = std::strtoull(argv[a + 1], nullptr, 10)) > 0) {
-      ++a;
-    } else if (arg == "--bar" && has_value && (bar = std::strtod(argv[a + 1], nullptr)) > 0.0) {
-      ++a;
     } else {
-      std::fprintf(stderr, "usage: %s [--seeds FIRST-LAST] [--passes N] [--bar DRVS]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--seeds FIRST-LAST]\n", argv[0]);
       return 2;
     }
   }
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
   std::vector<Tally> per_case(kCaseCount);
   bool all_completed = true;
   for (std::uint64_t s = first; s <= last; ++s) {
-    for (std::uint64_t k = 0; k < passes; ++k) {
+    for (std::uint64_t k = 0; k < kPasses; ++k) {
       const std::uint64_t pass_seed = mix_seed(s, k);
       for (std::size_t i = 0; i < kCaseCount; ++i) {
         const std::uint64_t victims0 = victims.value();
@@ -171,9 +171,10 @@ int main(int argc, char** argv) {
         const std::uint64_t sat = sit_outs.value() - sit_outs0;
         t.drvs.push_back(res.final_drvs);
         t.overflow.push_back(state.groute.total_overflow);
-        t.under_bar += res.final_drvs < bar ? 1 : 0;
+        t.under_bar += res.final_drvs < kDrvBar ? 1 : 0;
         t.success += res.success() ? 1 : 0;
         t.rounds += static_cast<std::uint64_t>(state.groute.rounds_used);
+        t.stopped_early += state.groute.stopped_early ? 1 : 0;
         t.searches += victims.value() - victims0 - sat;
         t.sit_outs += sat;
       }
@@ -182,9 +183,10 @@ int main(int argc, char** argv) {
 
   std::printf("flow matrix: seed sets %llu-%llu x %llu passes x %zu cases, 0.6 GHz, DRV bar %.0f\n",
               static_cast<unsigned long long>(first), static_cast<unsigned long long>(last),
-              static_cast<unsigned long long>(passes), kCaseCount, bar);
-  std::printf("%-8s %6s %10s %8s %12s %12s %7s %12s %10s\n", "case", "flows", "under_bar",
-              "success", "median_drvs", "median_ovfl", "rounds", "b_searches", "sit_outs");
+              static_cast<unsigned long long>(kPasses), kCaseCount, kDrvBar);
+  std::printf("%-8s %6s %10s %8s %12s %12s %7s %8s %12s %10s\n", "case", "flows", "under_bar",
+              "success", "median_drvs", "median_ovfl", "rounds", "stopped", "b_searches",
+              "sit_outs");
   Tally total;
   for (std::size_t i = 0; i < kCaseCount; ++i) {
     print_row(kCases[i].name, per_case[i]);
