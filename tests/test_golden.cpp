@@ -16,6 +16,10 @@
 // cache, at 1 and 8 threads, scalar and batched — and all of them must hash
 // to the recorded digest.
 //
+// The "guard" section records Table 1's DoomedRunGuard error counts in
+// plain numbers: type-1 and type-2 errors on the training and test corpora
+// of bench/table1_doomed_errors for 1, 2 and 3 consecutive STOPs.
+//
 // A deliberate behaviour change rewrites the file:
 //
 //   maestro_golden_tests --rebaseline
@@ -41,6 +45,7 @@
 
 #include <unistd.h>
 
+#include "core/doomed_guard.hpp"
 #include "core/flow_search.hpp"
 #include "core/mab_scheduler.hpp"
 #include "exec/executor.hpp"
@@ -125,6 +130,7 @@ struct Digests {
   std::map<std::string, std::string> flow;    ///< "<case>/seed<k>" -> FlowResult digest
   std::map<std::string, std::string> groute;  ///< "<case>/seed<k>" -> segment-path digest
   std::map<std::string, std::string> campaign;  ///< "<campaign>/<case>" -> campaign digest
+  std::map<std::string, std::string> guard;     ///< "table1/k<K>" -> error counts
   std::vector<std::string> problems;          ///< runs whose digests cannot be trusted
 };
 
@@ -550,6 +556,35 @@ std::string campaign_digest(const std::string& key, std::vector<std::string>* pr
   return variants.empty() ? std::string{} : variants[0];
 }
 
+// ---------------------------------------------------------------------------
+// Table-1 guard pin
+
+/// DoomedRunGuard trained on 1200 artificial-layout logfiles (seed 100) and
+/// scored on 3742 embedded-CPU floorplan logfiles (seed 4242), as in
+/// bench/table1_doomed_errors: per K, "train t1=<n> t2=<n>, test t1=<n> t2=<n>".
+std::map<std::string, std::string> guard_errors() {
+  mr::DrvSimOptions opt;
+  opt.seed = 100;
+  mu::Rng train_rng{100};
+  const auto train =
+      mr::make_drv_corpus(mr::CorpusKind::ArtificialLayouts, 1200, opt, train_rng);
+  mr::DrvSimOptions topt;
+  topt.seed = 4242;
+  mu::Rng test_rng{4242};
+  const auto test = mr::make_drv_corpus(mr::CorpusKind::CpuFloorplans, 3742, topt, test_rng);
+  mc::DoomedRunGuard guard;
+  guard.train(train);
+  std::map<std::string, std::string> out;
+  for (int k = 1; k <= 3; ++k) {
+    const auto etr = guard.evaluate(train, k);
+    const auto ete = guard.evaluate(test, k);
+    out["table1/k" + std::to_string(k)] =
+        "train t1=" + std::to_string(etr.type1) + " t2=" + std::to_string(etr.type2) +
+        ", test t1=" + std::to_string(ete.type1) + " t2=" + std::to_string(ete.type2);
+  }
+  return out;
+}
+
 /// One digest per line, so a rebaseline reads as a per-case diff.
 void write_section(std::ostream& os, const char* name,
                    const std::map<std::string, std::string>& m, bool last) {
@@ -577,6 +612,7 @@ Digests load() {
   d.flow = from_json(j->at("flow"));
   d.groute = from_json(j->at("groute"));
   d.campaign = from_json(j->at("campaign"));
+  d.guard = from_json(j->at("guard"));
   return d;
 }
 
@@ -616,6 +652,10 @@ TEST_P(GoldenCampaign, MatchesRecordedDigest) {
   EXPECT_EQ(now, it->second) << GetParam() << " drifted from the recorded digest";
 }
 
+TEST(Golden, Table1GuardErrorsMatchRecordedCounts) {
+  expect_same(load().guard, guard_errors());
+}
+
 TEST(Golden, EveryCampaignIsPinned) { EXPECT_EQ(load().campaign.size(), campaign_pins().size()); }
 
 INSTANTIATE_TEST_SUITE_P(Pins, GoldenCampaign, testing::ValuesIn([] {
@@ -636,6 +676,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--rebaseline") != 0) continue;
     Digests d = computed();
     for (const auto& [key, fn] : campaign_pins()) d.campaign[key] = campaign_digest(key, &d.problems);
+    d.guard = guard_errors();
     if (!d.problems.empty()) {
       std::fprintf(stderr, "refusing to rebaseline: %s\n", d.problems.front().c_str());
       return 1;
@@ -644,10 +685,11 @@ int main(int argc, char** argv) {
     os << "{\n";
     write_section(os, "flow", d.flow, false);
     write_section(os, "groute", d.groute, false);
-    write_section(os, "campaign", d.campaign, true);
+    write_section(os, "campaign", d.campaign, false);
+    write_section(os, "guard", d.guard, true);
     os << "}\n";
-    std::printf("rewrote %s (%zu flow, %zu groute, %zu campaign digests)\n", kDigestFile,
-                d.flow.size(), d.groute.size(), d.campaign.size());
+    std::printf("rewrote %s (%zu flow, %zu groute, %zu campaign digests, %zu guard counts)\n",
+                kDigestFile, d.flow.size(), d.groute.size(), d.campaign.size(), d.guard.size());
     return 0;
   }
   testing::InitGoogleTest(&argc, argv);
