@@ -345,9 +345,14 @@ static void BM_RunExecutorThroughput(benchmark::State& state) {
   constexpr std::size_t kBatch = 64;
   std::uint64_t base = 0;
   for (auto _ : state) {
-    const auto results =
-        pool.map("synthetic_flow", ++base, kBatch,
-                 [](std::size_t, exec::RunContext& ctx) { return synthetic_flow_run(ctx.seed); });
+    ++base;
+    std::vector<exec::RoundJob<double>> jobs(kBatch);
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      jobs[i].label = "synthetic_flow#" + std::to_string(i);
+      jobs[i].seed = exec::derive_run_seed(base, i);
+      jobs[i].body = [](exec::RunContext& ctx) { return synthetic_flow_run(ctx.seed); };
+    }
+    const auto results = exec::dispatch_round(pool, std::move(jobs));
     benchmark::DoNotOptimize(results);
   }
   const auto total_runs = static_cast<double>(state.iterations()) * static_cast<double>(kBatch);

@@ -189,8 +189,8 @@ ResilientOracle make_resilient_flow_oracle(const flow::FlowManager& manager,
     // tool noise (and its fault-site deviates) instead of replaying the
     // crash deterministically.
     recipe.seed = seed;
-    // The executor's token, so deadline watchdogs and hedged-twin losses
-    // cancel the flow mid-step (injected hangs poll this token).
+    // The executor's token, so deadline watchdogs cancel the flow mid-step
+    // (injected hangs poll this token).
     recipe.cancel = ctx.cancel;
     return manager.run(recipe, constraints);
   };

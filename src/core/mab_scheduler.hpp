@@ -27,9 +27,9 @@ namespace maestro::core {
 using FlowOracle = std::function<flow::FlowResult(double target_ghz, std::uint64_t seed)>;
 
 /// Oracle for resilient campaigns: also receives the executor's RunContext
-/// so the flow can observe cooperative cancellation (deadline watchdog,
-/// hedged-twin loss) mid-run. `seed` is the attempt seed — a retried run
-/// sees a perturbed value, so flaky tool noise is re-rolled.
+/// so the flow can observe cooperative cancellation (deadline watchdog)
+/// mid-run. `seed` is the attempt seed — a retried run sees a perturbed
+/// value, so flaky tool noise is re-rolled.
 using ResilientOracle =
     std::function<flow::FlowResult(double target_ghz, std::uint64_t seed, exec::RunContext& ctx)>;
 

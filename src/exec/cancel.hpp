@@ -12,28 +12,25 @@
 // SplitMix64 (derive_run_seed), never from scheduling order, so parallel and
 // serial execution of the same campaign produce bitwise-identical samples.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
+#include <stop_token>
 
 #include "util/rng.hpp"
 
 namespace maestro::exec {
 
-/// Shared cooperative-cancellation flag. Copies refer to the same flag.
+/// Shared cooperative-cancellation flag over std::stop_source. Copies refer
+/// to the same flag; stop_token() lets a std::stop_callback react to the
+/// cancellation on the requesting thread instead of polling for it.
 class CancelToken {
  public:
-  CancelToken() : flag_(std::make_shared<std::atomic<bool>>(false)) {}
-
-  void request_cancel() const { flag_->store(true, std::memory_order_relaxed); }
-  bool cancelled() const { return flag_->load(std::memory_order_relaxed); }
-
-  /// True when both tokens share one flag (i.e. one is a copy of the other).
-  bool same_as(const CancelToken& other) const { return flag_ == other.flag_; }
+  void request_cancel() const { source_.request_stop(); }
+  bool cancelled() const { return source_.stop_requested(); }
+  std::stop_token stop_token() const { return source_.get_token(); }
 
  private:
-  std::shared_ptr<std::atomic<bool>> flag_;
+  mutable std::stop_source source_;
 };
 
 /// Everything a pooled run receives from the executor: its journal id, its

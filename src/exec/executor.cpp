@@ -55,9 +55,8 @@ RunExecutor::~RunExecutor() {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
   }
-  // The timer goes first so no hedge/retry/watchdog action enqueues work
-  // after the workers start draining toward exit. Pending actions are
-  // dropped.
+  // The timer goes first so no retry/watchdog action enqueues work after
+  // the workers start draining toward exit. Pending actions are dropped.
   timer_cv_.notify_all();
   if (timer_.joinable()) timer_.join();
   queue_cv_.notify_all();
@@ -91,9 +90,9 @@ void RunExecutor::timer_loop() {
       }
       // Wake early when stopping or when schedule_at() inserts an action
       // due *before* the one this wait was armed for (a short deadline
-      // watchdog, hedge launch or backoff retry landing ahead of a long
-      // watchdog); loop to recompute the wait target instead of sleeping
-      // toward a stale front.
+      // watchdog or backoff retry landing ahead of a long watchdog); loop
+      // to recompute the wait target instead of sleeping toward a stale
+      // front.
       const auto next = timer_queue_.begin()->first;
       timer_cv_.wait_until(lock, next, [this, next] {
         return stopping_ || timer_queue_.empty() || timer_queue_.begin()->first < next;

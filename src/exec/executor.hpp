@@ -15,8 +15,7 @@
 // never share an Rng across pooled work, so results are bitwise identical
 // no matter the thread count — MAESTRO_THREADS=1 and =8 produce the same
 // samples, in the same order. Resilience preserves the contract: retry
-// seeds derive purely from (base seed, attempt) and a hedged twin shares
-// its attempt's seed, so the winning value is the same whichever twin wins.
+// seeds derive purely from (base seed, attempt).
 //
 // Cancellation: every run carries a CancelToken. Requesting cancellation
 // while the run is queued skips it entirely (the future throws
@@ -41,7 +40,6 @@
 // A failed run never throws out of the round; each campaign folds a dead run
 // in its own way (a censored pull, a dead branch, a crashed robot).
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -52,6 +50,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stop_token>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -89,7 +88,7 @@ class RunExecutor {
  public:
   explicit RunExecutor(ExecOptions opt = {});
   /// Joins after draining the queue: queued runs still execute. Pending
-  /// timer actions (hedges, backoff retries, watchdogs) are dropped, so
+  /// timer actions (backoff retries, watchdogs) are dropped, so
   /// destroy the executor only after resilient futures have resolved.
   ~RunExecutor();
 
@@ -166,27 +165,24 @@ class RunExecutor {
     return fut;
   }
 
-  /// Submit one *logical* run with retry, hedging and deadline enforcement
+  /// Submit one *logical* run with retry and deadline enforcement
   /// (resil::ResilOptions). Each attempt is a normal pooled run whose seed
   /// derives from (seed, attempt) via resil::retry_seed; a failed attempt
   /// journals Failed and, while attempts remain, schedules a retry (after
-  /// the policy's backoff, on the timer thread). With hedging enabled a
-  /// duplicate of the newest attempt launches after the hedge delay
-  /// (default: journal wall p95) carrying the *same* seed — first
-  /// completion wins, every other in-flight attempt is cooperatively
-  /// cancelled. A deadline arms a watchdog that cancels all attempts and
-  /// fails the returned future with resil::RunTimedOut; the overdue run is
-  /// journaled TimedOut by the worker when it yields, releasing its
-  /// license. The result type must be copy-constructible. The attempt body
-  /// also consults the fault injector at site "exec.license" so injected
-  /// license drops exercise the retry path.
+  /// the policy's backoff, on the timer thread). A retry starts only after
+  /// its predecessor failed, so a logical run has at most one live attempt.
+  /// A deadline arms a watchdog that cancels the live attempt and fails the
+  /// returned future with resil::RunTimedOut; the overdue run is journaled
+  /// TimedOut by the worker when it yields, releasing its license. The
+  /// result type must be copy-constructible. The attempt body also consults
+  /// the fault injector at site "exec.license" so injected license drops
+  /// exercise the retry path.
   ///
-  /// `cancel`, when provided, is the *caller's* token for the logical run:
-  /// requesting cancellation on it cancels every in-flight attempt, stops
-  /// further retries/hedges, and fails the returned future with
-  /// RunCancelled. CancelToken is a plain flag with no callback hook, so
-  /// the token is polled on the timer thread (~5 ms cadence) until the run
-  /// settles.
+  /// `cancel`, when provided, is the *caller's* token for the logical run: a
+  /// std::stop_callback on it cancels the live attempt, stops further
+  /// retries and fails the returned future with RunCancelled. The callback
+  /// runs on the thread that requests cancellation (or here, when the token
+  /// is already cancelled, in which case no attempt is submitted).
   ///
   /// `on_fail`, if set, fires exactly once if the logical run settles with
   /// an exception — (Failed, exhausted retries' error), (TimedOut,
@@ -202,24 +198,48 @@ class RunExecutor {
       -> std::future<std::invoke_result_t<F&, RunContext&>> {
     using R = std::invoke_result_t<F&, RunContext&>;
     static_assert(std::is_copy_constructible_v<R>,
-                  "resilient runs copy the winning result into the promise");
+                  "resilient runs copy the result into the promise");
     using Clock = std::chrono::steady_clock;
     struct State {
       std::mutex mu;
       std::promise<R> promise;
       bool settled = false;
-      int reserved = 1;    ///< primary attempts reserved (incl. pending backoff)
-      int launched = 0;    ///< primary attempts handed to the pool
-      int dispatched = 0;  ///< attempts handed to the pool (incl. hedges)
-      int failed = 0;      ///< dispatched attempts that have thrown
-      bool hedged = false;
-      std::vector<CancelToken> tokens;  ///< every live attempt's token
+      CancelToken attempt;  ///< the live attempt's token
       resil::ResilOptions opt;
       std::string label;
       std::uint64_t base_seed = 0;
       Clock::time_point deadline{};
       /// Invoked once, after the promise settles with an exception.
       std::function<void(RunState, std::exception_ptr)> on_fail;
+      /// Aborts the run when the caller's token is cancelled.
+      std::optional<std::stop_callback<std::function<void()>>> on_cancel;
+
+      bool is_settled() {
+        std::lock_guard<std::mutex> lk(mu);
+        return settled;
+      }
+      /// Claims the right to settle the promise; false once it is taken.
+      bool try_settle() {
+        std::lock_guard<std::mutex> lk(mu);
+        if (settled) return false;
+        settled = true;
+        return true;
+      }
+      /// Settles with RunTimedOut or RunCancelled and cancels the live
+      /// attempt. The token is cancelled outside `mu`: that runs any
+      /// stop_callback registered on it synchronously.
+      void abort(RunState s) {
+        std::unique_lock<std::mutex> lk(mu);
+        if (settled) return;
+        settled = true;
+        const CancelToken live = attempt;
+        lk.unlock();
+        live.request_cancel();
+        const auto err = s == RunState::TimedOut ? std::make_exception_ptr(resil::RunTimedOut{})
+                                                 : std::make_exception_ptr(RunCancelled{});
+        if (on_fail) on_fail(s, err);
+        promise.set_exception(err);
+      }
     };
     auto st = std::make_shared<State>();
     st->opt = opt;
@@ -228,31 +248,32 @@ class RunExecutor {
     st->on_fail = std::move(on_fail);
     if (opt.deadline_ms > 0.0) st->deadline = Clock::now() + to_duration(opt.deadline_ms);
     std::future<R> fut = st->promise.get_future();
+    if (cancel) {
+      // Weak, so the State does not own itself through its own callback.
+      st->on_cancel.emplace(cancel->stop_token(), [wst = std::weak_ptr<State>(st)] {
+        if (auto s = wst.lock()) s->abort(RunState::Cancelled);
+      });
+    }
 
     // Recursive launcher. It captures itself weakly — the strong refs live
     // in the attempt bodies and pending timer actions, so the closure chain
     // is released once the last attempt finishes (no shared_ptr cycle).
-    using Launch = std::function<void(int, bool)>;
+    using Launch = std::function<void(int)>;
     auto launch = std::make_shared<Launch>();
     *launch = [this, st, fn = std::move(fn),
-               wlaunch = std::weak_ptr<Launch>(launch)](int attempt, bool is_hedge) mutable {
+               wlaunch = std::weak_ptr<Launch>(launch)](int attempt) mutable {
       auto self = wlaunch.lock();
       if (!self) return;
       CancelToken token;
       {
         std::lock_guard<std::mutex> lk(st->mu);
         if (st->settled) return;
-        if (!is_hedge) st->launched = attempt + 1;
-        ++st->dispatched;
-        st->tokens.push_back(token);
+        st->attempt = token;
       }
       std::string attempt_label = st->label;
-      if (is_hedge) attempt_label += "~hedge";
-      else if (attempt > 0) attempt_label += "~retry" + std::to_string(attempt);
-      const std::uint64_t attempt_seed =
-          resil::retry_seed(st->base_seed, attempt, st->opt.retry.perturb_seed);
+      if (attempt > 0) attempt_label += "~retry" + std::to_string(attempt);
 
-      auto body = [this, st, fn, self, attempt, is_hedge](RunContext& ctx) mutable -> R {
+      auto body = [this, st, fn, self, attempt](RunContext& ctx) mutable -> R {
         std::exception_ptr exhausted_error;
         std::string exhausted_what = "unknown error";
         try {
@@ -262,63 +283,27 @@ class RunExecutor {
             throw resil::LicenseDropped{"exec.license"};
           }
           R value = fn(ctx);
-          if (ctx.should_stop()) {
-            // Cancelled loser or overdue attempt: never settle from here —
-            // the winning twin or the deadline watchdog owns the promise.
-            // The worker journals this attempt Cancelled / TimedOut.
-            return value;
-          }
-          std::vector<CancelToken> losers;
-          bool won = false;
-          {
-            std::lock_guard<std::mutex> lk(st->mu);
-            if (!st->settled) {
-              st->settled = true;
-              won = true;
-              for (const auto& t : st->tokens) {
-                if (!t.same_as(ctx.cancel)) losers.push_back(t);
-              }
-            }
-          }
-          if (won) {
-            st->promise.set_value(value);
-            for (auto& t : losers) t.request_cancel();
-            if (is_hedge) obs::Registry::global().counter("exec.hedge_wins").add();
-          }
+          // A cancelled or overdue attempt never settles: abort() owns the
+          // promise. The worker journals it Cancelled / TimedOut.
+          if (!ctx.should_stop() && st->try_settle()) st->promise.set_value(value);
           return value;
         } catch (...) {
-          bool do_retry = false;
-          bool exhausted = false;
+          if (ctx.past_deadline()) throw;  // the watchdog settles the run
           const int next = attempt + 1;
-          if (!ctx.past_deadline()) {  // past deadline: the watchdog settles
-            std::lock_guard<std::mutex> lk(st->mu);
-            if (!st->settled) {
-              ++st->failed;
-              if (next < st->opt.retry.max_attempts && st->reserved == next) {
-                st->reserved = next + 1;
-                do_retry = true;
-              } else if (st->reserved == st->launched &&
-                         st->failed == st->dispatched) {
-                // Every attempt handed to the pool has failed and no retry
-                // is pending anywhere: the logical run is out of options.
-                // (Counting failures, not live attempts, keeps this correct
-                // while an earlier failed attempt is still unwinding.)
-                st->settled = true;
-                exhausted = true;
+          if (next < st->opt.retry.max_attempts) {
+            if (!st->is_settled()) {
+              obs::Registry::global().counter("exec.retries").add();
+              const double backoff = st->opt.retry.backoff_for(next);
+              if (backoff <= 0.0) {
+                (*self)(next);
+              } else {
+                this->schedule_at(Clock::now() + to_duration(backoff),
+                                  [self, next] { (*self)(next); });
               }
             }
+            throw;  // journal this attempt as Failed
           }
-          if (do_retry) {
-            obs::Registry::global().counter("exec.retries").add();
-            const double backoff = st->opt.retry.backoff_for(next);
-            if (backoff <= 0.0) {
-              (*self)(next, /*is_hedge=*/false);
-            } else {
-              this->schedule_at(Clock::now() + to_duration(backoff),
-                                [self, next] { (*self)(next, /*is_hedge=*/false); });
-            }
-          }
-          if (!exhausted) throw;  // journal this attempt as Failed
+          if (!st->try_settle()) throw;
           exhausted_error = std::current_exception();
           try {
             throw;
@@ -335,78 +320,13 @@ class RunExecutor {
         st->promise.set_exception(std::move(exhausted_error));
         throw std::runtime_error(exhausted_what);  // journal this attempt as Failed
       };
-      this->submit(std::move(attempt_label), attempt_seed, std::move(body), token,
-                   st->deadline);
+      this->submit(std::move(attempt_label), resil::retry_seed(st->base_seed, attempt),
+                   std::move(body), token, st->deadline);
     };
 
-    (*launch)(0, /*is_hedge=*/false);
-    if (opt.hedge.enabled) {
-      double delay = opt.hedge.delay_ms;
-      if (delay < 0.0) delay = std::max(1.0, journal_.summarize().wall_p95_ms);
-      schedule_at(Clock::now() + to_duration(delay), [st, launch] {
-        int attempt = 0;
-        {
-          std::lock_guard<std::mutex> lk(st->mu);
-          if (st->settled || st->hedged) return;
-          st->hedged = true;
-          attempt = st->launched > 0 ? st->launched - 1 : 0;
-        }
-        obs::Registry::global().counter("exec.hedges").add();
-        (*launch)(attempt, /*is_hedge=*/true);
-      });
-    }
+    (*launch)(0);
     if (opt.deadline_ms > 0.0) {
-      schedule_at(st->deadline, [st] {
-        std::vector<CancelToken> live;
-        bool expired = false;
-        {
-          std::lock_guard<std::mutex> lk(st->mu);
-          if (!st->settled) {
-            st->settled = true;
-            expired = true;
-            live = st->tokens;
-          }
-        }
-        if (expired) {
-          const auto err = std::make_exception_ptr(resil::RunTimedOut{});
-          for (auto& t : live) t.request_cancel();
-          if (st->on_fail) st->on_fail(RunState::TimedOut, err);
-          st->promise.set_exception(err);
-        }
-      });
-    }
-    if (cancel) {
-      // The caller's token has no callback hook, so a lightweight poll on
-      // the timer thread watches it: on cancellation every live attempt is
-      // cancelled, the promise fails with RunCancelled, and polling stops.
-      // The chain also stops (and is released) once the run settles any
-      // other way.
-      const CancelToken parent = *cancel;
-      auto poll = std::make_shared<std::function<void()>>();
-      *poll = [this, st, parent, wpoll = std::weak_ptr<std::function<void()>>(poll)] {
-        auto self = wpoll.lock();
-        if (!self) return;
-        std::vector<CancelToken> live;
-        bool fire = false;
-        {
-          std::lock_guard<std::mutex> lk(st->mu);
-          if (st->settled) return;
-          if (parent.cancelled()) {
-            st->settled = true;
-            fire = true;
-            live = st->tokens;
-          }
-        }
-        if (fire) {
-          const auto err = std::make_exception_ptr(RunCancelled{});
-          for (auto& t : live) t.request_cancel();
-          if (st->on_fail) st->on_fail(RunState::Cancelled, err);
-          st->promise.set_exception(err);
-          return;
-        }
-        this->schedule_at(Clock::now() + to_duration(5.0), [self] { (*self)(); });
-      };
-      (*poll)();
+      schedule_at(st->deadline, [st] { st->abort(RunState::TimedOut); });
     }
     return fut;
   }
@@ -531,28 +451,9 @@ class RunExecutor {
                   std::move(on_abort));
   }
 
-  /// Fan out n runs whose seeds derive from (base_seed, index) and collect
-  /// the results in index order (a barrier). Result i is independent of
-  /// scheduling, so map() is deterministic at any thread count.
-  template <typename F>
-  auto map(const std::string& label, std::uint64_t base_seed, std::size_t n, F fn)
-      -> std::vector<std::invoke_result_t<F&, std::size_t, RunContext&>> {
-    using R = std::invoke_result_t<F&, std::size_t, RunContext&>;
-    std::vector<std::future<R>> futures;
-    futures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      futures.push_back(submit(label + "#" + std::to_string(i), derive_run_seed(base_seed, i),
-                               [fn, i](RunContext& ctx) { return fn(i, ctx); }));
-    }
-    std::vector<R> results;
-    results.reserve(n);
-    for (auto& f : futures) results.push_back(f.get());
-    return results;
-  }
-
   /// Run `fn` on the executor's timer thread at (or shortly after) `tp`.
-  /// Used by the resilience layer for deadline watchdogs, hedge launches
-  /// and backoff-delayed retries; dropped if the executor is stopping.
+  /// Used by the resilience layer for deadline watchdogs and backoff-delayed
+  /// retries; dropped if the executor is stopping.
   void schedule_at(std::chrono::steady_clock::time_point tp, std::function<void()> fn);
 
  private:

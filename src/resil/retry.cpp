@@ -16,8 +16,8 @@ double RetryPolicy::backoff_for(int retry_index) const {
   return std::min(b, max_backoff_ms);
 }
 
-std::uint64_t retry_seed(std::uint64_t base, int attempt, bool perturb) {
-  if (attempt <= 0 || !perturb) return base;
+std::uint64_t retry_seed(std::uint64_t base, int attempt) {
+  if (attempt <= 0) return base;
   std::uint64_t s = base ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(attempt));
   (void)util::splitmix64(s);
   return util::splitmix64(s);

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "exec/executor.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
@@ -18,8 +17,6 @@ using netlist::NetId;
 namespace {
 
 constexpr std::size_t kNoEdge = std::numeric_limits<std::size_t>::max();
-/// Minimum nodes per worker chunk in level-parallel propagation.
-constexpr std::size_t kParallelGrain = 64;
 
 bool corner_equal(const Corner& a, const Corner& b) {
   return a.gate_factor == b.gate_factor && a.wire_factor == b.wire_factor &&
@@ -57,8 +54,6 @@ TimingGraph::TimingGraph(const netlist::Netlist& nl) : nl_(&nl) { build(); }
 TimingGraph::TimingGraph(const place::Placement& pl, const ClockTree& clock,
                          const netlist::DesignView* view)
     : nl_(&pl.netlist()), pl_(&pl), clock_(&clock), view_(view) { build(); }
-
-TimingGraph::~TimingGraph() = default;
 
 void TimingGraph::sync() { build(); }
 
@@ -470,37 +465,6 @@ bool TimingGraph::propagate_node(std::size_t u, double& cost) {
   return changed;
 }
 
-void TimingGraph::propagate_level_range(std::size_t begin, std::size_t end, double& cost) {
-  for (std::size_t i = begin; i < end; ++i) propagate_node(order_[i], cost);
-}
-
-void TimingGraph::propagate_full(double& cost) {
-  const bool parallel = pool_ != nullptr && n_ >= parallel_min_nodes_;
-  for (std::size_t l = 0; l + 1 < level_range_.size(); ++l) {
-    const std::size_t b = level_range_[l];
-    const std::size_t e = level_range_[l + 1];
-    if (parallel && e - b >= 2 * kParallelGrain) {
-      // Nodes within a level are independent (every fanin sits at a lower
-      // level), so chunks write disjoint state. Chunk cost subtotals are
-      // sums of small integers — exact — so adding them in chunk order
-      // reproduces the serial total bitwise.
-      const std::size_t chunks =
-          std::min((e - b + kParallelGrain - 1) / kParallelGrain, pool_->threads() * 4);
-      const std::size_t per = (e - b + chunks - 1) / chunks;
-      const auto costs = pool_->map("sta_level", 0, chunks, [&](std::size_t i, exec::RunContext&) {
-        double c = 0.0;
-        const std::size_t cb = b + i * per;
-        const std::size_t ce = std::min(cb + per, e);
-        if (cb < ce) propagate_level_range(cb, ce, c);
-        return c;
-      });
-      for (const double c : costs) cost += c;
-    } else {
-      propagate_level_range(b, e, cost);
-    }
-  }
-}
-
 void TimingGraph::compute_endpoint(std::size_t j, double& cost) {
   const std::size_t K = stride_;
   const InstanceId id = ep_ids_[j];
@@ -625,7 +589,7 @@ std::vector<StaReport> TimingGraph::analyze_corners(const StaOptions& base,
   }
 
   double cost = 0.0;
-  propagate_full(cost);
+  for (const InstanceId u : order_) propagate_node(u, cost);
   for (std::size_t j = 0; j < ep_ids_.size(); ++j) compute_endpoint(j, cost);
   cached_cost_ = cost;
   cache_valid_ = true;
@@ -822,21 +786,5 @@ double TimingGraph::wireload_repropagate(const std::vector<InstanceId>& dirty,
   counters().nodes_repropagated.add(last_repropagated_);
   return wl_critical_;
 }
-
-// ---------------------------------------------------------------------------
-// Level parallelism
-// ---------------------------------------------------------------------------
-
-void TimingGraph::enable_parallel(std::size_t min_nodes) {
-  parallel_min_nodes_ = min_nodes;
-  if (pool_ == nullptr) {
-    // A dedicated pool: level propagation blocks on chunk futures, and doing
-    // that from inside a shared campaign executor's worker can deadlock the
-    // pool (every worker waiting on chunks queued behind other STA runs).
-    pool_ = std::make_unique<exec::RunExecutor>();
-  }
-}
-
-void TimingGraph::disable_parallel() { pool_.reset(); }
 
 }  // namespace maestro::timing

@@ -19,9 +19,6 @@
 //    moved instances; ECO-inserted cells after sync()) and re-propagates only
 //    the affected forward cone, with bitwise early cut-off. Results are
 //    bit-identical to a full propagation.
-//  * Optional level-parallel propagation — enable_parallel() fans each wide
-//    level out over a dedicated exec::RunExecutor; results stay bitwise
-//    identical to the serial sweep (disjoint writes, exact cost reduction).
 //
 // run_sta() is a thin wrapper (construct + analyze) preserving the seed
 // engine's signature and bit-identical reports; long-lived callers hold a
@@ -43,14 +40,9 @@
 //    cost); incremental reports charge only the work actually redone.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "timing/sta.hpp"
-
-namespace maestro::exec {
-class RunExecutor;
-}
 
 namespace maestro::timing {
 
@@ -66,7 +58,6 @@ class TimingGraph {
   TimingGraph(const place::Placement& pl, const ClockTree& clock,
               const netlist::DesignView* view = nullptr);
 
-  ~TimingGraph();
   TimingGraph(const TimingGraph&) = delete;
   TimingGraph& operator=(const TimingGraph&) = delete;
 
@@ -131,14 +122,6 @@ class TimingGraph {
   /// (attach_view(nullptr)) first. Placed mode only.
   void attach_view(const netlist::DesignView* view) { view_ = view; }
 
-  /// Enable level-parallel propagation for graphs with at least `min_nodes`
-  /// instances. Spawns a dedicated exec::RunExecutor sized from
-  /// MAESTRO_THREADS (never share the campaign executor here: a pooled run
-  /// blocking on nested level futures can deadlock the pool). Results are
-  /// bitwise identical to the serial sweep.
-  void enable_parallel(std::size_t min_nodes = 4096);
-  void disable_parallel();
-
   /// Upper bound on corners in one batched propagation (sized for stack
   /// scratch in the inner loop; the standard set is 3).
   static constexpr std::size_t kMaxCorners = 16;
@@ -157,8 +140,6 @@ class TimingGraph {
   /// field changed bitwise. `cost` accrues the seed engine's per-node and
   /// per-edge charges.
   bool propagate_node(std::size_t u, double& cost);
-  void propagate_level_range(std::size_t begin, std::size_t end, double& cost);
-  void propagate_full(double& cost);
   /// Re-time endpoint slot j (all cached corners) from cached node state.
   void compute_endpoint(std::size_t j, double& cost);
   StaReport assemble_report(std::size_t corner) const;
@@ -248,10 +229,6 @@ class TimingGraph {
   std::uint32_t epoch_ = 0;
   std::vector<std::vector<netlist::InstanceId>> frontier_;  ///< per level
   std::size_t last_repropagated_ = 0;
-
-  // ---- level parallelism ----
-  std::unique_ptr<exec::RunExecutor> pool_;
-  std::size_t parallel_min_nodes_ = 0;
 };
 
 }  // namespace maestro::timing

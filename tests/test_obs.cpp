@@ -184,9 +184,12 @@ TEST(Tracer, ExecutorRunsEmitSpansFromWorkerThreads) {
   ScopedTracer scoped;
   {
     mx::RunExecutor pool{{.threads = 2}};
-    pool.map("traced", 11, 8, [](std::size_t i, mx::RunContext&) {
-      return static_cast<double>(i);
-    });
+    std::vector<mx::RoundJob<double>> jobs(8);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      jobs[i].label = "traced#" + std::to_string(i);
+      jobs[i].body = [i](mx::RunContext&) { return static_cast<double>(i); };
+    }
+    mx::dispatch_round(pool, std::move(jobs));
   }
   const auto events = scoped.tracer.snapshot();
   std::size_t runs = 0;
@@ -258,12 +261,18 @@ TEST(Registry, ConcurrentUpdatesFromPoolWorkers) {
   mo::Histogram& h = reg.histogram("values", {0.25, 0.5, 0.75, 1.0});
   {
     mx::RunExecutor pool{{.threads = 4}};
-    pool.map("update", 13, 64, [&](std::size_t i, mx::RunContext& ctx) {
-      maestro::util::Rng rng{ctx.seed};
-      hits.add();
-      h.observe(rng.uniform(0.0, 1.0));
-      return i;
-    });
+    std::vector<mx::RoundJob<std::size_t>> jobs(64);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      jobs[i].label = "update#" + std::to_string(i);
+      jobs[i].seed = mx::derive_run_seed(13, i);
+      jobs[i].body = [&hits, &h, i](mx::RunContext& ctx) {
+        maestro::util::Rng rng{ctx.seed};
+        hits.add();
+        h.observe(rng.uniform(0.0, 1.0));
+        return i;
+      };
+    }
+    mx::dispatch_round(pool, std::move(jobs));
   }
   EXPECT_EQ(hits.value(), 64u);
   EXPECT_EQ(h.count(), 64u);

@@ -1,9 +1,9 @@
-// maestro::resil — fault injection, retry/hedging and failure-aware
+// maestro::resil — fault injection, retries, deadlines and failure-aware
 // orchestration (ctest label "resil"; clean under -DMAESTRO_SANITIZE=thread).
 //
 // The contract under test: every injected fault is a pure function of
 // (plan seed, site, run seed), so chaos campaigns replay bitwise-identically
-// at any thread count; retries, hedges and deadlines never leak licenses or
+// at any thread count; retries, deadlines and cancellation never leak licenses or
 // double-settle futures; and schedulers degrade gracefully — censored
 // samples, cooled-down arms, dead branches, partial fleets — instead of
 // aborting.
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <map>
@@ -133,7 +134,6 @@ TEST(Retry, SeedDerivationAndBackoff) {
   EXPECT_NE(resil::retry_seed(42, 1), 42u);
   EXPECT_NE(resil::retry_seed(42, 1), resil::retry_seed(42, 2));
   EXPECT_EQ(resil::retry_seed(42, 3), resil::retry_seed(42, 3));  // pure
-  EXPECT_EQ(resil::retry_seed(42, 5, /*perturb=*/false), 42u);
 
   resil::RetryPolicy policy;
   policy.backoff_ms = 10.0;
@@ -168,7 +168,7 @@ TEST(CircuitBreaker, TripsCoolsAndRedirects) {
 }
 
 // ---------------------------------------------------------------------------
-// submit_resilient: retry, deadline, hedging, license drops
+// submit_resilient: retry, deadline, cancellation, license drops
 
 TEST(SubmitResilient, RetryUntilSuccessIsBitwiseStableAcrossPoolSizes) {
   const std::uint64_t base = 42;
@@ -225,36 +225,6 @@ TEST(SubmitResilient, DeadlineTimesOutJournalsAndReleasesLicense) {
   EXPECT_GE(counter_value("exec.timeouts"), timeouts_before + 1);
 }
 
-TEST(SubmitResilient, HedgedLoserIsCancelledExactlyOnce) {
-  exec::RunExecutor pool{{.threads = 4}};
-  resil::ResilOptions opt;
-  opt.hedge.enabled = true;
-  opt.hedge.delay_ms = 5.0;
-
-  std::atomic<int> calls{0};
-  std::atomic<int> cancelled_seen{0};
-  const std::uint64_t wins_before = counter_value("exec.hedge_wins");
-  auto fut = pool.submit_resilient(
-      "straggler", 9,
-      [&](exec::RunContext& ctx) -> int {
-        if (calls.fetch_add(1) == 0) {
-          // The primary stalls until the hedge twin wins and cancels it.
-          for (int i = 0; i < 2000 && !ctx.should_stop(); ++i) {
-            std::this_thread::sleep_for(1ms);
-          }
-          if (ctx.should_stop()) cancelled_seen.fetch_add(1);
-          return 7;
-        }
-        return 7;  // the twin shares the seed, so the value is identical
-      },
-      opt);
-  EXPECT_EQ(fut.get(), 7);
-  EXPECT_TRUE(eventually([&] { return pool.journal().summarize().cancelled == 1; }));
-  EXPECT_EQ(cancelled_seen.load(), 1);
-  EXPECT_EQ(counter_value("exec.hedge_wins") - wins_before, 1u);
-  EXPECT_EQ(pool.journal().summarize().completed, 1u);
-}
-
 TEST(TimerThread, EarlierActionPreemptsArmedLongWait) {
   exec::RunExecutor pool{{.threads = 1}};
   // Arm the timer with a far deadline, then insert a near action: the timer
@@ -291,6 +261,75 @@ TEST(SubmitResilient, CallerTokenCancelsTheLogicalRun) {
   auto after = pool.submit("after", 6, [](exec::RunContext&) { return 2; });
   ASSERT_EQ(after.wait_for(10s), std::future_status::ready);
   EXPECT_EQ(after.get(), 2);
+}
+
+/// Waits up to ten seconds for `fut`. A run still pending then is
+/// deadlocked, and destroying its pool would join the stuck worker and hang
+/// the suite, so the process exits with a failure instead.
+template <typename T>
+void ready_or_exit(std::future<T>& fut, const char* what) {
+  if (fut.wait_for(10s) == std::future_status::ready) return;
+  std::fprintf(stderr, "%s: still pending after 10 s (deadlock)\n", what);
+  std::_Exit(1);
+}
+
+TEST(SubmitResilient, CallerTokenCancelledBeforeSubmissionRunsNoAttempt) {
+  // The stop_callback fires inside its own constructor on this thread, so
+  // the run settles before any attempt reaches the pool.
+  exec::RunExecutor pool{{.threads = 2, .licenses = 1}};
+  resil::ResilOptions opt;
+  opt.retry.max_attempts = 3;
+  exec::CancelToken cancel;
+  cancel.request_cancel();
+  std::atomic<int> calls{0};
+  const std::uint64_t retries_before = counter_value("exec.retries");
+  auto fut = pool.submit_resilient(
+      "precancelled", 5,
+      [&calls](exec::RunContext&) -> int {
+        ++calls;
+        throw resil::InjectedCrash{"precancelled"};
+      },
+      opt, cancel);
+  ready_or_exit(fut, "precancelled run");
+  EXPECT_THROW(fut.get(), exec::RunCancelled);
+  auto after = pool.submit("after", 6, [](exec::RunContext&) { return 2; });
+  ready_or_exit(after, "follow-up run");
+  EXPECT_EQ(after.get(), 2);
+  EXPECT_EQ(calls.load(), 0);
+  EXPECT_EQ(counter_value("exec.retries") - retries_before, 0u);
+  EXPECT_EQ(pool.journal().summarize().runs, 1u);  // only the follow-up
+}
+
+TEST(SubmitResilient, CallerTokenCancelledInsideTheAttemptStopsRetries) {
+  // The attempt cancels the caller's token itself, so the stop_callback
+  // runs on this worker thread: it must cancel the attempt's own token and
+  // settle the run without deadlocking, and the attempt's failure after
+  // that must not start a retry.
+  exec::RunExecutor pool{{.threads = 2, .licenses = 1}};
+  resil::ResilOptions opt;
+  opt.retry.max_attempts = 3;
+  const exec::CancelToken cancel;
+  std::atomic<int> calls{0};
+  std::atomic<bool> attempt_cancelled{false};
+  const std::uint64_t retries_before = counter_value("exec.retries");
+  auto fut = pool.submit_resilient(
+      "self_cancelled", 7,
+      [&calls, &attempt_cancelled, cancel](exec::RunContext& ctx) -> int {
+        ++calls;
+        cancel.request_cancel();
+        attempt_cancelled = ctx.cancel.cancelled();
+        throw resil::InjectedCrash{"self_cancelled"};
+      },
+      opt, cancel);
+  ready_or_exit(fut, "self-cancelled run");
+  EXPECT_THROW(fut.get(), exec::RunCancelled);
+  auto after = pool.submit("after", 8, [](exec::RunContext&) { return 2; });
+  ready_or_exit(after, "follow-up run");
+  EXPECT_EQ(after.get(), 2);
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_TRUE(attempt_cancelled.load());
+  EXPECT_EQ(counter_value("exec.retries") - retries_before, 0u);
+  EXPECT_TRUE(eventually([&] { return pool.journal().summarize().failed == 1; }));
 }
 
 TEST(SubmitResilient, InjectedLicenseDropExercisesRetries) {

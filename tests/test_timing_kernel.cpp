@@ -651,33 +651,6 @@ TEST(Wireload, IncrementalTrialUndoMatchesSeed) {
 }
 
 // ---------------------------------------------------------------------------
-// Level-parallel propagation
-// ---------------------------------------------------------------------------
-
-TEST(Parallel, LevelParallelMatchesSerialBitwise) {
-  const auto f = make_fixture(79, 2500, 0.15);
-  const auto grid = make_routed(f, 79);
-  mt::StaOptions opt;
-  opt.mode = mt::AnalysisMode::PathBased;
-  opt.with_si = true;
-  opt.with_hold = true;
-  mt::TimingGraph serial(*f.pl, f.clock);
-  mt::TimingGraph parallel(*f.pl, f.clock);
-  parallel.enable_parallel(/*min_nodes=*/1);
-  expect_report_eq(parallel.analyze(opt, &grid), serial.analyze(opt, &grid));
-
-  const auto batched_p = parallel.analyze_corners(opt, mt::standard_corners(), &grid);
-  const auto batched_s = serial.analyze_corners(opt, mt::standard_corners(), &grid);
-  ASSERT_EQ(batched_p.size(), batched_s.size());
-  for (std::size_t i = 0; i < batched_s.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_report_eq(batched_p[i], batched_s[i]);
-  }
-  parallel.disable_parallel();
-  expect_report_eq(parallel.analyze(opt, &grid), serial.analyze(opt, &grid));
-}
-
-// ---------------------------------------------------------------------------
 // SI congestion map
 // ---------------------------------------------------------------------------
 
