@@ -59,6 +59,8 @@ std::optional<Netlist> read_netlist(const CellLibrary& lib, const std::string& t
     std::string kind;
     ls >> kind;
     if (kind == "design") {
+      // A later design line would drop the instances by_name refers to.
+      if (nl) return bad("design line after netlist content");
       ls >> design;
       nl.emplace(lib, design);
     } else if (kind == "instance") {
@@ -77,6 +79,9 @@ std::optional<Netlist> read_netlist(const CellLibrary& lib, const std::string& t
       if (!(ls >> name >> driver)) return bad("malformed net line");
       const auto dit = by_name.find(driver);
       if (dit == by_name.end()) return bad("unknown driver: " + driver);
+      if (nl->instance(dit->second).output_net != kNoNet) {
+        return bad("instance already drives a net: " + driver);
+      }
       const NetId net = nl->add_net(name, dit->second);
       std::string sink_tok;
       while (ls >> sink_tok) {

@@ -15,7 +15,10 @@
 // documents and documents whose values were swapped for hostile ones (NaN,
 // infinities, negatives, 2^64, fractions, wrong types, dropped keys); they
 // must accept or reject without crashing and without undefined behaviour.
-// No external fuzzer is needed; runs are reproducible from the seed. Build
+// The netlist and placement text readers (netlist::read_netlist,
+// place::read_placement) see byte-mutated writer output: they may reject it
+// with nullopt, and text they accept must write back to text that reads to
+// the same bytes again. No external fuzzer is needed; runs are reproducible from the seed. Build
 // with -DMAESTRO_SANITIZE=address,undefined,float-cast-overflow to turn
 // memory errors and UB (GCC's `undefined` group leaves out
 // float-cast-overflow) into failures.
@@ -25,14 +28,20 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "core/flow_search.hpp"
 #include "core/mab_scheduler.hpp"
 #include "exec/executor.hpp"
 #include "metrics/record.hpp"
+#include "netlist/generators.hpp"
+#include "netlist/io.hpp"
+#include "place/io.hpp"
+#include "place/placer.hpp"
 #include "store/run_store.hpp"
 #include "store/wal_frame.hpp"
 #include "tune/flow_tuner.hpp"
@@ -42,6 +51,8 @@
 namespace mc = maestro::core;
 namespace mf = maestro::flow;
 namespace mm = maestro::metrics;
+namespace mn = maestro::netlist;
+namespace mp = maestro::place;
 namespace ms = maestro::store;
 namespace mt = maestro::tune;
 namespace mu = maestro::util;
@@ -397,4 +408,144 @@ TEST(DecoderFuzz, TunerCheckpointDecoderNeverCrashes) {
   ASSERT_TRUE(tuner.resumes_from(*state));
   fuzz_decoder(*state, [&](const mu::Json& j) { return tuner.resumes_from(j); }, 23);
   std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------ netlist / placement readers
+
+namespace {
+
+constexpr int kReaderIterations = 20'000;
+
+const mn::CellLibrary& cell_library() {
+  static const mn::CellLibrary lib = mn::make_default_library();
+  return lib;
+}
+
+/// Small random-logic netlists, as write_netlist emits them.
+std::vector<mn::Netlist> reader_netlists() {
+  std::vector<mn::Netlist> out;
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    mn::RandomLogicSpec spec;
+    spec.gates = 12;
+    spec.primary_inputs = 4;
+    spec.primary_outputs = 3;
+    spec.levels = 4;
+    spec.seed = seed;
+    out.push_back(mn::make_random_logic(cell_library(), spec));
+  }
+  return out;
+}
+
+/// One or two line-level edits — copy a line to another position, drop a
+/// line or swap two — so the reader sees well-formed lines in hostile order.
+std::string mutate_lines(const std::string& text, mu::Rng& rng) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const int edits = 1 + static_cast<int>(rng.next() % 2);
+  for (int e = 0; e < edits && !lines.empty(); ++e) {
+    const std::size_t a = rng.next() % lines.size();
+    const std::size_t b = rng.next() % lines.size();
+    switch (rng.next() % 3) {
+      case 0: {
+        const std::string copy = lines[a];
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(b), copy);
+        break;
+      }
+      case 1: lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(a)); break;
+      default: std::swap(lines[a], lines[b]);
+    }
+  }
+  std::string out;
+  for (const auto& line : lines) out += line + '\n';
+  return out;
+}
+
+/// Every net is its driver's output net and every sink pin points back at
+/// its net.
+bool connectivity_consistent(const mn::Netlist& nl) {
+  for (std::size_t n = 0; n < nl.net_count(); ++n) {
+    const auto id = static_cast<mn::NetId>(n);
+    const auto& net = nl.net(id);
+    if (nl.instance(net.driver).output_net != id) return false;
+    for (const auto& sink : net.sinks) {
+      if (nl.instance(sink.instance).input_nets[static_cast<std::size_t>(sink.pin)] != id) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Feeds `read` mutants of `docs` (the matching writer's output), half
+/// line-level and half byte-level. `read` returns the re-written text of an
+/// input it accepts, or nullopt; the re-written text must itself be
+/// accepted and re-write to the same bytes.
+template <typename Read>
+void fuzz_reader(const std::vector<std::string>& docs, Read read, std::uint64_t seed) {
+  for (const auto& doc : docs) ASSERT_TRUE(read(doc).has_value()) << doc;
+  mu::Rng rng{seed};
+  std::size_t accepted = 0;
+  for (int i = 0; i < kReaderIterations; ++i) {
+    const std::string& doc = docs[rng.next() % docs.size()];
+    const std::string input = i % 2 == 0 ? mutate_lines(doc, rng) : mutate(doc, docs, rng);
+    const auto once = read(input);
+    if (!once) continue;
+    ++accepted;
+    const auto again = read(*once);
+    ASSERT_TRUE(again.has_value()) << "re-written text does not read back:\n" << *once;
+    ASSERT_EQ(*again, *once) << "input:\n" << input;
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, static_cast<std::size_t>(kReaderIterations));
+}
+
+}  // namespace
+
+TEST(ReaderFuzz, MutatedNetlistTextNeverCrashesTheReader) {
+  std::vector<std::string> docs;
+  for (const auto& nl : reader_netlists()) docs.push_back(mn::write_netlist(nl));
+  fuzz_reader(
+      docs,
+      [](const std::string& text) -> std::optional<std::string> {
+        const auto nl = mn::read_netlist(cell_library(), text);
+        if (!nl) return std::nullopt;
+        EXPECT_TRUE(connectivity_consistent(*nl)) << "accepted:\n" << text;
+        (void)nl->validate();  // walks the connectivity the reader built
+        return mn::write_netlist(*nl);
+      },
+      31);
+}
+
+TEST(ReaderFuzz, NetlistInputsTheFuzzerFoundAreRejected) {
+  // A design line after an instance used to rebuild the netlist under the
+  // old name table (an out-of-bounds driver id); a second net on one
+  // driver used to overwrite the driver's output net.
+  const std::pair<const char*, std::size_t> cases[] = {
+      {"maestro_netlist 1\ninstance a INPUT\ndesign d\nnet n a\n", 3},
+      {"maestro_netlist 1\ninstance a INPUT\nnet n a\nnet m a\n", 4}};
+  for (const auto& [text, line] : cases) {
+    mn::ParseError err;
+    EXPECT_FALSE(mn::read_netlist(cell_library(), text, &err).has_value()) << text;
+    EXPECT_EQ(err.line, line) << text;
+  }
+}
+
+TEST(ReaderFuzz, MutatedPlacementTextNeverCrashesTheReader) {
+  const auto netlists = reader_netlists();
+  const mn::Netlist& nl = netlists.front();
+  const auto fp = mp::Floorplan::for_netlist(nl, 0.7);
+  std::vector<std::string> docs;
+  for (const std::uint64_t seed : {1ULL, 2ULL}) {
+    mu::Rng rng{seed};
+    docs.push_back(mp::write_placement(mp::random_placement(nl, fp, rng)));
+  }
+  fuzz_reader(
+      docs,
+      [&](const std::string& text) -> std::optional<std::string> {
+        const auto pl = mp::read_placement(nl, fp, text);
+        if (!pl) return std::nullopt;
+        return mp::write_placement(*pl);
+      },
+      32);
 }
