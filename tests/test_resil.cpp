@@ -3,10 +3,10 @@
 //
 // The contract under test: every injected fault is a pure function of
 // (plan seed, site, run seed), so chaos campaigns replay bitwise-identically
-// at any thread count; retries, deadlines and cancellation never leak licenses or
-// double-settle futures; and schedulers degrade gracefully — censored
-// samples, cooled-down arms, dead branches, partial fleets — instead of
-// aborting.
+// at any thread count; retries, deadlines and cancellation never leak
+// licenses or double-settle futures; and schedulers degrade gracefully —
+// censored samples, cooled-down arms, dead branches, partial fleets —
+// instead of aborting.
 
 #include <gtest/gtest.h>
 
