@@ -21,7 +21,9 @@
 //     routes the stall rule ended (RouteResult::stopped_early);
 //   * Phase-B searches and sit-outs, summed: a round's victims are either
 //     searched or sit the round out (route.ripup_segments counts victims,
-//     route.sit_outs the sit-outs).
+//     route.sit_outs the sit-outs);
+//   * maze expansions, summed over every search of the flow (global and
+//     detailed route), read exactly from the thread's MazeArena.
 //
 //   flow_matrix [--seeds FIRST-LAST]      (default --seeds 1-8)
 //
@@ -37,6 +39,7 @@
 #include "flow/flow.hpp"
 #include "netlist/cell_library.hpp"
 #include "obs/registry.hpp"
+#include "route/maze_arena.hpp"
 #include "workload.hpp"
 
 using namespace maestro;
@@ -92,6 +95,7 @@ struct Tally {
   std::size_t stopped_early = 0;
   std::uint64_t searches = 0;
   std::uint64_t sit_outs = 0;
+  std::uint64_t expansions = 0;
 
   void add(const Tally& o) {
     drvs.insert(drvs.end(), o.drvs.begin(), o.drvs.end());
@@ -102,15 +106,17 @@ struct Tally {
     stopped_early += o.stopped_early;
     searches += o.searches;
     sit_outs += o.sit_outs;
+    expansions += o.expansions;
   }
 };
 
 void print_row(const char* name, const Tally& t) {
-  std::printf("%-8s %6zu %10zu %8zu %12.1f %12.1f %7llu %8zu %12llu %10llu\n", name,
+  std::printf("%-8s %6zu %10zu %8zu %12.1f %12.1f %7llu %8zu %12llu %10llu %12llu\n", name,
               t.drvs.size(), t.under_bar, t.success, median(t.drvs), median(t.overflow),
               static_cast<unsigned long long>(t.rounds), t.stopped_early,
               static_cast<unsigned long long>(t.searches),
-              static_cast<unsigned long long>(t.sit_outs));
+              static_cast<unsigned long long>(t.sit_outs),
+              static_cast<unsigned long long>(t.expansions));
 }
 
 bool parse_range(const std::string& s, std::uint64_t& first, std::uint64_t& last) {
@@ -146,6 +152,8 @@ int main(int argc, char** argv) {
   auto& reg = obs::Registry::global();
   obs::Counter& victims = reg.counter("route.ripup_segments");
   obs::Counter& sit_outs = reg.counter("route.sit_outs");
+  // The flow routes on the calling thread, so its searches use this arena.
+  const route::MazeArena& arena = route::thread_arena();
   const auto lib = netlist::make_default_library();
   const flow::FlowManager fm{lib};
 
@@ -157,6 +165,7 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < kCaseCount; ++i) {
         const std::uint64_t victims0 = victims.value();
         const std::uint64_t sit_outs0 = sit_outs.value();
+        const std::uint64_t expansions0 = arena.expansions();
         flow::DesignState state;
         const flow::FlowResult res =
             fm.run_keep_state(recipe_for(i, pass_seed), flow::FlowConstraints{}, state);
@@ -177,6 +186,7 @@ int main(int argc, char** argv) {
         t.stopped_early += state.groute.stopped_early ? 1 : 0;
         t.searches += victims.value() - victims0 - sat;
         t.sit_outs += sat;
+        t.expansions += arena.expansions() - expansions0;
       }
     }
   }
@@ -184,9 +194,9 @@ int main(int argc, char** argv) {
   std::printf("flow matrix: seed sets %llu-%llu x %llu passes x %zu cases, 0.6 GHz, DRV bar %.0f\n",
               static_cast<unsigned long long>(first), static_cast<unsigned long long>(last),
               static_cast<unsigned long long>(kPasses), kCaseCount, kDrvBar);
-  std::printf("%-8s %6s %10s %8s %12s %12s %7s %8s %12s %10s\n", "case", "flows", "under_bar",
-              "success", "median_drvs", "median_ovfl", "rounds", "stopped", "b_searches",
-              "sit_outs");
+  std::printf("%-8s %6s %10s %8s %12s %12s %7s %8s %12s %10s %12s\n", "case", "flows",
+              "under_bar", "success", "median_drvs", "median_ovfl", "rounds", "stopped",
+              "b_searches", "sit_outs", "expansions");
   Tally total;
   for (std::size_t i = 0; i < kCaseCount; ++i) {
     print_row(kCases[i].name, per_case[i]);

@@ -20,8 +20,7 @@
 // Phase-B victims over at least two negotiation rounds. Its speed against
 // the reference router there is reported (one pair; not under a sanitizer)
 // but not gated: congested A* costs the kernel's congestion-aware Phase A
-// several times the expansions of a Phase A on the empty grid, and the
-// ratio reads about 2x.
+// several times the expansions of a Phase A on the empty grid.
 //
 // A third case routes the configuration the flow actually uses: cpu@1
 // placed by the flow's own synthesis/floorplan/place steps at 0.6 GHz, on
@@ -34,6 +33,9 @@
 //
 // Under ThreadSanitizer the large design shrinks (96x96, 8k gates) and the
 // floors relax, and the flow-grid speed ratio is only reported.
+//
+// Every case also reports the kernel route's maze expansions, read exactly
+// from the calling thread's MazeArena.
 //
 // Results are written as machine-readable JSON (default BENCH_groute.json):
 //   perf_groute [output.json]
@@ -52,6 +54,7 @@
 #include "perf_groute_reference.hpp"
 #include "place/placer.hpp"
 #include "route/global_router.hpp"
+#include "route/maze_arena.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -119,12 +122,22 @@ std::size_t segment_count(const place::Placement& pl, route::RouteOptions ro) {
   return route::global_route(pl, ro).segments.size();
 }
 
+/// Maze expansions of `route_fn`'s searches on this thread's arena (the
+/// kernel routes on the calling thread).
+template <typename Fn>
+std::uint64_t count_expansions(Fn&& route_fn) {
+  const std::uint64_t before = route::thread_arena().expansions();
+  route_fn();
+  return route::thread_arena().expansions() - before;
+}
+
 /// What the Phase-B case measured.
 struct PhaseBCase {
   route::RouteResult route;
-  std::uint64_t victims = 0;   ///< route.ripup_segments over the kernel route
-  std::uint64_t sit_outs = 0;  ///< route.sit_outs over the kernel route
-  PairTiming timing;           ///< one pair; zero when not timed
+  std::uint64_t victims = 0;     ///< route.ripup_segments over the kernel route
+  std::uint64_t sit_outs = 0;    ///< route.sit_outs over the kernel route
+  std::uint64_t expansions = 0;  ///< maze expansions of the kernel route
+  PairTiming timing;             ///< one pair; zero when not timed
 };
 
 /// Route `pl` at `ro` with the kernel, counting its Phase-B victims and
@@ -136,8 +149,10 @@ PhaseBCase run_phase_b(const place::Placement& pl, const route::RouteOptions& ro
   auto kernel = [&] {
     const std::uint64_t victims0 = victims.value();
     const std::uint64_t sit_outs0 = sit_outs.value();
-    route::GridGraph g;
-    out.route = route::global_route(pl, ro, g);
+    out.expansions = count_expansions([&] {
+      route::GridGraph g;
+      out.route = route::global_route(pl, ro, g);
+    });
     out.victims = victims.value() - victims0;
     out.sit_outs = sit_outs.value() - sit_outs0;
   };
@@ -162,6 +177,7 @@ struct FlowGridCase {
   std::size_t segments = 0;
   int rounds_used = 0;
   bool stopped_early = false;
+  std::uint64_t expansions = 0;  ///< maze expansions of the kernel route
   PairTiming timing;
 };
 
@@ -204,8 +220,10 @@ FlowGridCase run_flow_grid(const netlist::CellLibrary& lib, int pairs) {
         (void)bench::global_route_reference(pl, ro_ref, g, r);
       },
       [&] {
-        route::GridGraph g;
-        kernel_route = route::global_route(pl, view, ro, g);
+        out.expansions = count_expansions([&] {
+          route::GridGraph g;
+          kernel_route = route::global_route(pl, view, ro, g);
+        });
       });
   out.segments = segment_count(pl, ro);
   out.rounds_used = kernel_route.rounds_used;
@@ -279,6 +297,7 @@ int main(int argc, char** argv) {
 
   // ------------------------------------------------- gate 1: kernel vs seed
   route::RouteResult kernel_res;
+  std::uint64_t full_expansions = 0;
   const PairTiming full = time_pairs(
       kFullPairs,
       [&] {
@@ -287,17 +306,19 @@ int main(int argc, char** argv) {
         (void)bench::global_route_reference(pl, ro, g, r);
       },
       [&] {
-        route::GridGraph g;
-        kernel_res = route::global_route(pl, ro, g);
+        full_expansions = count_expansions([&] {
+          route::GridGraph g;
+          kernel_res = route::global_route(pl, ro, g);
+        });
       });
   const bool full_pass = full.speedup >= kFullFloor;
   std::printf("reference full route  : %9.1f ms\n", full.reference_ms);
   std::printf("kernel full route     : %9.1f ms  (medians of %d alternating pairs; %.1fx, "
               "gate >= %.0fx: %s)\n",
               full.kernel_ms, kFullPairs, full.speedup, kFullFloor, full_pass ? "OK" : "FAIL");
-  std::printf("  rounds %d, converged %d, overflow %.1f, max util %.2f\n", kernel_res.rounds_used,
-              kernel_res.converged ? 1 : 0, kernel_res.total_overflow,
-              kernel_res.max_utilization);
+  std::printf("  rounds %d, converged %d, overflow %.1f, max util %.2f, %llu maze expansions\n",
+              kernel_res.rounds_used, kernel_res.converged ? 1 : 0, kernel_res.total_overflow,
+              kernel_res.max_utilization, static_cast<unsigned long long>(full_expansions));
 
   // ------------------------------- Phase B: the same design, negotiated
   // A few tracks fewer and Phase A overflows by thousands of units, which
@@ -310,9 +331,11 @@ int main(int argc, char** argv) {
               "Phase A, %.1f final\n",
               ro_b.v_capacity, pb.route.rounds_used, pb.route.converged ? 1 : 0,
               pb.route.overflow_per_round.front(), pb.route.total_overflow);
-  std::printf("  %llu victims, %llu sat out (gate >= %llu victims over >= 2 rounds: %s)\n",
+  std::printf("  %llu victims, %llu sat out, %llu maze expansions (gate >= %llu victims over >= "
+              "2 rounds: %s)\n",
               static_cast<unsigned long long>(pb.victims),
               static_cast<unsigned long long>(pb.sit_outs),
+              static_cast<unsigned long long>(pb.expansions),
               static_cast<unsigned long long>(kMinPhaseBVictims), pb_pass ? "OK" : "FAIL");
   if (kTimePhaseB) {
     std::printf("  reference %.1f ms, kernel %.1f ms (one pair; %.2fx, reported only)\n",
@@ -321,9 +344,11 @@ int main(int argc, char** argv) {
 
   // ------------------------------------- flow grid: what the flow routes
   const FlowGridCase fg = run_flow_grid(lib, kFlowGridPairs);
-  std::printf("flow grid (cpu@1, %zux%zu, run_route capacities): %zu segments, %d rounds%s\n",
+  std::printf("flow grid (cpu@1, %zux%zu, run_route capacities): %zu segments, %d rounds%s, "
+              "%llu maze expansions\n",
               fg.grid, fg.grid, fg.segments, fg.rounds_used,
-              fg.stopped_early ? " (stalled; reference capped to match)" : "");
+              fg.stopped_early ? " (stalled; reference capped to match)" : "",
+              static_cast<unsigned long long>(fg.expansions));
   const bool fg_speed_pass = sanitized || fg.timing.speedup >= kFlowGridFloor;
   std::printf("  reference %.1f ms, kernel %.1f ms (medians of %d alternating pairs; %.2fx, "
               "gate >= %.1fx: %s)\n",
@@ -349,6 +374,7 @@ int main(int argc, char** argv) {
   report["rounds_used"] = util::Json{static_cast<double>(kernel_res.rounds_used)};
   report["converged"] = util::Json{kernel_res.converged};
   report["final_overflow"] = util::Json{kernel_res.total_overflow};
+  report["expansions"] = util::Json{static_cast<double>(full_expansions)};
   report["reference_ms"] = util::Json{full.reference_ms};
   report["kernel_ms"] = util::Json{full.kernel_ms};
   report["full_speedup"] = util::Json{full.speedup};
@@ -361,6 +387,7 @@ int main(int argc, char** argv) {
   phase_b["final_overflow"] = util::Json{pb.route.total_overflow};
   phase_b["victims"] = util::Json{static_cast<double>(pb.victims)};
   phase_b["sit_outs"] = util::Json{static_cast<double>(pb.sit_outs)};
+  phase_b["expansions"] = util::Json{static_cast<double>(pb.expansions)};
   phase_b["min_victims"] = util::Json{static_cast<double>(kMinPhaseBVictims)};
   if (kTimePhaseB) {
     phase_b["reference_ms"] = util::Json{pb.timing.reference_ms};
@@ -374,6 +401,7 @@ int main(int argc, char** argv) {
   flow_grid["segments"] = util::Json{static_cast<double>(fg.segments)};
   flow_grid["rounds_used"] = util::Json{static_cast<double>(fg.rounds_used)};
   flow_grid["stopped_early"] = util::Json{fg.stopped_early};
+  flow_grid["expansions"] = util::Json{static_cast<double>(fg.expansions)};
   flow_grid["reference_ms"] = util::Json{fg.timing.reference_ms};
   flow_grid["kernel_ms"] = util::Json{fg.timing.kernel_ms};
   flow_grid["kernel_speedup"] = util::Json{fg.timing.speedup};

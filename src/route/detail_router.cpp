@@ -130,6 +130,8 @@ DetailRouteResult detail_route(const place::Placement& pl, GridGraph& grid,
         0.5 * (static_cast<double>(netlist::input_count(m.function)) + 1.0);
   }
 
+  std::vector<std::uint32_t> old_edges;  // 32-bit copy of a ripped-up path
+
   for (int it = 0; it < opt.max_iterations; ++it) {
     // Span per rip-up-and-reroute iteration: DRV count and overflow land as
     // args, elapsed time is the span's own duration — the "tool logfile as
@@ -176,7 +178,9 @@ DetailRouteResult detail_route(const place::Placement& pl, GridGraph& grid,
     for (std::size_t k = 0; k < n_rip; ++k) {
       auto& seg = segments[victims[k]];
       for (const std::size_t e : seg.edges) grid.add_usage(e, -1.0);
-      seg.edges = maze_route_segment(grid, seg.from, seg.to, 1.2, 0.6);
+      // The ripped-up path bounds its own reroute.
+      old_edges.assign(seg.edges.begin(), seg.edges.end());
+      seg.edges = maze_route_segment(grid, seg.from, seg.to, 1.2, 0.6, old_edges);
       for (const std::size_t e : seg.edges) grid.add_usage(e, 1.0);
     }
   }

@@ -178,14 +178,15 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph)
   // costs as a table the searches read instead of re-deriving them.
   graph.track_costs(opt.present_cost_weight, opt.history_cost_weight);
   MazeArena& arena = thread_arena();
-  auto search = [&](std::size_t i) {
+  auto search = [&](std::size_t i, std::span<const std::uint32_t> incumbent = {}) {
     return arena_maze_route(graph, arena, plan.seg_from[i], plan.seg_to[i],
-                            opt.present_cost_weight, opt.history_cost_weight);
+                            opt.present_cost_weight, opt.history_cost_weight, incumbent);
   };
 
   // ---- Phase A: congestion-aware initial routes, committed as found ----
   {
     obs::Span span("groute_phase_a", "route");
+    const std::uint64_t expansions0 = arena.expansions();
     std::size_t searched = 0;
     for (std::size_t i = 0; i < n_segs; ++i) {
       Path path;
@@ -196,7 +197,9 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph)
       }
       plan.add_initial(path);
     }
-    span.arg("segments", static_cast<double>(n_segs)).arg("searched", static_cast<double>(searched));
+    span.arg("segments", static_cast<double>(n_segs))
+        .arg("searched", static_cast<double>(searched))
+        .arg("expansions", static_cast<double>(arena.expansions() - expansions0));
     plan.reroute_slot.assign(n_segs, NetPlan::kNotRerouted);
   }
 
@@ -239,22 +242,25 @@ RouteResult route_plan(NetPlan& plan, const RouteOptions& opt, GridGraph& graph)
     std::size_t sat_out = 0;
     {
       obs::Span reroute_span("groute_reroute", "route");
+      const std::uint64_t expansions0 = arena.expansions();
       for (const std::uint32_t i : victims) {
         if (sits_out[i] != 0) {
           sits_out[i] = 0;
           ++sat_out;
           continue;
         }
+        // The old path, priced on the grid without it, bounds the search.
         const auto old = plan.current(i);
         for (const std::uint32_t e : old) graph.add_usage(e, -1.0);
-        const Path path = search(i);
+        const Path path = search(i, old);
         const bool unchanged = std::equal(path.begin(), path.end(), old.begin(), old.end());
         sits_out[i] = unchanged ? 1 : 0;
         if (!unchanged) plan.set_current(i, path);
         for (const std::uint32_t e : plan.current(i)) graph.add_usage(e, 1.0);
       }
       reroute_span.arg("victims", static_cast<double>(victims.size()))
-          .arg("sat_out", static_cast<double>(sat_out));
+          .arg("sat_out", static_cast<double>(sat_out))
+          .arg("expansions", static_cast<double>(arena.expansions() - expansions0));
     }
     sit_out_counter.add(sat_out);
 
@@ -353,8 +359,10 @@ RouteResult global_route(const place::Placement& pl, const RouteOptions& opt) {
 
 std::vector<std::size_t> maze_route_segment(const GridGraph& g, const GCell& from,
                                             const GCell& to, double present_weight,
-                                            double history_weight) {
-  return arena_maze_route(g, thread_arena(), from, to, present_weight, history_weight);
+                                            double history_weight,
+                                            std::span<const std::uint32_t> incumbent) {
+  return arena_maze_route(g, thread_arena(), from, to, present_weight, history_weight,
+                          incumbent);
 }
 
 }  // namespace maestro::route

@@ -39,21 +39,26 @@
 // (present, history) weights, so a relaxation reads one double instead of
 // re-deriving the congestion cost; its incremental overflow ledger makes the
 // per-round convergence check and history charging O(overflowed) instead of
-// O(E).
+// O(E). A Phase-B search gets the victim's old path as its incumbent: the
+// arena prunes every relaxation that cannot beat it (see maze_arena.hpp),
+// which roughly halves the expansions of a congested reroute and never
+// changes the path it returns.
 //
 // Paths live in flat 32-bit arrays: Phase-A paths as one CSR, and a
 // segment's current path is its Phase-A path until Phase B replaces it, so
 // nothing is deep-copied path by path.
 //
 // Trace spans (obs): groute_plan (net plan build), groute_phase_a (args
-// segments, searched; search and commit interleave, so it has no child
-// spans), then one groute_round per negotiation round (args round, ripped =
-// victims searched, overflow, and stopped_early = 1 on the round the stall
-// rule ends) with children groute_victims and groute_reroute (args victims,
-// sat_out). Counters: route.ripup_segments (victims per round, summed) and
-// route.sit_outs (victims that sat their round out, summed), so the
-// Phase-B searches are their difference; route.rounds_stopped_early
-// (routes the stall rule ended).
+// segments, searched, expansions; search and commit interleave, so it has
+// no child spans), then one groute_round per negotiation round (args round,
+// ripped = victims searched, overflow, and stopped_early = 1 on the round
+// the stall rule ends) with children groute_victims and groute_reroute
+// (args victims, sat_out, expansions). The expansions args are the exact
+// maze expansions of the phase, from the arena's own count. Counters:
+// route.ripup_segments (victims per round, summed) and route.sit_outs
+// (victims that sat their round out, summed), so the Phase-B searches are
+// their difference; route.rounds_stopped_early (routes the stall rule
+// ended).
 //
 // The incremental reroute that reused cached Phase-A paths of unmoved nets
 // is gone: with Phase A pricing congestion, a cached path is no longer the
@@ -127,9 +132,11 @@ RouteResult global_route(const place::Placement& pl, const RouteOptions& opt);
 /// Single-segment congestion-aware maze route on an existing grid (exposed
 /// for the detailed router's rip-up-and-reroute passes). Returns the edge-id
 /// path; does NOT update usage — callers add/remove usage themselves. Uses
-/// the calling thread's arena.
+/// the calling thread's arena. `incumbent` (a known from -> to path, e.g.
+/// the ripped-up one) only bounds the search; see arena_maze_route.
 std::vector<std::size_t> maze_route_segment(const GridGraph& g, const GCell& from,
                                             const GCell& to, double present_weight,
-                                            double history_weight);
+                                            double history_weight,
+                                            std::span<const std::uint32_t> incumbent = {});
 
 }  // namespace maestro::route

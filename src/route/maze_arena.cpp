@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <functional>
+#include <limits>
+#include <utility>
 
 #include "obs/registry.hpp"
 
@@ -50,7 +53,8 @@ inline OpenKey open_key(double f, std::uint32_t h, std::uint32_t local) {
 
 template <typename EdgeCost>
 std::vector<std::size_t> MazeArena::route(const GridGraph& g, const GCell& from, const GCell& to,
-                                          EdgeCost edge_cost) {
+                                          EdgeCost edge_cost,
+                                          std::span<const std::uint32_t> incumbent) {
   std::vector<std::size_t> path;
   if (from == to) return path;
   const SearchWindow win = search_window(g, from, to);
@@ -77,15 +81,85 @@ std::vector<std::size_t> MazeArena::route(const GridGraph& g, const GCell& from,
     return north0 + (local >> shift) * cols + (local & mask);
   };
 
+  const std::uint32_t sc = from.col - win.col_lo;
+  const std::uint32_t sr = from.row - win.row_lo;
   const std::uint32_t tc = to.col - win.col_lo;
   const std::uint32_t tr = to.row - win.row_lo;
   auto heuristic = [&](std::uint32_t lc, std::uint32_t lr) {
     return (lc > tc ? lc - tc : tc - lc) + (lr > tr ? lr - tr : tr - lr);
   };
 
+  // ---- upper bound U: the cheapest L route or valid incumbent ----
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto east_run = [&](std::uint32_t lr, std::uint32_t c0, std::uint32_t c1) {
+    double cost = 0.0;
+    for (std::uint32_t c = std::min(c0, c1); c < std::max(c0, c1); ++c) {
+      cost += edge_cost(east_of(lr << shift | c));
+    }
+    return cost;
+  };
+  auto north_run = [&](std::uint32_t lc, std::uint32_t r0, std::uint32_t r1) {
+    double cost = 0.0;
+    for (std::uint32_t r = std::min(r0, r1); r < std::max(r0, r1); ++r) {
+      cost += edge_cost(north_of(r << shift | lc));
+    }
+    return cost;
+  };
+  // The incumbent's cost if it walks from `from` to `to` inside the window
+  // (only then does it bound the windowed optimum), else +inf.
+  const double incumbent_cost = [&] {
+    GCell at = from;
+    double cost = 0.0;
+    for (const std::uint32_t e : incumbent) {
+      if (e >= g.edge_count()) return kInf;
+      const auto [a, b] = g.edge_cells(e);
+      if (!win.contains(a) || !win.contains(b) || !(at == a || at == b)) return kInf;
+      at = at == a ? b : a;
+      cost += edge_cost(e);
+    }
+    return at == to ? cost : kInf;
+  }();
+  const bool has_incumbent = incumbent_cost < kInf;
+  const double upper = std::min({incumbent_cost, east_run(sr, sc, tc) + north_run(tc, sr, tr),
+                                 north_run(sc, sr, tr) + east_run(tr, sc, tc)});
+  const double bound = upper * (1.0 + kBoundSlack) + kBoundSlack;
+
+  // ---- lower bound LB(v) = col_lb_[col] + row_lb_[row] ----
+  col_lb_.resize(width);
+  row_lb_.resize(height);
+  if (has_incumbent) {
+    // Cheapest East edge of each column step and cheapest North edge of
+    // each row step, scanned row by row; then prefix sums, then distances
+    // to the target's prefix.
+    std::fill(col_lb_.begin(), col_lb_.end(), kInf);
+    std::fill(row_lb_.begin(), row_lb_.end(), kInf);
+    for (std::uint32_t lr = 0; lr < height; ++lr) {
+      const std::size_t east = east_of(lr << shift);
+      for (std::uint32_t c = 0; c + 1 < width; ++c) {
+        col_lb_[c] = std::min(col_lb_[c], edge_cost(east + c));
+      }
+      if (lr + 1 == height) break;
+      const std::size_t north = north_of(lr << shift);
+      double cheapest = kInf;
+      for (std::uint32_t c = 0; c < width; ++c) cheapest = std::min(cheapest, edge_cost(north + c));
+      row_lb_[lr] = cheapest;
+    }
+    auto to_distances = [](std::vector<double>& step, std::uint32_t target) {
+      double prefix = 0.0;
+      for (double& v : step) prefix += std::exchange(v, prefix);
+      const double at_target = step[target];
+      for (double& v : step) v = std::abs(v - at_target);
+    };
+    to_distances(col_lb_, tc);
+    to_distances(row_lb_, tr);
+  } else {
+    for (std::uint32_t c = 0; c < width; ++c) col_lb_[c] = c > tc ? c - tc : tc - c;
+    for (std::uint32_t r = 0; r < height; ++r) row_lb_[r] = r > tr ? r - tr : tr - r;
+  }
+  const double* const col_lb = col_lb_.data();
+  const double* const row_lb = row_lb_.data();
+
   auto& open = heap_;
-  const std::uint32_t sc = from.col - win.col_lo;
-  const std::uint32_t sr = from.row - win.row_lo;
   const std::uint32_t s = sr << shift | sc;
   const std::uint32_t t = tr << shift | tc;
   slots_[s] = {0.0, epoch, s};
@@ -110,8 +184,9 @@ std::vector<std::size_t> MazeArena::route(const GridGraph& g, const GCell& from,
     const std::size_t east = east_of(u);
     const std::size_t north = north_of(u);
     auto relax = [&](std::uint32_t v, std::uint32_t vc, std::uint32_t vr, std::size_t edge) {
-      Slot& sv = slots_[v];
       const double nd = du + edge_cost(edge);
+      if (nd + col_lb[vc] + row_lb[vr] > bound) return;  // on no path within U
+      Slot& sv = slots_[v];
       if (sv.stamp != epoch || nd < sv.dist - 1e-12) {
         sv = {nd, epoch, u};
         const std::uint32_t nh = heuristic(vc, vr);
@@ -127,12 +202,12 @@ std::vector<std::size_t> MazeArena::route(const GridGraph& g, const GCell& from,
   // The expansion counter is a single process-global atomic; bumping it per
   // search from 8 workers turns a metrics read into cacheline ping-pong, so
   // each arena batches locally and flushes in coarse chunks.
-  pending_expansions_ += expansions;
-  if (pending_expansions_ >= kExpansionFlush) {
+  expansions_ += expansions;
+  if (expansions_ - flushed_expansions_ >= kExpansionFlush) {
     static obs::Counter& expansion_counter =
         obs::Registry::global().counter("route.maze_expansions");
-    expansion_counter.add(pending_expansions_);
-    pending_expansions_ = 0;
+    expansion_counter.add(expansions_ - flushed_expansions_);
+    flushed_expansions_ = expansions_;
   }
 
   if (slots_[t].stamp != epoch) return path;  // unreachable (shouldn't happen)
@@ -154,13 +229,15 @@ std::vector<std::size_t> MazeArena::route(const GridGraph& g, const GCell& from,
 }
 
 std::vector<std::size_t> arena_maze_route(const GridGraph& g, MazeArena& a, const GCell& from,
-                                          const GCell& to, double present_w, double history_w) {
+                                          const GCell& to, double present_w, double history_w,
+                                          std::span<const std::uint32_t> incumbent) {
   if (const double* table = g.cost_table(present_w, history_w)) {
-    return a.route(g, from, to, [table](std::size_t e) { return table[e]; });
+    return a.route(g, from, to, [table](std::size_t e) { return table[e]; }, incumbent);
   }
-  return a.route(g, from, to, [&g, present_w, history_w](std::size_t e) {
-    return g.edge_cost(e, present_w, history_w);
-  });
+  return a.route(
+      g, from, to,
+      [&g, present_w, history_w](std::size_t e) { return g.edge_cost(e, present_w, history_w); },
+      incumbent);
 }
 
 }  // namespace maestro::route

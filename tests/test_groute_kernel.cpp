@@ -4,6 +4,9 @@
 //  * MazeArena windowed A* == brute-force Dijkstra on the same window
 //    (path-cost equivalence on random congested grids), plus arena reuse
 //    across grids of different sizes;
+//  * the branch-and-bound search returns the same edge list with any
+//    incumbent (optimal, L route, detour, outside the window) and never
+//    expands more;
 //  * the GridGraph incremental overflow ledger == brute-force recomputation
 //    under randomized usage churn;
 //  * rip-up bookkeeping: final edge usage == recount over the committed
@@ -27,6 +30,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -374,6 +378,127 @@ TEST(MazeArena, ReuseAcrossGridSizesIsClean) {
   }
 }
 
+/// A random grid congested the way late negotiation rounds are: usage up to
+/// 1.5x each edge's capacity and random history. A share `flat` of the
+/// edges carries one track less than capacity and no history, so those edges
+/// cost the same per direction, more than 1: equal-cost paths tie (the open
+/// list's tie-breaking picks one) and the window lower bound exceeds the
+/// Manhattan distance.
+mr::GridGraph overcommitted_grid(std::size_t cols, std::size_t rows, double flat, Rng& rng) {
+  const maestro::geom::GridIndexer idx{{{0, 0}, {100000, 100000}}, cols, rows};
+  mr::GridGraph g{cols, rows, 6.0, 4.0, idx};
+  for (std::size_t e = 0; e < g.edge_count(); ++e) {
+    if (rng.uniform() < flat) {
+      g.add_usage(e, g.capacity(e) - 1.0);
+      continue;
+    }
+    const auto most = static_cast<std::uint64_t>(1.5 * g.capacity(e));
+    g.add_usage(e, static_cast<double>(rng.below(most + 1)));
+    if (rng.uniform() < 0.4) g.bump_history(e, static_cast<double>(rng.below(5)));
+  }
+  return g;
+}
+
+/// Edge ids of the horizontal-first L walk from `a` to `b`.
+std::vector<std::uint32_t> l_walk(const mr::GridGraph& g, mr::GCell a, const mr::GCell& b) {
+  std::vector<std::uint32_t> walk;
+  for (; a.col < b.col; ++a.col) walk.push_back(static_cast<std::uint32_t>(g.edge_id(a, mr::Dir::East)));
+  for (; a.col > b.col; --a.col) {
+    walk.push_back(static_cast<std::uint32_t>(g.edge_id({a.col - 1, a.row}, mr::Dir::East)));
+  }
+  for (; a.row < b.row; ++a.row) walk.push_back(static_cast<std::uint32_t>(g.edge_id(a, mr::Dir::North)));
+  for (; a.row > b.row; --a.row) {
+    walk.push_back(static_cast<std::uint32_t>(g.edge_id({a.col, a.row - 1}, mr::Dir::North)));
+  }
+  return walk;
+}
+
+/// The L walk a -> via -> b.
+std::vector<std::uint32_t> detour(const mr::GridGraph& g, const mr::GCell& a, const mr::GCell& via,
+                                  const mr::GCell& b) {
+  std::vector<std::uint32_t> walk = l_walk(g, a, via);
+  const std::vector<std::uint32_t> rest = l_walk(g, via, b);
+  walk.insert(walk.end(), rest.begin(), rest.end());
+  return walk;
+}
+
+TEST(MazeArena, IncumbentBoundNeverChangesThePath) {
+  // Branch and bound returns the path of the unbounded search, edge for
+  // edge, whatever incumbent bounds it: the optimal path itself (U == C*,
+  // where only the bound's slack keeps its nodes), an L route, a random
+  // detour through the window, and a walk leaving the window (ignored, so
+  // the search expands exactly what it does without one). The bound never
+  // costs expansions, and without an incumbent the search still matches
+  // the unpruned tuple-heap oracle. Flat grids have many equal-cost paths,
+  // so a bound that reordered the open list would show.
+  Rng rng{909};
+  const std::pair<std::size_t, std::size_t> shapes[] = {{12, 12}, {40, 33}, {64, 64}, {9, 30}};
+  mr::MazeArena arena;
+  std::size_t checked = 0;
+  std::uint64_t unbounded_total = 0;
+  std::uint64_t bounded_total = 0;
+  for (const auto& [cols, rows] : shapes) {
+    for (const double flat : {0.0, 0.8, 1.0}) {
+      mr::GridGraph g = overcommitted_grid(cols, rows, flat, rng);
+      g.track_costs(1.0, 0.4);
+      for (int k = 0; k < 25; ++k) {
+        const mr::GCell a{static_cast<std::uint32_t>(rng.below(cols)),
+                          static_cast<std::uint32_t>(rng.below(rows))};
+        const mr::GCell b{static_cast<std::uint32_t>(rng.below(cols)),
+                          static_cast<std::uint32_t>(rng.below(rows))};
+        if (a == b) continue;
+        const auto win = mr::search_window(g, a, b);
+        const mr::GCell inside{win.col_lo + static_cast<std::uint32_t>(
+                                                rng.below(win.col_hi - win.col_lo + 1)),
+                               win.row_lo + static_cast<std::uint32_t>(
+                                                rng.below(win.row_hi - win.row_lo + 1))};
+        std::vector<mr::GCell> outside;
+        if (win.col_hi + 1 < cols) outside.push_back({win.col_hi + 1, inside.row});
+        if (win.col_lo > 0) outside.push_back({win.col_lo - 1, inside.row});
+        if (win.row_hi + 1 < rows) outside.push_back({inside.col, win.row_hi + 1});
+        if (win.row_lo > 0) outside.push_back({inside.col, win.row_lo - 1});
+        // Table weights (the router's) and direct evaluation (1.2 / 0.6).
+        for (const auto& [pw, hw] : {std::pair{1.0, 0.4}, std::pair{1.2, 0.6}}) {
+          const std::uint64_t before = arena.expansions();
+          const auto want = mr::arena_maze_route(g, arena, a, b, pw, hw);
+          const std::uint64_t unbounded = arena.expansions() - before;
+          ASSERT_FALSE(want.empty());
+          expect_connected(g, want, a, b);
+          ASSERT_EQ(want, tuple_heap_route(g, a, b, pw, hw));
+          const std::vector<std::uint32_t> optimal(want.begin(), want.end());
+          std::vector<std::pair<const char*, std::vector<std::uint32_t>>> incumbents = {
+              {"optimal", optimal},
+              {"L route", l_walk(g, a, b)},
+              {"detour", detour(g, a, inside, b)},
+          };
+          for (const auto& via : outside) {
+            incumbents.emplace_back("outside the window", detour(g, a, via, b));
+          }
+          for (const auto& [kind, incumbent] : incumbents) {
+            const std::uint64_t at = arena.expansions();
+            const auto got = mr::arena_maze_route(g, arena, a, b, pw, hw, incumbent);
+            const std::uint64_t bounded = arena.expansions() - at;
+            ASSERT_EQ(got, want) << kind << " incumbent, " << cols << "x" << rows << " ("
+                                 << a.col << "," << a.row << ")->(" << b.col << "," << b.row
+                                 << ") weights " << pw << "/" << hw;
+            EXPECT_LE(bounded, unbounded) << kind;
+            if (std::string_view{kind} == "outside the window") {
+              EXPECT_EQ(bounded, unbounded);
+            } else {
+              unbounded_total += unbounded;
+              bounded_total += bounded;
+            }
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+  // On these grids the tight bound prunes for real.
+  EXPECT_LT(bounded_total, unbounded_total);
+}
+
 TEST(OverflowLedger, MatchesBruteForceUnderRandomChurn) {
   // Also covers the maintained cost table: under random add_usage,
   // bump_history and reset_usage, every entry must equal the cost formula
@@ -595,6 +720,8 @@ TEST(GlobalRouter, PhaseSpansArePerRound) {
   // one victims/reroute span each, never one per segment. The reroute span
   // reports the round's victims and how many of them sat the round out, the
   // round span how many were ripped up, and both add up to the counters.
+  // Phase A and each reroute span also report their maze expansions, which
+  // add up to the arena's own count.
   std::unique_ptr<mn::Netlist> nl;
   std::unique_ptr<mp::Floorplan> fp;
   const auto pl = placed_design(31, 800, 0.8, nl, fp);
@@ -603,10 +730,12 @@ TEST(GlobalRouter, PhaseSpansArePerRound) {
   opt.h_capacity = opt.v_capacity = 7.0;
   const auto victims_before = counter_value("route.ripup_segments");
   const auto sit_outs_before = counter_value("route.sit_outs");
+  const std::uint64_t expansions_before = mr::thread_arena().expansions();
   obs::Tracer tracer;
   obs::Tracer::install(&tracer);
   const auto res = mr::global_route(pl, opt);
   obs::Tracer::uninstall();
+  const auto expansion_count = mr::thread_arena().expansions() - expansions_before;
   const auto victim_count = counter_value("route.ripup_segments") - victims_before;
   const auto sit_out_count = counter_value("route.sit_outs") - sit_outs_before;
   ASSERT_GT(res.rounds_used, 1);
@@ -616,6 +745,8 @@ TEST(GlobalRouter, PhaseSpansArePerRound) {
   double victims = 0.0;
   double sat_out = 0.0;
   double ripped = 0.0;
+  double phase_a_expansions = 0.0;
+  double reroute_expansions = 0.0;
   for (const auto& ev : tracer.snapshot()) {
     ++count[ev.name];
     const std::map<std::string, double> args(ev.num_args.begin(), ev.num_args.end());
@@ -623,6 +754,8 @@ TEST(GlobalRouter, PhaseSpansArePerRound) {
       ASSERT_EQ(args.count("segments"), 1u);
       EXPECT_GT(args.at("segments"), 0.0);
       EXPECT_EQ(args.at("searched"), args.at("segments"));  // distinct pins: all searched
+      ASSERT_EQ(args.count("expansions"), 1u);
+      phase_a_expansions += args.at("expansions");
     }
     if (ev.name == "groute_round") {
       EXPECT_EQ(args.count("batches"), 0u);
@@ -631,6 +764,8 @@ TEST(GlobalRouter, PhaseSpansArePerRound) {
     if (ev.name != "groute_reroute") continue;
     ASSERT_EQ(args.count("victims"), 1u);
     ASSERT_EQ(args.count("sat_out"), 1u);
+    ASSERT_EQ(args.count("expansions"), 1u);
+    reroute_expansions += args.at("expansions");
     EXPECT_GE(args.at("victims"), 1.0);
     EXPECT_LE(args.at("sat_out"), args.at("victims"));
     victims += args.at("victims");
@@ -653,6 +788,9 @@ TEST(GlobalRouter, PhaseSpansArePerRound) {
   EXPECT_EQ(sat_out, static_cast<double>(sit_out_count));
   EXPECT_GT(sat_out, 0.0);  // this route does exercise the sit-out
   EXPECT_EQ(ripped, victims - sat_out);
+  EXPECT_GT(phase_a_expansions, 0.0);
+  EXPECT_GT(reroute_expansions, 0.0);
+  EXPECT_EQ(phase_a_expansions + reroute_expansions, static_cast<double>(expansion_count));
 }
 
 TEST(GlobalRouter, PerNetSegmentsMatchDeduplicatedPins) {
