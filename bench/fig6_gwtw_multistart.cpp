@@ -7,14 +7,15 @@
 //     a big-valley landscape (adaptive wins) and on a structureless
 //     scattered-minima control (no advantage) — the "big valley" is exactly
 //     what adaptive multistart exploits.
-// (c) GWTW over detailed-route DRV trajectories with the batched multi-seed
-//     advance (route::simulate_drv_batch): the whole population moves one
-//     round in a single SoA pass, bit-identical to the per-thread path.
+// (c) GWTW over detailed-route DRV trajectories (route::simulate_drv_run per
+//     thread and round), run on one thread and on a 4-thread pool: the two
+//     campaigns must be bit-identical.
 
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
 
+#include "exec/executor.hpp"
 #include "opt/gwtw.hpp"
 #include "opt/landscape.hpp"
 #include "opt/local_search.hpp"
@@ -102,7 +103,7 @@ int main() {
   const mo::ScatteredMinimaLandscape control{8, 43};
   const auto [sc_a, sc_r] = compare_on(control, "scattered_control:");
 
-  std::puts("\n=== FIG6(c): GWTW over DRV runs, batched multi-seed advance ===");
+  std::puts("\n=== FIG6(c): GWTW over DRV runs, 1 vs 4 threads ===");
   // Each GWTW thread is a layout attempt: a round runs one detailed-route
   // campaign at the thread's difficulty; success relaxes the difficulty
   // (ECO cleanup), thrash tightens it. Cost = final DRVs of the round.
@@ -139,35 +140,23 @@ int main() {
   drv_opt.rounds = 12;
   drv_opt.survivor_fraction = 0.5;
 
-  Rng scalar_rng{7};
-  const auto scalar = mo::go_with_the_winners(drv_prob, drv_opt, scalar_rng);
+  Rng serial_rng{7};
+  const auto serial = mo::go_with_the_winners(drv_prob, drv_opt, serial_rng);
 
-  // Batched path: identical per-thread seeds, one simulate_drv_batch call
-  // per round instead of population-many scalar runs.
-  mo::GwtwProblem<DrvState> drv_prob_batched = drv_prob;
-  drv_prob_batched.advance_batch = [&step_state](const std::vector<DrvState>& states,
-                                                 std::span<const std::uint64_t> seeds) {
-    std::vector<mr::RouteDifficulty> diffs(states.size());
-    for (std::size_t i = 0; i < states.size(); ++i) diffs[i] = states[i].diff;
-    mr::DrvBatchOptions bo;
-    bo.iterations = kDrvIters;
-    bo.initial_drv_scale = kDrvScale;
-    const mr::DrvBatch batch = mr::simulate_drv_batch(diffs, seeds, bo);
-    std::vector<DrvState> next(states.size());
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      next[i] = step_state(states[i], batch.trajectory(i).back(), batch.succeeded[i] != 0);
-    }
-    return next;
-  };
-  Rng batched_rng{7};
-  const auto batched = mo::go_with_the_winners(drv_prob_batched, drv_opt, batched_rng);
+  // Same campaign on a 4-thread pool: per-thread seeds derive from (round,
+  // thread), so the rounds must come out bit-identical.
+  maestro::exec::RunExecutor pool{{.threads = 4}};
+  mo::GwtwOptions pooled_opt = drv_opt;
+  pooled_opt.executor = &pool;
+  Rng pooled_rng{7};
+  const auto pooled = mo::go_with_the_winners(drv_prob, pooled_opt, pooled_rng);
 
-  bool drv_identical = scalar.best_cost == batched.best_cost &&
-                       scalar.best_per_round == batched.best_per_round &&
-                       scalar.mean_per_round == batched.mean_per_round;
-  std::printf("best final DRVs: scalar %.0f vs batched %.0f\n", scalar.best_cost,
-              batched.best_cost);
-  std::printf("batched advance bit-identical to per-thread: %s\n",
+  const bool drv_identical = serial.best_cost == pooled.best_cost &&
+                             serial.best_per_round == pooled.best_per_round &&
+                             serial.mean_per_round == pooled.mean_per_round;
+  std::printf("best final DRVs: 1 thread %.0f vs 4 threads %.0f\n", serial.best_cost,
+              pooled.best_cost);
+  std::printf("1-thread and 4-thread rounds bit-identical: %s\n",
               drv_identical ? "OK" : "MISMATCH");
 
   std::printf("\nShape check vs paper:\n");

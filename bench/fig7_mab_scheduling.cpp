@@ -43,7 +43,7 @@ int main() {
   opt.frequency_arms_ghz = core::frequency_arms(0.3, 3.0, 15);
   opt.iterations = 40;
   opt.concurrency = 5;
-  opt.algorithm = core::MabAlgorithm::Thompson;
+  opt.algorithm = ml::PolicyKind::Thompson;
   const core::MabScheduler ts{opt};
   util::Rng rng{2018};
   const auto res = ts.run(oracle, rng);
@@ -114,8 +114,8 @@ int main() {
   const auto light_oracle =
       core::make_flow_oracle(fm, light, flow::FlowTrajectory{}, light_constraints);
   util::CsvTable cmp{{"algorithm", "best_feasible_GHz", "success_rate", "regret"}};
-  for (const auto alg : {core::MabAlgorithm::Thompson, core::MabAlgorithm::Softmax,
-                         core::MabAlgorithm::EpsilonGreedy, core::MabAlgorithm::Ucb1}) {
+  for (const auto alg : {ml::PolicyKind::Thompson, ml::PolicyKind::Softmax,
+                         ml::PolicyKind::EpsilonGreedy, ml::PolicyKind::Ucb1}) {
     util::RunningStats best;
     util::RunningStats succ;
     util::RunningStats regret;
@@ -131,7 +131,7 @@ int main() {
       regret.add(rr.total_regret);
     }
     cmp.new_row()
-        .add(core::to_string(alg))
+        .add(ml::to_string(alg))
         .add(best.mean(), 3)
         .add(succ.mean(), 3)
         .add(regret.mean(), 2);

@@ -19,7 +19,6 @@
 #include "netlist/generators.hpp"
 #include "place/placer.hpp"
 #include "power/ir_drop.hpp"
-#include "route/drv_sim.hpp"
 #include "route/global_router.hpp"
 #include "route/maze_arena.hpp"
 #include "store/fingerprint.hpp"
@@ -175,23 +174,6 @@ static void BM_GRouteRound(benchmark::State& state) {
 }
 BENCHMARK(BM_GRouteRound);
 
-static void BM_DrvBatched(benchmark::State& state) {
-  // One batched multi-seed DRV advance (a GWTW round) at N seeds per pass.
-  const auto runs = static_cast<std::size_t>(state.range(0));
-  std::vector<route::RouteDifficulty> diffs;
-  std::vector<std::uint64_t> seeds;
-  for (std::size_t i = 0; i < runs; ++i) {
-    diffs.push_back({0.1 + 0.8 * static_cast<double>(i) / static_cast<double>(runs)});
-    seeds.push_back(0x5100 + i);
-  }
-  route::DrvBatchOptions bo;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(route::simulate_drv_batch(diffs, seeds, bo));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_DrvBatched)->Arg(8)->Arg(64);
-
 static void BM_StaGba(benchmark::State& state) {
   const auto& f = fixture(static_cast<std::size_t>(state.range(0)));
   timing::StaOptions opt;
@@ -260,18 +242,6 @@ static void BM_StaIncremental(benchmark::State& state) {
   nl.resize_instance(victim, original);
 }
 BENCHMARK(BM_StaIncremental);
-
-static void BM_StaBatchedCorners(benchmark::State& state) {
-  // All three standard corners in one sweep vs. three sequential analyses.
-  const auto& f = fixture(1000);
-  timing::TimingGraph graph(*f.pl, f.clock);
-  timing::StaOptions opt;
-  opt.mode = timing::AnalysisMode::PathBased;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph.analyze_corners(opt, timing::standard_corners()));
-  }
-}
-BENCHMARK(BM_StaBatchedCorners);
 
 static void BM_IrDrop(benchmark::State& state) {
   const auto& f = fixture(1000);

@@ -1,20 +1,16 @@
 // perf_sta — the timing-kernel benchmark and acceptance gate.
 //
-// Measures the four STA access patterns on one placed+routed design in the
+// Measures the three STA access patterns on one placed+routed design in the
 // signoff-heavy configuration (PBA + SI + hold):
 //   * full_rebuild   — seed pattern: construct TimingGraph + analyze per call
 //   * cached_query   — analyze() on a long-lived graph (build amortized)
 //   * incremental    — reanalyze() after a single-gate resize (sizing/ECO)
-//   * corners_seq    — three sequential single-corner analyses
-//   * corners_batch  — analyze_corners() sweeping ss/tt/ff in one pass
 //
 // Acceptance (exits nonzero on regression, so ctest gates it, label
 // "timing"):
 //   * incremental re-propagation >= 3x faster than a cached full analysis
-//   * batched 3-corner sweep >= 1.5x faster than three sequential runs
-//   * incremental and batched reports bit-identical to their full/per-corner
-//     equivalents (a fast bench that returns wrong numbers is a bug, not a
-//     win)
+//   * the incremental report bit-identical to a full analysis (a fast bench
+//     that returns wrong numbers is a bug, not a win)
 //
 // Results are written as machine-readable JSON (default BENCH_sta.json) so
 // the perf trajectory is trackable across PRs:
@@ -157,46 +153,16 @@ int main(int argc, char** argv) {
   }
   const double reprop_nodes = static_cast<double>(graph.last_repropagated());
 
-  // Multi-corner: three sequential single-corner runs vs one batched sweep.
-  const auto& corners = timing::standard_corners();
-  const double corners_seq_ms = bench_ms(5, 2, [&] {
-    for (const auto& c : corners) {
-      timing::StaOptions oc = opt;
-      oc.corner = c;
-      graph.analyze(oc, &grid);
-    }
-  });
-  const double corners_batch_ms =
-      bench_ms(5, 2, [&] { graph.analyze_corners(opt, corners, &grid); });
-
-  // `fresh` was built during the incremental spot-check while the victim
-  // held its trial master; build another graph against the final netlist
-  // state for the per-corner comparison.
-  timing::TimingGraph fresh_final(pl, clock);
-  const auto batched = graph.analyze_corners(opt, corners, &grid);
-  bool batch_ok = batched.size() == corners.size();
-  for (std::size_t k = 0; batch_ok && k < corners.size(); ++k) {
-    timing::StaOptions oc = opt;
-    oc.corner = corners[k];
-    batch_ok = reports_identical(batched[k], fresh_final.analyze(oc, &grid));
-  }
-
   const double incr_speedup = cached_ms / incremental_ms;
-  const double batch_speedup = corners_seq_ms / corners_batch_ms;
   const bool incr_pass = incr_speedup >= 3.0;
-  const bool batch_pass = batch_speedup >= 1.5;
-  const bool pass = incr_pass && batch_pass && inc_ok && batch_ok;
+  const bool pass = incr_pass && inc_ok;
 
   std::printf("full rebuild per call : %8.3f ms\n", full_rebuild_ms);
   std::printf("cached-graph analysis : %8.3f ms\n", cached_ms);
   std::printf("incremental reanalyze : %8.3f ms  (%.1fx vs cached full, gate >= 3x: %s)\n",
               incremental_ms, incr_speedup, incr_pass ? "OK" : "FAIL");
   std::printf("  nodes re-propagated : %8.0f of %zu\n", reprop_nodes, graph.node_count());
-  std::printf("3 corners sequential  : %8.3f ms\n", corners_seq_ms);
-  std::printf("3 corners batched     : %8.3f ms  (%.2fx vs sequential, gate >= 1.5x: %s)\n",
-              corners_batch_ms, batch_speedup, batch_pass ? "OK" : "FAIL");
   std::printf("incremental bitwise-identical to full: %s\n", inc_ok ? "OK" : "FAIL");
-  std::printf("batched bitwise-identical to per-corner: %s\n", batch_ok ? "OK" : "FAIL");
 
   util::JsonObject report;
   report["schema"] = util::Json{"maestro.bench.sta.v1"};
@@ -206,11 +172,7 @@ int main(int argc, char** argv) {
   report["incremental_ms"] = util::Json{incremental_ms};
   report["incremental_speedup"] = util::Json{incr_speedup};
   report["repropagated_nodes"] = util::Json{reprop_nodes};
-  report["corners_seq_ms"] = util::Json{corners_seq_ms};
-  report["corners_batch_ms"] = util::Json{corners_batch_ms};
-  report["batch_speedup"] = util::Json{batch_speedup};
   report["incremental_bitwise"] = util::Json{inc_ok};
-  report["batched_bitwise"] = util::Json{batch_ok};
   report["pass"] = util::Json{pass};
   std::ofstream out(out_path);
   out << util::Json{std::move(report)}.dump() << '\n';

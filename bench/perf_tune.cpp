@@ -112,7 +112,7 @@ CampaignStats run_campaign(const SyntheticFlow& synth, const fs::path& scratch,
   opt.design = "perf_tune";
   opt.rounds = 40;
   opt.batch = 5;
-  opt.policy = tune::TunePolicy::Ucb1;
+  opt.policy = ml::PolicyKind::Ucb1;
   opt.warmup_rounds = 12;
   opt.focus_dims = 6;
   opt.refit_every = 4;

@@ -36,7 +36,7 @@ int main() {
   mab.frequency_arms_ghz = core::frequency_arms(0.6, 1.8, 9);
   mab.iterations = 12;
   mab.concurrency = 3;
-  mab.algorithm = core::MabAlgorithm::Thompson;
+  mab.algorithm = ml::PolicyKind::Thompson;
   const auto oracle = core::make_flow_oracle(manager, design, flow::FlowTrajectory{}, constraints);
   const auto campaign = core::MabScheduler{mab}.run(oracle, rng);
   std::printf("  %zu runs, %zu successes, best feasible %.2f GHz\n", campaign.total_runs,

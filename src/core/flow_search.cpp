@@ -9,6 +9,7 @@
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "opt/gwtw.hpp"
 #include "util/json.hpp"
 
 namespace maestro::core {
@@ -52,7 +53,7 @@ struct FtsCampaignState {
   flow::FlowResult best_result;
   std::vector<double> best_per_round;
   std::vector<FrontierEntry> population;
-  util::Json rng_state;
+  util::Rng rng;
 };
 
 util::Json fts_state_json(const FtsCampaignState& st, const FlowSearchOptions& opt) {
@@ -74,7 +75,7 @@ util::Json fts_state_json(const FtsCampaignState& st, const FlowSearchOptions& o
     population.push_back(util::Json{std::move(eo)});
   }
   o["population"] = util::Json{std::move(population)};
-  o["rng"] = st.rng_state;
+  o["rng"] = store::rng_state_to_json(st.rng);
   return util::Json{std::move(o)};
 }
 
@@ -102,8 +103,7 @@ std::optional<FtsCampaignState> fts_state_from_json(const util::Json& j,
     fe.cost = entry.at("cost").as_number();
     st.population.push_back(std::move(fe));
   }
-  st.rng_state = j.at("rng");
-  if (st.rng_state.as_array().size() != 6) return std::nullopt;
+  if (!store::rng_state_from_json(st.rng, j.at("rng"))) return std::nullopt;
   if (st.population.size() != opt.population) return std::nullopt;
   if (st.rounds_done == 0 || st.best_per_round.size() != st.rounds_done) return std::nullopt;
   return st;
@@ -192,7 +192,7 @@ FlowSearchResult FlowTreeSearch::run(const TrajectoryOracle& oracle, util::Rng& 
           population[i].trajectory = std::move(st->population[i].trajectory);
           population[i].cost = st->population[i].cost;
         }
-        store::rng_state_from_json(rng, st->rng_state);
+        rng = st->rng;
         obs::Registry::global().counter("store.campaign_resumed").add();
       }
     }
@@ -209,7 +209,7 @@ FlowSearchResult FlowTreeSearch::run(const TrajectoryOracle& oracle, util::Rng& 
     st.best_per_round = res.best_per_round;
     st.population.reserve(population.size());
     for (const auto& th : population) st.population.push_back({th.trajectory, th.cost});
-    st.rng_state = store::rng_state_to_json(rng);
+    st.rng = rng;
     options_.checkpoint->put_state(state_key, fts_state_json(st, options_));
   };
 
@@ -314,17 +314,11 @@ FlowSearchResult FlowTreeSearch::run(const TrajectoryOracle& oracle, util::Rng& 
           th.trajectory = mutate(th.trajectory, options_.mutations_per_round, rng);
         });
         // Resample: clone winners over losers.
-        std::vector<std::size_t> order(population.size());
-        for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-        std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-          return population[a].cost < population[b].cost;
-        });
-        const auto survivors = std::max<std::size_t>(
-            static_cast<std::size_t>(options_.survivor_fraction *
-                                     static_cast<double>(population.size())),
-            1);
-        for (std::size_t i = survivors; i < order.size(); ++i) {
-          population[order[i]] = population[order[rng.below(survivors)]];
+        std::vector<double> costs(population.size());
+        for (std::size_t i = 0; i < costs.size(); ++i) costs[i] = population[i].cost;
+        for (const auto& [loser, winner] :
+             opt::resample_winners(costs, options_.survivor_fraction, rng)) {
+          population[loser] = population[winner];
         }
         break;
       }

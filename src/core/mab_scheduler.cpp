@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -22,11 +21,6 @@ struct ArmAgg {
   double reward_sum = 0.0;
 };
 
-util::Json u64_json(std::uint64_t v) { return util::Json{std::to_string(v)}; }
-std::uint64_t u64_from(const util::Json& j) {
-  return std::strtoull(j.as_string().c_str(), nullptr, 10);
-}
-
 /// Everything needed to continue (or short-circuit) a MAB campaign.
 struct MabCampaignState {
   std::uint64_t base_seed = 0;
@@ -37,7 +31,7 @@ struct MabCampaignState {
   std::vector<double> best_per_iteration;
   std::vector<ArmAgg> agg;
   std::vector<ml::ArmStats> policy;
-  util::Json rng_state;
+  util::Rng rng;
 };
 
 /// Campaign identity, validated on resume: a checkpoint from different
@@ -45,7 +39,7 @@ struct MabCampaignState {
 /// seed derivation depends on it.
 util::JsonObject mab_identity(const MabOptions& opt) {
   util::JsonObject o;
-  o["algorithm"] = util::Json{to_string(opt.algorithm)};
+  o["algorithm"] = util::Json{ml::to_string(opt.algorithm)};
   util::JsonArray arms;
   for (const double a : opt.frequency_arms_ghz) arms.push_back(util::Json{a});
   o["arms"] = util::Json{std::move(arms)};
@@ -56,11 +50,11 @@ util::JsonObject mab_identity(const MabOptions& opt) {
 util::Json mab_state_json(const MabCampaignState& st, const MabOptions& opt) {
   util::JsonObject o = mab_identity(opt);
 
-  o["base_seed"] = u64_json(st.base_seed);
-  o["run_index"] = u64_json(st.run_index);
+  o["base_seed"] = store::u64_to_json(st.base_seed);
+  o["run_index"] = store::u64_to_json(st.run_index);
   o["next_iteration"] = util::Json{st.next_iteration};
   o["best"] = util::Json{st.best};
-  o["rng"] = st.rng_state;
+  o["rng"] = store::rng_state_to_json(st.rng);
   util::JsonArray samples;
   for (const auto& s : st.samples) {
     util::JsonObject so;
@@ -111,12 +105,14 @@ std::optional<MabCampaignState> mab_state_from_json(const util::Json& j,
     if (j.at(key).dump() != value.dump()) return std::nullopt;
   }
   MabCampaignState st;
-  st.base_seed = u64_from(j.at("base_seed"));
-  st.run_index = u64_from(j.at("run_index"));
+  const auto base_seed = store::u64_from_json(j.at("base_seed"));
+  const auto run_index = store::u64_from_json(j.at("run_index"));
+  if (!base_seed || !run_index) return std::nullopt;
+  st.base_seed = *base_seed;
+  st.run_index = *run_index;
   st.next_iteration = count(j.at("next_iteration"));
   st.best = j.at("best").as_number();
-  st.rng_state = j.at("rng");
-  if (st.rng_state.as_array().size() != 6) return std::nullopt;
+  if (!store::rng_state_from_json(st.rng, j.at("rng"))) return std::nullopt;
   for (const auto& s : j.at("samples").as_array()) {
     MabSample sample;
     sample.iteration = count(s.at("it"));
@@ -151,16 +147,6 @@ std::optional<MabCampaignState> mab_state_from_json(const util::Json& j,
 }
 
 }  // namespace
-
-const char* to_string(MabAlgorithm a) {
-  switch (a) {
-    case MabAlgorithm::Thompson: return "thompson";
-    case MabAlgorithm::Softmax: return "softmax";
-    case MabAlgorithm::EpsilonGreedy: return "eps_greedy";
-    case MabAlgorithm::Ucb1: return "ucb1";
-  }
-  return "?";
-}
 
 FlowOracle make_flow_oracle(const flow::FlowManager& manager, const flow::DesignSpec& design,
                             const flow::FlowTrajectory& knobs,
@@ -214,18 +200,6 @@ bool MabScheduler::resumes_from(const util::Json& state) const {
   return mab_state_from_json(state, options_).has_value();
 }
 
-std::unique_ptr<ml::BanditPolicy> MabScheduler::make_policy() const {
-  const std::size_t n = options_.frequency_arms_ghz.size();
-  switch (options_.algorithm) {
-    case MabAlgorithm::Thompson: return std::make_unique<ml::ThompsonGaussian>(n);
-    case MabAlgorithm::Softmax: return std::make_unique<ml::Softmax>(n, options_.tau);
-    case MabAlgorithm::EpsilonGreedy:
-      return std::make_unique<ml::EpsilonGreedy>(n, options_.epsilon);
-    case MabAlgorithm::Ucb1: return std::make_unique<ml::Ucb1>(n);
-  }
-  return std::make_unique<ml::ThompsonGaussian>(n);
-}
-
 MabRunResult MabScheduler::run(const FlowOracle& oracle, util::Rng& rng) const {
   exec::RunExecutor pool;
   return run(oracle, rng, pool);
@@ -256,14 +230,14 @@ MabRunResult MabScheduler::iterate(const ResilientOracle& oracle, util::Rng& rng
                                    exec::RunExecutor& pool,
                                    resil::CircuitBreaker* breaker) const {
   MabRunResult res;
-  auto policy = make_policy();
   const auto& arms = options_.frequency_arms_ghz;
+  auto policy = ml::make_policy(options_.algorithm, arms.size(), options_.epsilon, options_.tau);
   // The failure-aware campaign neither memoizes nor checkpoints.
   store::FlowCache* const cache = breaker ? nullptr : options_.cache;
   store::RunStore* const checkpoint = breaker ? nullptr : options_.checkpoint;
 
   obs::Span run_span(breaker ? "mab_run_resilient" : "mab_run", "sched");
-  run_span.arg("algorithm", to_string(options_.algorithm))
+  run_span.arg("algorithm", ml::to_string(options_.algorithm))
       .arg("arms", static_cast<double>(arms.size()))
       .arg("iterations", static_cast<double>(options_.iterations));
 
@@ -297,7 +271,7 @@ MabRunResult MabScheduler::iterate(const ResilientOracle& oracle, util::Rng& rng
         }
         agg = std::move(st->agg);
         policy->restore_stats(st->policy);
-        store::rng_state_from_json(rng, st->rng_state);
+        rng = st->rng;
         resumed = true;
         obs::Registry::global().counter("store.campaign_resumed").add();
       }
@@ -317,7 +291,7 @@ MabRunResult MabScheduler::iterate(const ResilientOracle& oracle, util::Rng& rng
     st.best_per_iteration = res.best_per_iteration;
     st.agg = agg;
     st.policy = policy->export_stats();
-    st.rng_state = store::rng_state_to_json(rng);
+    st.rng = rng;
     checkpoint->put_state(state_key, mab_state_json(st, options_));
   };
 

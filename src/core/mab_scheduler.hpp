@@ -46,14 +46,11 @@ ResilientOracle make_resilient_flow_oracle(const flow::FlowManager& manager,
                                            const flow::FlowTrajectory& knobs,
                                            const flow::FlowConstraints& constraints);
 
-enum class MabAlgorithm { Thompson, Softmax, EpsilonGreedy, Ucb1 };
-const char* to_string(MabAlgorithm a);
-
 struct MabOptions {
   std::vector<double> frequency_arms_ghz;  ///< the arms
   std::size_t iterations = 40;             ///< Fig. 7: 40
   std::size_t concurrency = 5;             ///< Fig. 7: 5 tool licenses
-  MabAlgorithm algorithm = MabAlgorithm::Thompson;
+  ml::PolicyKind algorithm = ml::PolicyKind::Thompson;
   double epsilon = 0.1;  ///< e-greedy only
   double tau = 0.08;     ///< softmax only
 
@@ -145,7 +142,6 @@ class MabScheduler {
   bool resumes_from(const util::Json& state) const;
 
  private:
-  std::unique_ptr<ml::BanditPolicy> make_policy() const;
   /// The one iteration loop behind run() and run_resilient(): arm
   /// selection, one exec::dispatch_round per iteration, censoring, the fold
   /// into the policy and the regret. `breaker` null is run(): plain or

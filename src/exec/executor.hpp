@@ -32,7 +32,7 @@
 // future fails fast with resil::RunTimedOut.
 //
 // Campaign rounds: MabScheduler, FlowTreeSearch, FlowTuner,
-// RobotEngineer::run_fleet and the pooled opt::go_with_the_winners all share
+// RobotEngineer::run_fleet and opt::go_with_the_winners all share
 // one dispatch path, dispatch_round(pool, jobs, resilience): submit a batch
 // of runs (through submit_memo when a job has a memo handle, else through
 // submit_resilient when ResilOptions are given, else submit), wait for all
@@ -157,8 +157,11 @@ class RunExecutor {
       if (ctx.past_deadline()) return {RunState::TimedOut, "deadline"};
       return {ctx.cancel.cancelled() ? RunState::Cancelled : RunState::Completed, {}};
     };
+    // The error moves into the future's shared state, so the worker keeps no
+    // reference of its own to drop after the caller has read it (see
+    // dispatch_round).
     task.deliver = [slot, promise]() {
-      if (slot->error) promise->set_exception(slot->error);
+      if (slot->error) promise->set_exception(std::move(slot->error));
       else promise->set_value(std::move(*slot->value));
     };
     enqueue(std::move(task));
@@ -646,8 +649,14 @@ std::vector<RoundOutcome<R>> dispatch_round(
   }
   std::vector<RoundOutcome<R>> outcomes(futures.size());
   for (std::size_t i = 0; i < futures.size(); ++i) {
+    // A shared_future holds the run's shared state, and the exception in it,
+    // until the error text below is copied. The exception's last release is
+    // then ordered by the state's shared_ptr count, which the thread
+    // sanitizer sees, and not only by exception_ptr's count inside the
+    // uninstrumented runtime (future::get() would drop the state first).
+    const std::shared_future<R> result = futures[i].share();
     try {
-      outcomes[i].value.emplace(futures[i].get());
+      outcomes[i].value.emplace(result.get());
     } catch (const std::exception& e) {
       outcomes[i].error = e.what();
     } catch (...) {

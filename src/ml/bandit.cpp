@@ -146,6 +146,27 @@ void ThompsonBernoulli::restore_stats(const std::vector<ArmStats>& stats) {
   }
 }
 
+const char* to_string(PolicyKind kind) {
+  switch (kind) {
+    case PolicyKind::Thompson: return "thompson";
+    case PolicyKind::Softmax: return "softmax";
+    case PolicyKind::EpsilonGreedy: return "eps_greedy";
+    case PolicyKind::Ucb1: return "ucb1";
+  }
+  return "?";
+}
+
+std::unique_ptr<BanditPolicy> make_policy(PolicyKind kind, std::size_t arms, double epsilon,
+                                          double tau) {
+  switch (kind) {
+    case PolicyKind::Thompson: return std::make_unique<ThompsonGaussian>(arms);
+    case PolicyKind::Softmax: return std::make_unique<Softmax>(arms, tau);
+    case PolicyKind::EpsilonGreedy: return std::make_unique<EpsilonGreedy>(arms, epsilon);
+    case PolicyKind::Ucb1: return std::make_unique<Ucb1>(arms);
+  }
+  return std::make_unique<ThompsonGaussian>(arms);
+}
+
 BanditRunResult run_bandit(BanditPolicy& policy, const std::vector<GaussianArm>& arms,
                            std::size_t iterations, std::size_t batch, util::Rng& rng) {
   assert(policy.n_arms() == arms.size());

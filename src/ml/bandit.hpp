@@ -116,6 +116,17 @@ class ThompsonBernoulli : public BanditPolicy {
   std::vector<double> beta_;
 };
 
+/// The policies a campaign can run (core::MabScheduler, tune::FlowTuner;
+/// FlowTune, arxiv 2202.07721, runs one per flow stage).
+enum class PolicyKind { Thompson, Softmax, EpsilonGreedy, Ucb1 };
+/// The policy's name(): "thompson", "softmax", "eps_greedy", "ucb1". The
+/// campaign checkpoints use it as an identity string.
+const char* to_string(PolicyKind kind);
+/// A fresh policy of `kind` over `arms` arms. `epsilon` is read by
+/// EpsilonGreedy only, `tau` by Softmax only.
+std::unique_ptr<BanditPolicy> make_policy(PolicyKind kind, std::size_t arms, double epsilon,
+                                          double tau);
+
 /// A synthetic bandit environment with Gaussian arms, used by unit tests and
 /// the Fig. 7 harness sanity sweeps.
 struct GaussianArm {

@@ -9,13 +9,13 @@
 // both synthetic landscapes (bench fig6) and real flow searches
 // (maestro::core::FlowTreeSearch).
 //
-// Concurrency: when GwtwOptions::executor is set, each round's advance+cost
-// evaluations run in parallel on the pool as one exec::dispatch_round. Every
-// advance draws from an Rng seeded by (campaign seed, round, thread index) —
-// never from the shared generator — so serial and parallel execution
-// produce bitwise-identical populations and winners. init/advance/cost must
-// be safe to call concurrently (pure functions of their inputs plus their
-// own Rng).
+// Concurrency: each round's advance+cost evaluations run as one
+// exec::dispatch_round, on GwtwOptions::executor when set and otherwise on a
+// private one-thread pool. Every advance draws from an Rng seeded by
+// (campaign seed, round, thread index) — never from the shared generator —
+// so populations and winners are bitwise identical at any pool size.
+// init/advance/cost must be safe to call concurrently (pure functions of
+// their inputs plus their own Rng).
 
 #include <algorithm>
 #include <cassert>
@@ -23,7 +23,9 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -42,15 +44,6 @@ struct GwtwProblem {
   std::function<State(const State&, util::Rng&)> advance;
   /// Cost to minimize.
   std::function<double(const State&)> cost;
-  /// Optional batched advance: move the whole population one round in a
-  /// single call (e.g. route::simulate_drv_batch amortizing N seeds over
-  /// one pass). seeds[i] is exactly the per-thread seed the scalar path
-  /// would use, so an implementation must return states bit-identical to
-  /// advance(states[i], util::Rng{seeds[i]}) for every i. When set it
-  /// replaces the per-thread advance (including the executor fan-out);
-  /// costs are still evaluated per state via `cost`.
-  std::function<std::vector<State>(const std::vector<State>&, std::span<const std::uint64_t>)>
-      advance_batch;
 };
 
 struct GwtwOptions {
@@ -58,9 +51,31 @@ struct GwtwOptions {
   int rounds = 20;               ///< resampling rounds
   double survivor_fraction = 0.5;  ///< top fraction kept and cloned
   /// Optional pool: advance+cost of all threads run concurrently per round.
-  /// Results are identical to the serial path (nullptr) for a given seed.
+  /// Without one the rounds run on a private one-thread pool; results are
+  /// identical for a given seed either way.
   exec::RunExecutor* executor = nullptr;
 };
+
+/// GWTW resampling, shared by go_with_the_winners and the flow-tree search:
+/// order thread indices by cost (std::sort), keep the best
+/// max(floor(survivor_fraction * P), 1) and, for each remaining thread in
+/// rank order, draw the survivor cloned over it. Returns (loser, winner)
+/// pairs. Losers and winners are disjoint index sets, so applying the pairs
+/// after the draws is exact.
+inline std::vector<std::pair<std::size_t, std::size_t>> resample_winners(
+    std::span<const double> costs, double survivor_fraction, util::Rng& rng) {
+  std::vector<std::size_t> order(costs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return costs[a] < costs[b]; });
+  const auto survivors = std::max<std::size_t>(
+      static_cast<std::size_t>(survivor_fraction * static_cast<double>(costs.size())), 1);
+  std::vector<std::pair<std::size_t, std::size_t>> clones;
+  for (std::size_t i = survivors; i < order.size(); ++i) {
+    clones.emplace_back(order[i], order[rng.below(survivors)]);
+  }
+  return clones;
+}
 
 template <typename State>
 struct GwtwResult {
@@ -86,80 +101,44 @@ GwtwResult<State> go_with_the_winners(const GwtwProblem<State>& prob, const Gwtw
   // the shared generator — so the campaign is schedule-independent.
   const std::uint64_t advance_base = rng.next();
 
+  std::optional<exec::RunExecutor> own_pool;
+  if (!opt.executor) own_pool.emplace(exec::ExecOptions{.threads = 1});
+  exec::RunExecutor& pool = opt.executor ? *opt.executor : *own_pool;
+
   std::vector<double> costs(opt.population);
   for (int round = 0; round < opt.rounds; ++round) {
-    // Advance every thread (in parallel when a pool is provided).
-    const auto advance_one = [&](std::size_t i) {
-      const std::uint64_t seed = exec::derive_run_seed(
-          advance_base, static_cast<std::uint64_t>(round) * opt.population + i);
-      util::Rng thread_rng{seed};
-      State next = prob.advance(population[i], thread_rng);
-      double cost = prob.cost(next);
-      return std::make_pair(std::move(next), cost);
-    };
-    // Dead thread: the advance crashed. Keep the prior state at infinite
-    // cost — ranking puts it last and a winner is cloned over it, so the
-    // population width survives the fault.
-    const auto dead_thread = [&](std::size_t i) {
-      obs::Registry::global().counter("opt.gwtw_dead_threads").add();
-      return std::make_pair(population[i], std::numeric_limits<double>::infinity());
-    };
-    std::vector<std::pair<State, double>> advanced(population.size());
-    if (prob.advance_batch) {
-      // Batched advance: same per-thread seeds as the scalar path, one call
-      // for the whole population, costs evaluated per resulting state — so
-      // the round is bit-identical to the per-thread advance.
-      std::vector<std::uint64_t> seeds(population.size());
-      for (std::size_t i = 0; i < population.size(); ++i) {
-        seeds[i] = exec::derive_run_seed(
-            advance_base, static_cast<std::uint64_t>(round) * opt.population + i);
-      }
-      std::vector<State> next = prob.advance_batch(population, seeds);
-      assert(next.size() == population.size());
-      for (std::size_t i = 0; i < population.size(); ++i) {
-        double cost = prob.cost(next[i]);
-        advanced[i] = {std::move(next[i]), cost};
-      }
-    } else if (opt.executor) {
-      std::vector<exec::RoundJob<std::pair<State, double>>> jobs(population.size());
-      for (std::size_t i = 0; i < population.size(); ++i) {
-        jobs[i].label = "gwtw_r" + std::to_string(round) + "#" + std::to_string(i);
-        jobs[i].body = [&advance_one, i](exec::RunContext&) { return advance_one(i); };
-      }
-      auto outcomes = exec::dispatch_round(*opt.executor, std::move(jobs));
-      for (std::size_t i = 0; i < population.size(); ++i) {
-        if (outcomes[i].value) advanced[i] = std::move(*outcomes[i].value);
-        else advanced[i] = dead_thread(i);
-      }
-    } else {
-      for (std::size_t i = 0; i < population.size(); ++i) {
-        try {
-          advanced[i] = advance_one(i);
-        } catch (const std::exception&) {
-          advanced[i] = dead_thread(i);
-        }
-      }
-    }
+    std::vector<exec::RoundJob<std::pair<State, double>>> jobs(population.size());
     for (std::size_t i = 0; i < population.size(); ++i) {
-      population[i] = std::move(advanced[i].first);
-      costs[i] = advanced[i].second;
+      jobs[i].label = "gwtw_r" + std::to_string(round) + "#" + std::to_string(i);
+      jobs[i].seed = exec::derive_run_seed(
+          advance_base, static_cast<std::uint64_t>(round) * opt.population + i);
+      jobs[i].body = [&prob, &state = population[i]](exec::RunContext& ctx) {
+        util::Rng thread_rng{ctx.seed};
+        State next = prob.advance(state, thread_rng);
+        const double cost = prob.cost(next);
+        return std::make_pair(std::move(next), cost);
+      };
+    }
+    auto outcomes = exec::dispatch_round(pool, std::move(jobs));
+    for (std::size_t i = 0; i < population.size(); ++i) {
+      if (outcomes[i].value) {
+        population[i] = std::move(outcomes[i].value->first);
+        costs[i] = outcomes[i].value->second;
+      } else {
+        // Dead thread: the advance crashed. Keep the prior state at infinite
+        // cost — ranking puts it last and a winner is cloned over it, so the
+        // population width survives the fault.
+        obs::Registry::global().counter("opt.gwtw_dead_threads").add();
+        costs[i] = std::numeric_limits<double>::infinity();
+      }
       if (costs[i] < res.best_cost) {
         res.best_cost = costs[i];
         res.best = population[i];
       }
     }
-    // Rank and clone winners over losers.
-    std::vector<std::size_t> order(population.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return costs[a] < costs[b]; });
-    const auto survivors = std::max<std::size_t>(
-        static_cast<std::size_t>(opt.survivor_fraction * static_cast<double>(population.size())),
-        1);
-    for (std::size_t i = survivors; i < order.size(); ++i) {
-      const std::size_t winner = order[rng.below(survivors)];
-      population[order[i]] = population[winner];
-      costs[order[i]] = costs[winner];
+    for (const auto& [loser, winner] : resample_winners(costs, opt.survivor_fraction, rng)) {
+      population[loser] = population[winner];
+      costs[loser] = costs[winner];
       ++res.clones_made;
     }
     double mean = 0.0;

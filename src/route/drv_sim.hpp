@@ -20,7 +20,6 @@
 // be mined exactly like the paper's 1400 industry logfiles.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "route/global_router.hpp"
@@ -55,43 +54,6 @@ struct DrvRun {
 /// Simulate one detailed-routing run at the given difficulty.
 DrvRun simulate_drv_run(const RouteDifficulty& difficulty, const DrvSimOptions& opt,
                         util::Rng& rng);
-
-/// Options for batched multi-seed DRV simulation (GWTW / multistart).
-struct DrvBatchOptions {
-  int iterations = 20;
-  double initial_drv_scale = 1.0e4;
-  double success_threshold = 200.0;
-  /// Materialize a util::ToolLog per run, identical to simulate_drv_run's.
-  /// Off by default: the per-iteration string-map log is the dominant
-  /// allocation cost of the scalar path and GWTW only reads trajectories.
-  bool emit_logs = false;
-};
-
-/// Result of a batched simulation: per-seed trajectories in one run-major
-/// SoA matrix instead of N separate DrvRun allocations.
-struct DrvBatch {
-  int iterations = 0;
-  std::vector<double> difficulty;       ///< per run (clamped)
-  std::vector<double> drvs;             ///< [run * iterations + t]
-  std::vector<std::uint8_t> succeeded;  ///< final DRVs < success_threshold
-  std::vector<util::ToolLog> logs;      ///< only when emit_logs was set
-
-  std::size_t size() const { return difficulty.size(); }
-  std::span<const double> trajectory(std::size_t run) const {
-    const auto n = static_cast<std::size_t>(iterations);
-    return {drvs.data() + run * n, n};
-  }
-  /// Materialize one run in DrvRun form (log included only when the batch
-  /// was simulated with emit_logs).
-  DrvRun run(std::size_t r) const;
-};
-
-/// Advance N detailed-routing runs in one pass: per-seed SoA state, one RNG
-/// stream per seed constructed as util::Rng{seeds[i]}, so run i's trajectory
-/// is bit-identical to simulate_drv_run(difficulties[i], {seed: seeds[i]},
-/// util::Rng{seeds[i]}). difficulties and seeds must be the same length.
-DrvBatch simulate_drv_batch(std::span<const RouteDifficulty> difficulties,
-                            std::span<const std::uint64_t> seeds, const DrvBatchOptions& opt);
 
 /// Corpus kinds used by the Table-1 study.
 enum class CorpusKind {

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -87,11 +88,19 @@ RunKey run_key_from_json(const util::Json& j) {
   return key;
 }
 
+util::Json u64_to_json(std::uint64_t v) { return util::Json{std::to_string(v)}; }
+
+std::optional<std::uint64_t> u64_from_json(const util::Json& j) {
+  const std::string& s = j.as_string();
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (s.empty() || ec != std::errc{} || end != s.data() + s.size()) return std::nullopt;
+  return v;
+}
+
 util::Json rng_state_to_json(const util::Rng& rng) {
   util::JsonArray words;
-  for (const std::uint64_t w : rng.save_state()) {
-    words.push_back(util::Json{std::to_string(w)});
-  }
+  for (const std::uint64_t w : rng.save_state()) words.push_back(u64_to_json(w));
   return util::Json{std::move(words)};
 }
 
@@ -100,8 +109,11 @@ bool rng_state_from_json(util::Rng& rng, const util::Json& j) {
   if (words.size() != 6) return false;
   std::array<std::uint64_t, 6> s{};
   for (std::size_t i = 0; i < 6; ++i) {
-    s[i] = std::strtoull(words[i].as_string().c_str(), nullptr, 10);
+    const auto w = u64_from_json(words[i]);
+    if (!w) return false;
+    s[i] = *w;
   }
+  if ((s[0] | s[1] | s[2] | s[3]) == 0 || s[4] > 1) return false;
   rng.restore_state(s);
   return true;
 }

@@ -82,9 +82,16 @@ util::Json flow_result_to_json(const flow::FlowResult& r);
 flow::FlowResult flow_result_from_json(const util::Json& j);
 util::Json run_key_to_json(const RunKey& key);
 RunKey run_key_from_json(const util::Json& j);
-/// Rng state <-> JSON (six decimal-string words — 64-bit values do not
-/// survive a JSON double). The campaign checkpoints use this so a resumed
-/// search continues the identical random stream.
+/// uint64 <-> JSON as a decimal string (64-bit values do not survive a JSON
+/// double). The decoder accepts only a whole decimal uint64 string.
+util::Json u64_to_json(std::uint64_t v);
+std::optional<std::uint64_t> u64_from_json(const util::Json& j);
+/// Rng state <-> JSON (six u64_to_json words). The campaign checkpoints use
+/// this so a resumed search continues the identical random stream. The
+/// decoder rejects — and leaves `rng` untouched — anything save_state()
+/// cannot produce: a word that is not a decimal uint64, the all-zero
+/// xoshiro state (on which the generator returns 0 forever) or a spare flag
+/// other than 0 or 1.
 util::Json rng_state_to_json(const util::Rng& rng);
 bool rng_state_from_json(util::Rng& rng, const util::Json& j);
 

@@ -83,8 +83,8 @@ StaReport run_sta(const place::Placement& pl, const ClockTree& clock, const StaO
                   const route::GridGraph* routed) {
   // Thin wrapper over the levelized kernel; reports are bit-identical to the
   // original per-call engine. Long-lived callers (sizing loops, ECO, corner
-  // sweeps) should hold a TimingGraph instead and use reanalyze()/
-  // analyze_corners() to amortize the build.
+  // sweeps) should hold a TimingGraph instead and call analyze()/reanalyze()
+  // on it to amortize the build.
   TimingGraph graph(pl, clock);
   return graph.analyze(opt, routed);
 }

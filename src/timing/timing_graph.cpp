@@ -204,7 +204,7 @@ void TimingGraph::build() {
     ep_ids_.push_back(id);
     ep_net_.push_back(in);
   }
-  ep_cache_.assign(ep_ids_.size() * stride_, EndpointTiming{});
+  ep_cache_.assign(ep_ids_.size(), EndpointTiming{});
   if (!old_rows.empty()) {
     // Both id lists ascend: merge-copy rows whose endpoint survived with the
     // same input net (a rewired endpoint is re-timed via its net mark).
@@ -212,9 +212,7 @@ void TimingGraph::build() {
     for (std::size_t j = 0; j < ep_ids_.size(); ++j) {
       while (oj < old_ids.size() && old_ids[oj] < ep_ids_[j]) ++oj;
       if (oj < old_ids.size() && old_ids[oj] == ep_ids_[j] && old_nets[oj] == ep_net_[j]) {
-        for (std::size_t k = 0; k < stride_; ++k) {
-          ep_cache_[j * stride_ + k] = old_rows[oj * stride_ + k];
-        }
+        ep_cache_[j] = old_rows[oj];
       }
     }
   }
@@ -234,12 +232,12 @@ void TimingGraph::build() {
 
   // Grow state and scratch to the (possibly larger) instance count,
   // preserving surviving node state — ids are stable and only appended.
-  arr_.resize(n_ * stride_, 0.0);
-  wire_acc_.resize(n_ * stride_, 0.0);
-  gate_acc_.resize(n_ * stride_, 0.0);
-  early_.resize(n_ * stride_, 0.0);
-  stages_.resize(n_ * stride_, 0);
-  fanout_acc_.resize(n_ * stride_, 0);
+  arr_.resize(n_, 0.0);
+  wire_acc_.resize(n_, 0.0);
+  gate_acc_.resize(n_, 0.0);
+  early_.resize(n_, 0.0);
+  stages_.resize(n_, 0);
+  fanout_acc_.resize(n_, 0);
   wl_arrival_.resize(n_, 0.0);
   node_mark_.resize(n_, 0);
   node_changed_.resize(n_, 0);
@@ -320,68 +318,47 @@ double TimingGraph::si_of_edge(std::size_t e) const {
 // Propagation
 // ---------------------------------------------------------------------------
 
-void TimingGraph::ensure_state(std::size_t corners, bool hold) {
-  stride_ = corners;
+void TimingGraph::ensure_state(bool hold) {
   cached_hold_ = hold;
-  arr_.assign(n_ * stride_, 0.0);
-  wire_acc_.assign(n_ * stride_, 0.0);
-  gate_acc_.assign(n_ * stride_, 0.0);
-  early_.assign(n_ * stride_, 0.0);
-  stages_.assign(n_ * stride_, 0);
-  fanout_acc_.assign(n_ * stride_, 0);
-  ep_cache_.assign(ep_ids_.size() * stride_, EndpointTiming{});
+  arr_.assign(n_, 0.0);
+  wire_acc_.assign(n_, 0.0);
+  gate_acc_.assign(n_, 0.0);
+  early_.assign(n_, 0.0);
+  stages_.assign(n_, 0);
+  fanout_acc_.assign(n_, 0);
+  ep_cache_.assign(ep_ids_.size(), EndpointTiming{});
 }
 
 bool TimingGraph::propagate_node(std::size_t u, double& cost) {
-  const std::size_t K = stride_;
-  assert(K <= kMaxCorners);
   const bool pba = cached_opt_.mode == AnalysisMode::PathBased;
   const double derate = pba ? 1.0 : cached_opt_.gba_derate;
   const double early_derate = pba ? 1.0 : cached_opt_.gba_early_derate;
+  const double gf = cached_opt_.corner.gate_factor;
+  const double wf = cached_opt_.corner.wire_factor;
   const bool hold = cached_hold_;
   const CellFunction f = func_[u];
 
-  double new_arr[kMaxCorners];
-  double new_wire[kMaxCorners];
-  double new_gate[kMaxCorners];
-  double new_early[kMaxCorners];
-  std::size_t new_stages[kMaxCorners];
-  std::size_t new_fan[kMaxCorners];
+  double new_arr = 0.0;
+  double new_wire = 0.0;
+  double new_gate = 0.0;
+  double new_early = 0.0;
+  std::size_t new_stages = 0;
+  std::size_t new_fan = 0;
 
   cost += 1.0;             // late-pass node visit (seed parity)
   if (hold) cost += 1.0;   // early-pass node visit
 
   if (f == CellFunction::Input) {
-    for (std::size_t k = 0; k < K; ++k) {
-      new_arr[k] = cached_opt_.io_input_delay_ps;
-      new_wire[k] = new_gate[k] = 0.0;
-      new_stages[k] = new_fan[k] = 0;
-      new_early[k] = hold ? cached_opt_.io_input_delay_ps + clock_->min_insertion_ps : 0.0;
-    }
+    new_arr = cached_opt_.io_input_delay_ps;
+    new_early = hold ? cached_opt_.io_input_delay_ps + clock_->min_insertion_ps : 0.0;
   } else if (f == CellFunction::Dff) {
-    for (std::size_t k = 0; k < K; ++k) {
-      const double v = insertion_[u] + clk_to_q_[u] * corner_gf_[k];
-      new_arr[k] = v;
-      new_wire[k] = new_gate[k] = 0.0;
-      new_stages[k] = new_fan[k] = 0;
-      new_early[k] = hold ? v : 0.0;
-    }
-  } else if (f == CellFunction::Output) {
-    for (std::size_t k = 0; k < K; ++k) {
-      new_arr[k] = new_wire[k] = new_gate[k] = new_early[k] = 0.0;
-      new_stages[k] = new_fan[k] = 0;
-    }
-  } else {
-    double worst_in[kMaxCorners];
-    double sel_wd[kMaxCorners];
-    double best_early[kMaxCorners];
-    std::size_t sel[kMaxCorners];
-    for (std::size_t k = 0; k < K; ++k) {
-      worst_in[k] = 0.0;
-      sel[k] = kNoEdge;
-      sel_wd[k] = 0.0;
-      best_early[k] = std::numeric_limits<double>::infinity();
-    }
+    new_arr = insertion_[u] + clk_to_q_[u] * gf;
+    new_early = hold ? new_arr : 0.0;
+  } else if (f != CellFunction::Output) {
+    double worst_in = 0.0;
+    std::size_t sel = kNoEdge;
+    double sel_wd = 0.0;
+    double best_early = std::numeric_limits<double>::infinity();
     const double res = cached_opt_.wire.res_per_nm_kohm;
     const double cap = cached_opt_.wire.cap_per_nm_ff;
     const double sink_cap = input_cap_[u];
@@ -393,80 +370,61 @@ bool TimingGraph::propagate_node(std::size_t u, double& cost) {
       const double len = pba ? edge_manh_[e] : net_hpwl_[in];
       const double rw = res * len;
       const double cw = cap * len;
-      const double base = rw * (0.5 * cw + sink_cap);
-      double simult = 1.0;
+      double wd = rw * (0.5 * cw + sink_cap) * wf;
       if (si_active_) {
-        simult = 1.0 + cached_opt_.si_coupling_factor * si_of_edge(e);
+        wd *= 1.0 + cached_opt_.si_coupling_factor * si_of_edge(e);
         cost += 4.0;  // SI analysis visits the congestion map per sink
       }
       cost += pba ? 2.0 : 1.0;  // PBA computes per-sink geometry
-      for (std::size_t k = 0; k < K; ++k) {
-        double wd = base * corner_wf_[k];
-        if (si_active_) wd *= simult;
-        const double cand = arr_[drv * K + k] + wd * derate;
-        if (cand >= worst_in[k]) {  // >= : the seed's last-fanin tie break
-          worst_in[k] = cand;
-          sel[k] = e;
-          sel_wd[k] = wd;
-        }
+      const double cand = arr_[drv] + wd * derate;
+      if (cand >= worst_in) {  // >= : the seed's last-fanin tie break
+        worst_in = cand;
+        sel = e;
+        sel_wd = wd;
       }
       if (hold) {
         // Early wire delay always uses the direct driver->sink distance.
         const double rw_e = res * edge_manh_[e];
         const double cw_e = cap * edge_manh_[e];
-        const double base_e = rw_e * (0.5 * cw_e + sink_cap);
+        const double wd_e = rw_e * (0.5 * cw_e + sink_cap) * wf;
         cost += 1.0;
-        for (std::size_t k = 0; k < K; ++k) {
-          const double wd_e = base_e * corner_wf_[k];
-          best_early[k] = std::min(best_early[k], early_[drv * K + k] + wd_e * early_derate);
-        }
+        best_early = std::min(best_early, early_[drv] + wd_e * early_derate);
       }
     }
     const NetId out = out_net_[u];
     const double load = out != netlist::kNoNet ? net_load_[out] : 0.0;
     const double raw_delay = intrinsic_[u] + drive_res_[u] * load;
-    for (std::size_t k = 0; k < K; ++k) {
-      const double gd = raw_delay * derate * corner_gf_[k];
-      if (sel[k] != kNoEdge) {
-        const std::size_t drv = fanin_driver_[sel[k]];
-        new_wire[k] = wire_acc_[drv * K + k] + sel_wd[k];
-        new_gate[k] = gate_acc_[drv * K + k] + gd;
-        new_stages[k] = stages_[drv * K + k] + 1;
-        new_fan[k] = std::max(fanout_acc_[drv * K + k], net_fanout_[fanin_net_[sel[k]]]);
-      } else {
-        new_wire[k] = 0.0;
-        new_gate[k] = gd;
-        new_stages[k] = 1;
-        new_fan[k] = 0;
-      }
-      new_arr[k] = worst_in[k] + gd;
-      if (hold) {
-        const double b = std::isfinite(best_early[k]) ? best_early[k] : 0.0;
-        new_early[k] = b + raw_delay * early_derate * corner_gf_[k];
-      } else {
-        new_early[k] = 0.0;
-      }
+    const double gd = raw_delay * derate * gf;
+    if (sel != kNoEdge) {
+      const std::size_t drv = fanin_driver_[sel];
+      new_wire = wire_acc_[drv] + sel_wd;
+      new_gate = gate_acc_[drv] + gd;
+      new_stages = stages_[drv] + 1;
+      new_fan = std::max(fanout_acc_[drv], net_fanout_[fanin_net_[sel]]);
+    } else {
+      new_gate = gd;
+      new_stages = 1;
+    }
+    new_arr = worst_in + gd;
+    if (hold) {
+      const double b = std::isfinite(best_early) ? best_early : 0.0;
+      new_early = b + raw_delay * early_derate * gf;
     }
   }
 
-  bool changed = false;
-  for (std::size_t k = 0; k < K; ++k) {
-    const std::size_t i = u * K + k;
-    changed = changed || arr_[i] != new_arr[k] || wire_acc_[i] != new_wire[k] ||
-              gate_acc_[i] != new_gate[k] || early_[i] != new_early[k] ||
-              stages_[i] != new_stages[k] || fanout_acc_[i] != new_fan[k];
-    arr_[i] = new_arr[k];
-    wire_acc_[i] = new_wire[k];
-    gate_acc_[i] = new_gate[k];
-    early_[i] = new_early[k];
-    stages_[i] = new_stages[k];
-    fanout_acc_[i] = new_fan[k];
-  }
+  const bool changed = arr_[u] != new_arr || wire_acc_[u] != new_wire ||
+                       gate_acc_[u] != new_gate || early_[u] != new_early ||
+                       stages_[u] != new_stages || fanout_acc_[u] != new_fan;
+  arr_[u] = new_arr;
+  wire_acc_[u] = new_wire;
+  gate_acc_[u] = new_gate;
+  early_[u] = new_early;
+  stages_[u] = new_stages;
+  fanout_acc_[u] = new_fan;
   return changed;
 }
 
 void TimingGraph::compute_endpoint(std::size_t j, double& cost) {
-  const std::size_t K = stride_;
   const InstanceId id = ep_ids_[j];
   const NetId in = ep_net_[j];
   const std::size_t e = fanin_begin_[id];  // pin 0 is the D/input pin
@@ -474,6 +432,9 @@ void TimingGraph::compute_endpoint(std::size_t j, double& cost) {
   const InstanceId drv = fanin_driver_[e];
   const bool pba = cached_opt_.mode == AnalysisMode::PathBased;
   const double derate = pba ? 1.0 : cached_opt_.gba_derate;
+  const double early_derate = pba ? 1.0 : cached_opt_.gba_early_derate;
+  const double wf = cached_opt_.corner.wire_factor;
+  const double sf = cached_opt_.corner.setup_factor;
   const bool flop = func_[id] == CellFunction::Dff;
 
   const double res = cached_opt_.wire.res_per_nm_kohm;
@@ -481,56 +442,42 @@ void TimingGraph::compute_endpoint(std::size_t j, double& cost) {
   const double len = pba ? edge_manh_[e] : net_hpwl_[in];
   const double rw = res * len;
   const double cw = cap * len;
-  const double base = rw * (0.5 * cw + input_cap_[id]);
-  double simult = 1.0;
+  double wd = rw * (0.5 * cw + input_cap_[id]) * wf;
   if (si_active_) {
-    simult = 1.0 + cached_opt_.si_coupling_factor * si_of_edge(e);
+    wd *= 1.0 + cached_opt_.si_coupling_factor * si_of_edge(e);
     cost += 4.0;
   }
   cost += pba ? 2.0 : 1.0;
 
-  double base_e = 0.0;
-  const bool hold_ep = cached_hold_ && flop;
-  if (hold_ep) {
+  EndpointTiming& ep = ep_cache_[j];
+  ep.endpoint = id;
+  ep.is_flop = flop;
+  ep.arrival_ps = arr_[drv] + wd * derate;
+  ep.path_stages = stages_[drv];
+  ep.path_wire_delay_ps = wire_acc_[drv] + wd;
+  ep.path_gate_delay_ps = gate_acc_[drv];
+  ep.max_fanout_on_path = std::max(fanout_acc_[drv], net_fanout_[in]);
+  ep.required_ps = flop ? cached_opt_.clock_period_ps + insertion_[id] - setup_[id] * sf
+                        : cached_opt_.clock_period_ps - cached_opt_.io_output_margin_ps;
+  ep.slack_ps = ep.required_ps - ep.arrival_ps;
+  if (cached_hold_ && flop) {
     const double rw_e = res * edge_manh_[e];
     const double cw_e = cap * edge_manh_[e];
-    base_e = rw_e * (0.5 * cw_e + input_cap_[id]);
+    const double wd_e = rw_e * (0.5 * cw_e + input_cap_[id]) * wf;
     cost += 1.0;
-  }
-  const double early_derate = pba ? 1.0 : cached_opt_.gba_early_derate;
-
-  for (std::size_t k = 0; k < K; ++k) {
-    double wd = base * corner_wf_[k];
-    if (si_active_) wd *= simult;
-    EndpointTiming& ep = ep_cache_[j * K + k];
-    ep.endpoint = id;
-    ep.is_flop = flop;
-    ep.arrival_ps = arr_[drv * K + k] + wd * derate;
-    ep.path_stages = stages_[drv * K + k];
-    ep.path_wire_delay_ps = wire_acc_[drv * K + k] + wd;
-    ep.path_gate_delay_ps = gate_acc_[drv * K + k];
-    ep.max_fanout_on_path = std::max(fanout_acc_[drv * K + k], net_fanout_[in]);
-    ep.required_ps = flop ? cached_opt_.clock_period_ps + insertion_[id] -
-                                setup_[id] * corner_sf_[k]
-                          : cached_opt_.clock_period_ps - cached_opt_.io_output_margin_ps;
-    ep.slack_ps = ep.required_ps - ep.arrival_ps;
-    if (hold_ep) {
-      const double wd_e = base_e * corner_wf_[k];
-      const double early_at_d = early_[drv * K + k] + wd_e * early_derate;
-      ep.hold_slack_ps = early_at_d - (insertion_[id] + hold_req_[id] * corner_sf_[k]);
-    } else {
-      ep.hold_slack_ps = 0.0;
-    }
+    const double early_at_d = early_[drv] + wd_e * early_derate;
+    ep.hold_slack_ps = early_at_d - (insertion_[id] + hold_req_[id] * sf);
+  } else {
+    ep.hold_slack_ps = 0.0;
   }
 }
 
-StaReport TimingGraph::assemble_report(std::size_t k) const {
+StaReport TimingGraph::assemble_report() const {
   StaReport r;
   r.endpoints.reserve(ep_ids_.size());
   double wns = std::numeric_limits<double>::infinity();
   double whs = std::numeric_limits<double>::infinity();
-  for (std::size_t j = 0; j < ep_ids_.size(); ++j) {
-    const EndpointTiming& ep = ep_cache_[j * stride_ + k];
+  for (const EndpointTiming& ep : ep_cache_) {
     if (cached_hold_ && ep.is_flop) {
       whs = std::min(whs, ep.hold_slack_ps);
       if (ep.hold_slack_ps < 0.0) ++r.hold_violations;
@@ -559,59 +506,31 @@ bool TimingGraph::options_match(const StaOptions& opt, const route::GridGraph* r
 }
 
 StaReport TimingGraph::analyze(const StaOptions& opt, const route::GridGraph* routed) {
-  auto reports = analyze_corners(opt, {opt.corner}, routed);
-  return std::move(reports.front());
-}
-
-std::vector<StaReport> TimingGraph::analyze_corners(const StaOptions& base,
-                                                    const std::vector<Corner>& corners,
-                                                    const route::GridGraph* routed) {
   assert(pl_ != nullptr && clock_ != nullptr && "analyze requires placed mode");
-  assert(!corners.empty() && corners.size() <= kMaxCorners);
   obs::Span span("sta_propagate", "timing");
-  span.arg("nodes", static_cast<double>(n_)).arg("corners", static_cast<double>(corners.size()));
+  span.arg("nodes", static_cast<double>(n_));
 
-  cached_opt_ = base;
-  cached_opt_.corner = corners.front();
-  cached_corners_ = corners;
+  cached_opt_ = opt;
   cached_routed_ = routed;
   cached_routed_rev_ = routed != nullptr ? routed->revision() : 0;
-  prepare_si(base, routed);
+  prepare_si(opt, routed);
   compute_net_loads();
-  ensure_state(corners.size(), base.with_hold);
-  corner_gf_.resize(corners.size());
-  corner_wf_.resize(corners.size());
-  corner_sf_.resize(corners.size());
-  for (std::size_t k = 0; k < corners.size(); ++k) {
-    corner_gf_[k] = corners[k].gate_factor;
-    corner_wf_[k] = corners[k].wire_factor;
-    corner_sf_[k] = corners[k].setup_factor;
-  }
+  ensure_state(opt.with_hold);
 
   double cost = 0.0;
   for (const InstanceId u : order_) propagate_node(u, cost);
   for (std::size_t j = 0; j < ep_ids_.size(); ++j) compute_endpoint(j, cost);
-  cached_cost_ = cost;
   cache_valid_ = true;
   counters().full_props.add();
 
-  // Each report carries the modeled cost of a *standalone* run at its
-  // corner — the per-node/per-edge charges are corner-independent, so one
-  // count serves every corner. Batching saves wall clock, not modeled cost
-  // (Fig. 8's x-axis stays comparable).
-  std::vector<StaReport> reports;
-  reports.reserve(corners.size());
-  for (std::size_t k = 0; k < corners.size(); ++k) {
-    StaReport r = assemble_report(k);
-    r.analysis_cost = cost;
-    reports.push_back(std::move(r));
-  }
-  return reports;
+  StaReport r = assemble_report();
+  r.analysis_cost = cost;
+  return r;
 }
 
 StaReport TimingGraph::reanalyze(const std::vector<InstanceId>& dirty, const StaOptions& opt,
                                  const route::GridGraph* routed) {
-  if (!cache_valid_ || stride_ != 1 || !options_match(opt, routed)) {
+  if (!cache_valid_ || !options_match(opt, routed)) {
     // No compatible cached propagation: refresh the dirty closure (analyze()
     // recomputes loads from the cached per-instance/per-net arrays, so those
     // must be brought current first), then run a full analysis.
@@ -691,7 +610,7 @@ StaReport TimingGraph::reanalyze(const std::vector<InstanceId>& dirty, const Sta
   counters().nodes_repropagated.add(last_repropagated_);
   span.arg("repropagated", static_cast<double>(last_repropagated_));
 
-  StaReport r = assemble_report(0);
+  StaReport r = assemble_report();
   r.analysis_cost = cost;  // only the work actually redone
   return r;
 }

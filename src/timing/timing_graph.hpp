@@ -12,9 +12,6 @@
 //    per-net / per-edge arrays (master delay parameters, pin positions, net
 //    HPWL, per-sink Manhattan lengths). No per-call allocation or
 //    topo_order() recomputation.
-//  * Multi-corner batched propagation — analyze_corners() sweeps the graph
-//    once with corner-factor arrays in the inner loop, sharing all geometry,
-//    load and SI work across ss/tt/ff (and any custom corner set).
 //  * Incremental re-propagation — reanalyze() takes a dirty set (resized or
 //    moved instances; ECO-inserted cells after sync()) and re-propagates only
 //    the affected forward cone, with bitwise early cut-off. Results are
@@ -35,9 +32,11 @@
 //  * reanalyze() is valid relative to the last analyze()/reanalyze() with
 //    equal StaOptions and the same routed-graph revision; on any mismatch it
 //    transparently falls back to a full propagation.
-//  * analysis_cost of full / batched reports reproduces the seed engine's
-//    per-report accounting (batching shares wall-clock work, not modeled
-//    cost); incremental reports charge only the work actually redone.
+//  * analysis_cost of a full report reproduces the seed engine's accounting;
+//    incremental reports charge only the work actually redone.
+//  * One corner per propagation: a corner sweep (ablation_missing_corner)
+//    calls analyze() once per corner on the same graph, so the structure and
+//    geometry caches are built once.
 
 #include <cstdint>
 #include <vector>
@@ -71,24 +70,14 @@ class TimingGraph {
   /// Full propagation; report is bit-identical to the seed run_sta engine.
   StaReport analyze(const StaOptions& opt, const route::GridGraph* routed = nullptr);
 
-  /// Batched multi-corner propagation: one sweep over the graph evaluating
-  /// every corner at once (geometry, loads and SI shared; corner factors in
-  /// the inner loop). reports[i] is bit-identical to analyze() with
-  /// base.corner = corners[i], including analysis_cost (the modeled cost of
-  /// a standalone run — wall-clock savings are real, modeled cost is not
-  /// discounted). base.corner itself is ignored.
-  std::vector<StaReport> analyze_corners(const StaOptions& base,
-                                         const std::vector<Corner>& corners,
-                                         const route::GridGraph* routed = nullptr);
-
   /// Incremental re-propagation after the instances in `dirty` were resized
   /// or moved (or inserted, following sync()). Refreshes derived caches for
   /// the dirty closure, re-propagates the affected forward cone with bitwise
   /// early cut-off, and returns a report whose timing fields are
   /// bit-identical to a full analyze(); analysis_cost charges only the
   /// re-propagated work. Falls back to a full analyze() when no compatible
-  /// cached propagation exists (different options, different routed-graph
-  /// revision, or the last query was multi-corner).
+  /// cached propagation exists (different options or a different
+  /// routed-graph revision).
   StaReport reanalyze(const std::vector<netlist::InstanceId>& dirty, const StaOptions& opt,
                       const route::GridGraph* routed = nullptr);
 
@@ -106,8 +95,8 @@ class TimingGraph {
 
   // ---- observability / introspection --------------------------------------
   /// Late (setup) arrival at an instance's output pin from the last
-  /// single-corner propagation (corner 0 of a batched one).
-  double arrival_of(netlist::InstanceId id) const { return arr_[id * stride_]; }
+  /// propagation.
+  double arrival_of(netlist::InstanceId id) const { return arr_[id]; }
   std::size_t node_count() const { return n_; }
   std::size_t level_count() const { return level_range_.empty() ? 0 : level_range_.size() - 1; }
   /// Nodes whose state was recomputed by the last reanalyze().
@@ -122,27 +111,23 @@ class TimingGraph {
   /// (attach_view(nullptr)) first. Placed mode only.
   void attach_view(const netlist::DesignView* view) { view_ = view; }
 
-  /// Upper bound on corners in one batched propagation (sized for stack
-  /// scratch in the inner loop; the standard set is 3).
-  static constexpr std::size_t kMaxCorners = 16;
-
  private:
   void build();
   void refresh_instance(netlist::InstanceId id);
   void refresh_net(netlist::NetId id);
   void refresh_net_load(netlist::NetId id);
   void compute_net_loads();
-  void ensure_state(std::size_t corners, bool hold);
+  void ensure_state(bool hold);
   double si_of_edge(std::size_t e) const;
   void prepare_si(const StaOptions& opt, const route::GridGraph* routed);
 
-  /// Recompute node u's state for all cached corners; returns true when any
+  /// Recompute node u's state at the cached corner; returns true when any
   /// field changed bitwise. `cost` accrues the seed engine's per-node and
   /// per-edge charges.
   bool propagate_node(std::size_t u, double& cost);
-  /// Re-time endpoint slot j (all cached corners) from cached node state.
+  /// Re-time endpoint slot j from cached node state.
   void compute_endpoint(std::size_t j, double& cost);
-  StaReport assemble_report(std::size_t corner) const;
+  StaReport assemble_report() const;
   bool options_match(const StaOptions& opt, const route::GridGraph* routed) const;
 
   double wireload_node(std::size_t u, double factor, double margin) const;
@@ -192,22 +177,18 @@ class TimingGraph {
   std::vector<double> edge_manh_;  ///< manhattan(driver pin, sink pin), dbu
 
   // ---- propagated state (cached across queries) ----
-  std::size_t stride_ = 1;  ///< corners in the cached propagation
   bool cached_hold_ = false;
   bool cache_valid_ = false;
   StaOptions cached_opt_;
-  std::vector<Corner> cached_corners_;
   const route::GridGraph* cached_routed_ = nullptr;
   std::uint64_t cached_routed_rev_ = 0;
-  std::vector<double> corner_gf_, corner_wf_, corner_sf_;  ///< factor arrays
   std::vector<double> arr_, wire_acc_, gate_acc_, early_;
   std::vector<std::size_t> stages_, fanout_acc_;
-  double cached_cost_ = 0.0;  ///< standalone-equivalent cost of the cached run
 
   // ---- endpoint cache ----
   std::vector<netlist::InstanceId> ep_ids_;  ///< ascending instance id
   std::vector<netlist::NetId> ep_net_;       ///< the endpoint's D/input net
-  std::vector<EndpointTiming> ep_cache_;     ///< ep_ids_.size() * stride_
+  std::vector<EndpointTiming> ep_cache_;     ///< one row per ep_ids_ entry
 
   // ---- SI map cache ----
   SiMap si_;

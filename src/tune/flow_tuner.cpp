@@ -18,11 +18,6 @@ namespace {
 
 constexpr const char* kScoreMetric = "tune_score";
 
-util::Json u64_json(std::uint64_t v) { return util::Json{std::to_string(v)}; }
-std::uint64_t u64_from(const util::Json& j) {
-  return std::strtoull(j.as_string().c_str(), nullptr, 10);
-}
-
 /// Everything needed to continue (or short-circuit) a tuning campaign.
 struct TuneCampaignState {
   std::uint64_t base_seed = 0;
@@ -39,7 +34,7 @@ struct TuneCampaignState {
   std::vector<std::size_t> focus;
   std::vector<std::uint64_t> distinct;
   std::size_t mined_rows = 0;
-  util::Json rng_state;
+  util::Rng rng;
 };
 
 util::Json choice_json(const std::vector<std::size_t>& choice) {
@@ -85,7 +80,7 @@ util::JsonObject tune_identity(const TuneOptions& opt, const std::vector<flow::K
   // continues the campaign (that is the point of a checkpoint). `batch` is —
   // seed indices and the refit cadence depend on the batch width.
   o["batch"] = util::Json{opt.batch};
-  o["policy"] = util::Json{to_string(opt.policy)};
+  o["policy"] = util::Json{ml::to_string(opt.policy)};
   o["epsilon"] = util::Json{opt.epsilon};
   o["tau"] = util::Json{opt.tau};
   o["warmup"] = util::Json{opt.warmup_rounds};
@@ -106,11 +101,11 @@ util::Json tune_state_json(const TuneCampaignState& st, const TuneOptions& opt,
                            const std::vector<flow::KnobDim>& dims) {
   util::JsonObject o = tune_identity(opt, dims);
 
-  o["base_seed"] = u64_json(st.base_seed);
+  o["base_seed"] = store::u64_to_json(st.base_seed);
   o["next_round"] = util::Json{st.next_round};
   o["best_score"] = util::Json{st.best_score};
   o["best_choice"] = choice_json(st.best_choice);
-  o["rng"] = st.rng_state;
+  o["rng"] = store::rng_state_to_json(st.rng);
   o["mined_rows"] = util::Json{st.mined_rows};
   util::JsonArray samples;
   for (const auto& s : st.samples) {
@@ -160,7 +155,7 @@ util::Json tune_state_json(const TuneCampaignState& st, const TuneOptions& opt,
   o["importance"] = util::Json{std::move(imp)};
   o["focus"] = choice_json(st.focus);
   util::JsonArray distinct;
-  for (const std::uint64_t f : st.distinct) distinct.push_back(u64_json(f));
+  for (const std::uint64_t f : st.distinct) distinct.push_back(store::u64_to_json(f));
   o["distinct"] = util::Json{std::move(distinct)};
   return util::Json{std::move(o)};
 }
@@ -183,12 +178,13 @@ std::optional<TuneCampaignState> tune_state_from_json(const util::Json& j,
   }
 
   TuneCampaignState st;
-  st.base_seed = u64_from(j.at("base_seed"));
+  const auto base_seed = store::u64_from_json(j.at("base_seed"));
+  if (!base_seed) return std::nullopt;
+  st.base_seed = *base_seed;
   st.next_round = count(j.at("next_round"));
   st.best_score = j.at("best_score").as_number();
   st.best_choice = choice_from(j.at("best_choice"), ok);
-  st.rng_state = j.at("rng");
-  if (st.rng_state.as_array().size() != 6) return std::nullopt;
+  if (!store::rng_state_from_json(st.rng, j.at("rng"))) return std::nullopt;
   st.mined_rows = count(j.at("mined_rows"));
   for (const auto& s : j.at("samples").as_array()) {
     TuneSample sample;
@@ -227,7 +223,11 @@ std::optional<TuneCampaignState> tune_state_from_json(const util::Json& j,
   st.frozen = choice_from(j.at("frozen"), ok);
   for (const auto& v : j.at("importance").as_array()) st.importance.push_back(v.as_number());
   st.focus = choice_from(j.at("focus"), ok);
-  for (const auto& f : j.at("distinct").as_array()) st.distinct.push_back(u64_from(f));
+  for (const auto& f : j.at("distinct").as_array()) {
+    const auto fingerprint = store::u64_from_json(f);
+    ok = ok && fingerprint.has_value();
+    st.distinct.push_back(fingerprint.value_or(0));
+  }
   if (!ok) return std::nullopt;
   if (st.active.size() != dims.size() || !valid_choice(st.frozen, dims)) return std::nullopt;
   if (!st.best_choice.empty() && !valid_choice(st.best_choice, dims)) return std::nullopt;
@@ -264,16 +264,6 @@ metrics::Record tune_record(const std::string& design, const flow::FlowTrajector
 }
 
 }  // namespace
-
-const char* to_string(TunePolicy p) {
-  switch (p) {
-    case TunePolicy::Thompson: return "thompson";
-    case TunePolicy::Softmax: return "softmax";
-    case TunePolicy::EpsilonGreedy: return "eps_greedy";
-    case TunePolicy::Ucb1: return "ucb1";
-  }
-  return "?";
-}
 
 TuneOracle make_flow_tune_oracle(const flow::FlowManager& manager,
                                  const flow::DesignSpec& design, double target_ghz,
@@ -313,17 +303,6 @@ bool FlowTuner::resumes_from(const util::Json& state) const {
   return tune_state_from_json(state, options_, dims_).has_value();
 }
 
-std::unique_ptr<ml::BanditPolicy> FlowTuner::make_policy(std::size_t arms) const {
-  switch (options_.policy) {
-    case TunePolicy::Thompson: return std::make_unique<ml::ThompsonGaussian>(arms);
-    case TunePolicy::Softmax: return std::make_unique<ml::Softmax>(arms, options_.tau);
-    case TunePolicy::EpsilonGreedy:
-      return std::make_unique<ml::EpsilonGreedy>(arms, options_.epsilon);
-    case TunePolicy::Ucb1: return std::make_unique<ml::Ucb1>(arms);
-  }
-  return std::make_unique<ml::ThompsonGaussian>(arms);
-}
-
 TuneResult FlowTuner::run(const TuneOracle& oracle, util::Rng& rng) const {
   exec::RunExecutor pool;
   return run(oracle, rng, pool);
@@ -339,10 +318,13 @@ TuneResult FlowTuner::run(const TuneOracle& oracle, util::Rng& rng,
   TuneResult res;
   std::vector<std::unique_ptr<ml::BanditPolicy>> policies;
   policies.reserve(n_dims);
-  for (const auto& d : dims_) policies.push_back(make_policy(d.values.size()));
+  for (const auto& d : dims_) {
+    policies.push_back(
+        ml::make_policy(options_.policy, d.values.size(), options_.epsilon, options_.tau));
+  }
 
   obs::Span run_span("tune_run", "tune");
-  run_span.arg("policy", to_string(options_.policy))
+  run_span.arg("policy", ml::to_string(options_.policy))
       .arg("dims", static_cast<double>(n_dims))
       .arg("rounds", static_cast<double>(options_.rounds));
 
@@ -378,7 +360,7 @@ TuneResult FlowTuner::run(const TuneOracle& oracle, util::Rng& rng,
         frozen = std::move(st->frozen);
         distinct.insert(st->distinct.begin(), st->distinct.end());
         for (std::size_t d = 0; d < n_dims; ++d) policies[d]->restore_stats(st->policy[d]);
-        store::rng_state_from_json(rng, st->rng_state);
+        rng = st->rng;
         resumed = true;
         res.resumed = true;
         obs::Registry::global().counter("store.campaign_resumed").add();
@@ -447,7 +429,7 @@ TuneResult FlowTuner::run(const TuneOracle& oracle, util::Rng& rng,
     st.distinct.assign(distinct.begin(), distinct.end());
     std::sort(st.distinct.begin(), st.distinct.end());
     st.mined_rows = res.mined_rows;
-    st.rng_state = store::rng_state_to_json(rng);
+    st.rng = rng;
     options_.checkpoint->put_state(state_key, tune_state_json(st, options_, dims_));
   };
 

@@ -61,9 +61,6 @@ TuneOracle make_flow_tune_oracle(const flow::FlowManager& manager,
 /// smaller area: success ? 1 + 1/(1 + area_um2/1e4) : 0.
 double default_objective(const flow::FlowResult& r);
 
-enum class TunePolicy { Thompson, Softmax, EpsilonGreedy, Ucb1 };
-const char* to_string(TunePolicy p);
-
 struct TuneOptions {
   /// The knob spaces to tune over; flow::default_knob_spaces() if empty.
   std::vector<flow::KnobSpace> spaces;
@@ -72,7 +69,7 @@ struct TuneOptions {
   std::size_t rounds = 24;  ///< tuning rounds
   std::size_t batch = 4;    ///< concurrent trajectories per round
 
-  TunePolicy policy = TunePolicy::Thompson;
+  ml::PolicyKind policy = ml::PolicyKind::Thompson;
   double epsilon = 0.1;  ///< e-greedy only
   double tau = 0.08;     ///< softmax only
 
@@ -162,8 +159,6 @@ class FlowTuner {
   const std::vector<flow::KnobDim>& dimensions() const { return dims_; }
 
  private:
-  std::unique_ptr<ml::BanditPolicy> make_policy(std::size_t arms) const;
-
   TuneOptions options_;
   std::vector<flow::KnobDim> dims_;
 };

@@ -17,6 +17,7 @@
 
 namespace mc = maestro::core;
 namespace mf = maestro::flow;
+namespace ml = maestro::ml;
 namespace mn = maestro::netlist;
 namespace mr = maestro::route;
 namespace mt = maestro::timing;
@@ -65,7 +66,7 @@ TEST(MabScheduler, ThompsonConcentratesNearFeasibleMax) {
   opt.frequency_arms_ghz = mc::frequency_arms(0.3, 2.0, 12);
   opt.iterations = 40;
   opt.concurrency = 5;
-  opt.algorithm = mc::MabAlgorithm::Thompson;
+  opt.algorithm = ml::PolicyKind::Thompson;
   const mc::MabScheduler sched{opt};
   Rng rng{1};
   const auto res = sched.run(cliff_oracle(1.2), rng);
@@ -112,10 +113,10 @@ TEST(MabScheduler, ThompsonBeatsEpsilonGreedyOnRegret) {
     opt.frequency_arms_ghz = mc::frequency_arms(0.3, 2.0, 10);
     opt.iterations = 30;
     opt.concurrency = 5;
-    opt.algorithm = mc::MabAlgorithm::Thompson;
+    opt.algorithm = ml::PolicyKind::Thompson;
     Rng r1{seed};
     ts_regret += mc::MabScheduler{opt}.run(cliff_oracle(1.2), r1).total_regret;
-    opt.algorithm = mc::MabAlgorithm::EpsilonGreedy;
+    opt.algorithm = ml::PolicyKind::EpsilonGreedy;
     opt.epsilon = 0.3;
     Rng r2{seed};
     eg_regret += mc::MabScheduler{opt}.run(cliff_oracle(1.2), r2).total_regret;
@@ -128,7 +129,7 @@ TEST(MabScheduler, RegretOrderingMatchesFig7) {
   // synthetic cliff oracle: Thompson < e-greedy < softmax at equal budget.
   // Regret is charged against the best *feasible* arm's empirical mean, so a
   // policy that keeps sampling infeasible (reward-0) frequencies pays for it.
-  auto campaign_regret = [](mc::MabAlgorithm alg, double param) {
+  auto campaign_regret = [](ml::PolicyKind alg, double param) {
     double total = 0.0;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       mc::MabOptions opt;
@@ -136,8 +137,8 @@ TEST(MabScheduler, RegretOrderingMatchesFig7) {
       opt.iterations = 30;
       opt.concurrency = 5;
       opt.algorithm = alg;
-      if (alg == mc::MabAlgorithm::EpsilonGreedy) opt.epsilon = param;
-      if (alg == mc::MabAlgorithm::Softmax) opt.tau = param;
+      if (alg == ml::PolicyKind::EpsilonGreedy) opt.epsilon = param;
+      if (alg == ml::PolicyKind::Softmax) opt.tau = param;
       Rng rng{seed};
       const auto res = mc::MabScheduler{opt}.run(cliff_oracle(1.2), rng);
       EXPECT_GE(res.total_regret, 0.0);  // clamped, never negative
@@ -145,9 +146,9 @@ TEST(MabScheduler, RegretOrderingMatchesFig7) {
     }
     return total / 6.0;
   };
-  const double ts = campaign_regret(mc::MabAlgorithm::Thompson, 0.0);
-  const double eg = campaign_regret(mc::MabAlgorithm::EpsilonGreedy, 0.3);
-  const double sm = campaign_regret(mc::MabAlgorithm::Softmax, 0.5);
+  const double ts = campaign_regret(ml::PolicyKind::Thompson, 0.0);
+  const double eg = campaign_regret(ml::PolicyKind::EpsilonGreedy, 0.3);
+  const double sm = campaign_regret(ml::PolicyKind::Softmax, 0.5);
   EXPECT_LT(ts, eg);
   EXPECT_LT(eg, sm);
 }
@@ -161,7 +162,7 @@ TEST(MabScheduler, RegretChargedAgainstBestFeasibleArm) {
   opt.frequency_arms_ghz = {0.5, 0.9, 1.8};
   opt.iterations = 20;
   opt.concurrency = 5;
-  opt.algorithm = mc::MabAlgorithm::Thompson;
+  opt.algorithm = ml::PolicyKind::Thompson;
   Rng rng{3};
   const auto res = mc::MabScheduler{opt}.run(cliff_oracle(1.0, /*noise=*/0.001), rng);
   // Thompson locks onto 0.9 quickly: per-run average regret is well under
@@ -172,8 +173,8 @@ TEST(MabScheduler, RegretChargedAgainstBestFeasibleArm) {
 }
 
 TEST(MabScheduler, AllAlgorithmsRun) {
-  for (const auto alg : {mc::MabAlgorithm::Thompson, mc::MabAlgorithm::Softmax,
-                         mc::MabAlgorithm::EpsilonGreedy, mc::MabAlgorithm::Ucb1}) {
+  for (const auto alg : {ml::PolicyKind::Thompson, ml::PolicyKind::Softmax,
+                         ml::PolicyKind::EpsilonGreedy, ml::PolicyKind::Ucb1}) {
     mc::MabOptions opt;
     opt.frequency_arms_ghz = mc::frequency_arms(0.5, 1.5, 6);
     opt.iterations = 10;
@@ -181,8 +182,8 @@ TEST(MabScheduler, AllAlgorithmsRun) {
     opt.algorithm = alg;
     Rng rng{3};
     const auto res = mc::MabScheduler{opt}.run(cliff_oracle(1.0), rng);
-    EXPECT_EQ(res.total_runs, 20u) << mc::to_string(alg);
-    EXPECT_GT(res.successful_runs, 0u) << mc::to_string(alg);
+    EXPECT_EQ(res.total_runs, 20u) << ml::to_string(alg);
+    EXPECT_GT(res.successful_runs, 0u) << ml::to_string(alg);
   }
 }
 

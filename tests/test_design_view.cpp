@@ -6,7 +6,6 @@
 //     move/swap/undo sequences through the trial/commit protocol,
 //   * sa_place is bitwise identical to the seed annealer across seeds and
 //     configs,
-//   * batched multi-seed DRV simulation matches the scalar runs per seed,
 //   * the congestion, global-route and timing-graph view paths match their
 //     pin-scanning equivalents,
 //   * revision counters detect staleness and trigger exactly the right
@@ -19,10 +18,8 @@
 
 #include "netlist/design_view.hpp"
 #include "netlist/generators.hpp"
-#include "opt/gwtw.hpp"
 #include "perf_place_reference.hpp"
 #include "place/placer.hpp"
-#include "route/drv_sim.hpp"
 #include "route/global_router.hpp"
 #include "timing/clock_tree.hpp"
 #include "timing/timing_graph.hpp"
@@ -377,98 +374,4 @@ TEST(DesignView, TimingGraphViaViewMatchesDirect) {
   const auto b2 = viewed.analyze(opt);
   EXPECT_EQ(a2.wns_ps, b2.wns_ps);
   EXPECT_EQ(a2.tns_ps, b2.tns_ps);
-}
-
-TEST(DrvBatch, MatchesSequentialScalarRunsPerSeed) {
-  // Difficulties straddle the thrash regime (> 0.72) so every branch of the
-  // scalar model is exercised.
-  std::vector<route::RouteDifficulty> diffs;
-  std::vector<std::uint64_t> seeds;
-  for (std::size_t i = 0; i < 10; ++i) {
-    diffs.push_back({0.05 + 0.093 * static_cast<double>(i)});
-    seeds.push_back(0xbeef + 31 * i);
-  }
-  route::DrvBatchOptions bo;
-  bo.emit_logs = true;
-  const route::DrvBatch batch = route::simulate_drv_batch(diffs, seeds, bo);
-  ASSERT_EQ(batch.size(), diffs.size());
-  ASSERT_EQ(batch.logs.size(), diffs.size());
-
-  for (std::size_t i = 0; i < diffs.size(); ++i) {
-    route::DrvSimOptions so;
-    so.seed = seeds[i];
-    util::Rng rng{seeds[i]};
-    const route::DrvRun scalar = route::simulate_drv_run(diffs[i], so, rng);
-    const auto traj = batch.trajectory(i);
-    ASSERT_EQ(traj.size(), scalar.drvs.size());
-    for (std::size_t t = 0; t < traj.size(); ++t) {
-      ASSERT_EQ(traj[t], scalar.drvs[t]) << "run " << i << " iter " << t;
-    }
-    EXPECT_EQ(batch.succeeded[i] != 0, scalar.succeeded);
-    EXPECT_EQ(batch.difficulty[i], scalar.difficulty);
-    // Materialized run and its log match the scalar ToolLog content.
-    const route::DrvRun mat = batch.run(i);
-    EXPECT_EQ(mat.drvs, scalar.drvs);
-    EXPECT_EQ(mat.log.iterations.size(), scalar.log.iterations.size());
-    EXPECT_EQ(mat.log.series("drvs"), scalar.log.series("drvs"));
-    EXPECT_EQ(mat.log.series("delta_drvs"), scalar.log.series("delta_drvs"));
-    EXPECT_EQ(mat.log.completed, scalar.log.completed);
-  }
-}
-
-TEST(DrvBatch, GwtwBatchedAdvanceMatchesScalar) {
-  // The fig6(c) shape in miniature: GWTW whose advance is one DRV campaign,
-  // run once with per-thread scalar advances and once with the batched hook.
-  namespace mo = maestro::opt;
-  struct DrvState {
-    route::RouteDifficulty diff{0.8};
-    double final_drvs = 1.0e9;
-  };
-  constexpr int kIters = 10;
-  auto step = [](const DrvState& s, double final_drvs, bool ok) {
-    DrvState next = s;
-    next.final_drvs = final_drvs;
-    next.diff.value = std::clamp(s.diff.value + (ok ? -0.05 : 0.01), 0.02, 0.98);
-    return next;
-  };
-  mo::GwtwProblem<DrvState> prob;
-  prob.init = [](util::Rng& rng) {
-    DrvState s;
-    s.diff.value = rng.uniform(0.4, 0.9);
-    return s;
-  };
-  prob.advance = [&step](const DrvState& s, util::Rng& rng) {
-    route::DrvSimOptions o;
-    o.iterations = kIters;
-    const route::DrvRun run = route::simulate_drv_run(s.diff, o, rng);
-    return step(s, run.drvs.back(), run.succeeded);
-  };
-  prob.cost = [](const DrvState& s) { return s.final_drvs; };
-
-  mo::GwtwProblem<DrvState> batched = prob;
-  batched.advance_batch = [&step](const std::vector<DrvState>& states,
-                                  std::span<const std::uint64_t> seeds) {
-    std::vector<route::RouteDifficulty> diffs(states.size());
-    for (std::size_t i = 0; i < states.size(); ++i) diffs[i] = states[i].diff;
-    route::DrvBatchOptions bo;
-    bo.iterations = kIters;
-    const route::DrvBatch b = route::simulate_drv_batch(diffs, seeds, bo);
-    std::vector<DrvState> next(states.size());
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      next[i] = step(states[i], b.trajectory(i).back(), b.succeeded[i] != 0);
-    }
-    return next;
-  };
-
-  mo::GwtwOptions opt;
-  opt.population = 6;
-  opt.rounds = 8;
-  opt.survivor_fraction = 0.5;
-  util::Rng r1{11};
-  util::Rng r2{11};
-  const auto scalar = mo::go_with_the_winners(prob, opt, r1);
-  const auto fused = mo::go_with_the_winners(batched, opt, r2);
-  EXPECT_EQ(scalar.best_cost, fused.best_cost);
-  EXPECT_EQ(scalar.best_per_round, fused.best_per_round);
-  EXPECT_EQ(scalar.mean_per_round, fused.mean_per_round);
 }

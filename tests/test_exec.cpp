@@ -226,7 +226,7 @@ TEST(ExecDeterminism, MabCampaignIdenticalSerialAndParallel) {
   opt.frequency_arms_ghz = mc::frequency_arms(0.3, 2.0, 12);
   opt.iterations = 25;
   opt.concurrency = 5;
-  opt.algorithm = mc::MabAlgorithm::Thompson;
+  opt.algorithm = maestro::ml::PolicyKind::Thompson;
   const mc::MabScheduler sched{opt};
   const auto oracle = cliff_oracle(1.2);
 

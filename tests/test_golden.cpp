@@ -13,7 +13,7 @@
 // plan, run with a crashing oracle), FlowTreeSearch under each strategy,
 // FlowTuner and opt::go_with_the_winners. Each pin runs its campaign in
 // several ways that must agree — serial and pooled, with and without a
-// cache, at 1 and 8 threads, scalar and batched — and all of them must hash
+// cache, at 1 and 8 threads — and all of them must hash
 // to the recorded digest.
 //
 // The "guard" section records Table 1's DoomedRunGuard error counts in
@@ -38,7 +38,6 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -452,7 +451,8 @@ std::vector<std::string> tune_rand_s1() {
 }
 
 /// opt::go_with_the_winners on bench fig6(c)'s DRV-state problem
-/// (population 8, 12 rounds, seed 7): scalar, batched and pooled advance.
+/// (population 8, 12 rounds, seed 7): on its own one-thread pool and on a
+/// 4-thread pool.
 std::vector<std::string> gwtw_fig6c() {
   struct DrvState {
     mr::RouteDifficulty diff{0.8};
@@ -480,21 +480,6 @@ std::vector<std::string> gwtw_fig6c() {
     return step_state(s, run.drvs.back(), run.succeeded);
   };
   prob.cost = [](const DrvState& s) { return s.final_drvs; };
-  mo::GwtwProblem<DrvState> batched = prob;
-  batched.advance_batch = [&step_state](const std::vector<DrvState>& states,
-                                        std::span<const std::uint64_t> seeds) {
-    std::vector<mr::RouteDifficulty> diffs(states.size());
-    for (std::size_t i = 0; i < states.size(); ++i) diffs[i] = states[i].diff;
-    mr::DrvBatchOptions bo;
-    bo.iterations = kDrvIters;
-    bo.initial_drv_scale = kDrvScale;
-    const mr::DrvBatch batch = mr::simulate_drv_batch(diffs, seeds, bo);
-    std::vector<DrvState> next(states.size());
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      next[i] = step_state(states[i], batch.trajectory(i).back(), batch.succeeded[i] != 0);
-    }
-    return next;
-  };
   mo::GwtwOptions opt;
   opt.population = 8;
   opt.rounds = 12;
@@ -511,10 +496,6 @@ std::vector<std::string> gwtw_fig6c() {
   {
     mu::Rng rng{7};
     out.push_back(digest(mo::go_with_the_winners(prob, opt, rng)));
-  }
-  {
-    mu::Rng rng{7};
-    out.push_back(digest(mo::go_with_the_winners(batched, opt, rng)));
   }
   {
     me::RunExecutor pool{{.threads = 4}};

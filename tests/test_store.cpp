@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <iterator>
 #include <string_view>
 #include <thread>
@@ -95,6 +96,21 @@ ms::StoredRun sample_run(std::uint64_t seed, double area) {
 /// Global obs counters are cumulative per process: tests must diff.
 std::uint64_t counter(const char* name) {
   return Registry::global().counter(name).value();
+}
+
+/// An rng_state_to_json-shaped array of the given words.
+maestro::util::Json rng_words(std::initializer_list<const char*> words) {
+  maestro::util::JsonArray a;
+  for (const char* w : words) a.push_back(maestro::util::Json{w});
+  return maestro::util::Json{std::move(a)};
+}
+
+/// A checkpoint with one field replaced.
+maestro::util::Json with_field(const maestro::util::Json& state, const char* key,
+                               maestro::util::Json value) {
+  maestro::util::JsonObject o = state.as_object();
+  o[key] = std::move(value);
+  return maestro::util::Json{std::move(o)};
 }
 
 /// Same synthetic cliff oracle as the exec/core MAB tests: pure function of
@@ -256,6 +272,49 @@ TEST(RngStateJson, RoundTripsIncludingGaussSpare) {
   const maestro::util::Json bad =
       maestro::util::Json{maestro::util::JsonArray{maestro::util::Json{"1"}}};
   EXPECT_FALSE(ms::rng_state_from_json(b, bad));
+}
+
+TEST(RngStateJson, RejectsStatesSaveStateCannotProduceAndLeavesTheGeneratorAlone) {
+  Rng rng{5};
+  (void)rng.gauss(0.0, 1.0);
+  const auto before = rng.save_state();
+  const maestro::util::Json bad[] = {
+      // The all-zero xoshiro state: next() would return 0 forever.
+      rng_words({"0", "0", "0", "0", "0", "0"}),
+      rng_words({"0", "0", "0", "0", "1", "4607182418800017408"}),
+      // A spare flag other than 0 or 1.
+      rng_words({"1", "2", "3", "4", "2", "0"}),
+      // Words that are not a whole decimal uint64.
+      rng_words({"abc", "2", "3", "4", "0", "0"}),
+      rng_words({"1", "12abc", "3", "4", "0", "0"}),
+      rng_words({"1", "2", "-1", "4", "0", "0"}),
+      rng_words({"1", "2", "3", "", "0", "0"}),
+      rng_words({"1", "2", "3", " 4", "0", "0"}),
+      rng_words({"1", "2", "3", "+4", "0", "0"}),
+      rng_words({"1", "2", "3", "0x4", "0", "0"}),
+      rng_words({"1", "2", "3", "4", "0", "18446744073709551616"}),
+      maestro::util::Json{maestro::util::JsonArray(6, maestro::util::Json{1.0})},
+  };
+  for (const auto& j : bad) {
+    EXPECT_FALSE(ms::rng_state_from_json(rng, j)) << j.dump();
+    EXPECT_EQ(rng.save_state(), before) << j.dump();
+  }
+  // One nonzero state word is enough, and every word may be 2^64 - 1.
+  EXPECT_TRUE(ms::rng_state_from_json(rng, rng_words({"0", "0", "0", "1", "0", "0"})));
+  EXPECT_NE(rng.next(), 0u);
+  const char* max = "18446744073709551615";
+  EXPECT_TRUE(ms::rng_state_from_json(rng, rng_words({max, max, max, max, "1", max})));
+}
+
+TEST(U64Json, RoundTripsAndRejectsAnythingButAWholeDecimalUint64) {
+  for (const std::uint64_t v : {0ULL, 1ULL, 18446744073709551615ULL}) {
+    EXPECT_EQ(ms::u64_from_json(ms::u64_to_json(v)), v);
+  }
+  for (const char* bad : {"abc", "", "-1", "1.0", " 1", "1 ", "+1", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(ms::u64_from_json(maestro::util::Json{bad}).has_value()) << '"' << bad << '"';
+  }
+  EXPECT_FALSE(ms::u64_from_json(maestro::util::Json{7.0}).has_value());
 }
 
 // ------------------------------------------------------------------ RunStore
@@ -807,7 +866,7 @@ mc::MabOptions mab_base_options() {
   opt.frequency_arms_ghz = mc::frequency_arms(1.0, 2.0, 5);
   opt.iterations = 6;
   opt.concurrency = 3;
-  opt.algorithm = mc::MabAlgorithm::Thompson;
+  opt.algorithm = maestro::ml::PolicyKind::Thompson;
   return opt;
 }
 
@@ -905,6 +964,46 @@ TEST(MabResume, MismatchedOptionsStartFresh) {
   EXPECT_EQ(fresh.samples.front().iteration, 0u);
 }
 
+TEST(MabResume, ZeroOrNonDecimalRngCheckpointStartsFresh) {
+  // A checkpoint whose RNG words decode to the all-zero xoshiro state would
+  // make every draw 0, and below() and gauss() would never return; it is
+  // rejected like any other undecodable checkpoint and the campaign starts
+  // over.
+  const auto oracle = cliff_oracle(1.6);
+  Rng rng_fresh{99};
+  const auto fresh = mc::MabScheduler(mab_base_options()).run(oracle, rng_fresh);
+
+  const std::string dir = temp_store("mab_zero_rng");
+  ms::RunStore store(dir);
+  mc::MabOptions half = mab_base_options();
+  half.iterations = 3;
+  half.checkpoint = &store;
+  half.campaign_id = "zero-rng";
+  Rng rng_half{99};
+  (void)mc::MabScheduler(half).run(oracle, rng_half);
+  const auto saved = store.get_state("mab:zero-rng");
+  ASSERT_TRUE(saved.has_value());
+
+  mc::MabOptions opt = mab_base_options();
+  opt.checkpoint = &store;
+  opt.campaign_id = "zero-rng";
+  const mc::MabScheduler sched{opt};
+  ASSERT_TRUE(sched.resumes_from(*saved));
+  EXPECT_FALSE(sched.resumes_from(with_field(*saved, "base_seed", maestro::util::Json{"abc"})));
+  EXPECT_FALSE(sched.resumes_from(with_field(*saved, "run_index", maestro::util::Json{"1e3"})));
+  EXPECT_FALSE(
+      sched.resumes_from(with_field(*saved, "rng", rng_words({"1", "2", "x", "4", "0", "0"}))));
+  const auto zero = with_field(*saved, "rng", rng_words({"0", "0", "0", "0", "0", "0"}));
+  EXPECT_FALSE(sched.resumes_from(zero));
+
+  store.put_state("mab:zero-rng", zero);
+  const std::uint64_t resumes0 = counter("store.campaign_resumed");
+  Rng rng{99};
+  const auto cont = sched.run(oracle, rng);
+  EXPECT_EQ(counter("store.campaign_resumed"), resumes0);
+  expect_same_mab_result(fresh, cont);
+}
+
 // ------------------------------------------------------- FTS checkpoint/resume
 
 TEST(FtsResume, InterruptedSearchMatchesUninterruptedBitwise) {
@@ -943,6 +1042,49 @@ TEST(FtsResume, InterruptedSearchMatchesUninterruptedBitwise) {
   EXPECT_EQ(cont.best_cost, full.best_cost);
   EXPECT_EQ(cont.flow_runs, full.flow_runs);
   EXPECT_EQ(mf::flatten(cont.best_trajectory), mf::flatten(full.best_trajectory));
+}
+
+TEST(FtsResume, ZeroOrNonDecimalRngCheckpointStartsFresh) {
+  const auto spaces = mf::default_knob_spaces();
+  const auto oracle = knob_oracle();
+  mc::FlowSearchOptions base;
+  base.strategy = mc::SearchStrategy::Gwtw;
+  base.population = 4;
+  base.rounds = 4;
+  base.mutations_per_round = 2;
+  Rng rng_fresh{7};
+  const auto fresh = mc::FlowTreeSearch(spaces, base).run(oracle, rng_fresh);
+
+  const std::string dir = temp_store("fts_zero_rng");
+  ms::RunStore store(dir);
+  mc::FlowSearchOptions half = base;
+  half.rounds = 2;
+  half.checkpoint = &store;
+  half.campaign_id = "zero-rng";
+  Rng rng_half{7};
+  (void)mc::FlowTreeSearch(spaces, half).run(oracle, rng_half);
+  const auto saved = store.get_state("fts:zero-rng");
+  ASSERT_TRUE(saved.has_value());
+
+  mc::FlowSearchOptions opt = base;
+  opt.checkpoint = &store;
+  opt.campaign_id = "zero-rng";
+  const mc::FlowTreeSearch search{spaces, opt};
+  ASSERT_TRUE(search.resumes_from(*saved));
+  EXPECT_FALSE(
+      search.resumes_from(with_field(*saved, "rng", rng_words({"1", "2", "3", "4", "0", "-5"}))));
+  const auto zero = with_field(*saved, "rng", rng_words({"0", "0", "0", "0", "0", "0"}));
+  EXPECT_FALSE(search.resumes_from(zero));
+
+  store.put_state("fts:zero-rng", zero);
+  const std::uint64_t resumes0 = counter("store.campaign_resumed");
+  Rng rng{7};
+  const auto cont = search.run(oracle, rng);
+  EXPECT_EQ(counter("store.campaign_resumed"), resumes0);
+  EXPECT_EQ(cont.best_per_round, fresh.best_per_round);  // bitwise doubles
+  EXPECT_EQ(cont.best_cost, fresh.best_cost);
+  EXPECT_EQ(cont.flow_runs, fresh.flow_runs);
+  EXPECT_EQ(mf::flatten(cont.best_trajectory), mf::flatten(fresh.best_trajectory));
 }
 
 // --------------------------------------------- repeated campaigns hit the cache

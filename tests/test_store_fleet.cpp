@@ -127,7 +127,7 @@ mc::MabOptions mab_base_options() {
   opt.frequency_arms_ghz = mc::frequency_arms(1.0, 2.0, 5);
   opt.iterations = 6;
   opt.concurrency = 3;
-  opt.algorithm = mc::MabAlgorithm::Thompson;
+  opt.algorithm = maestro::ml::PolicyKind::Thompson;
   return opt;
 }
 

@@ -6,12 +6,10 @@
 // original run_sta; reference_wireload mirrors flow::wireload_timing) and
 // asserts exact (==, not near) equality across:
 //   * GBA/PBA x SI x hold x all three standard corners,
-//   * batched multi-corner propagation vs. per-corner runs,
 //   * incremental re-propagation over random resize dirty sets vs. a fresh
 //     full reference run (property test),
 //   * structural ECO (hold-buffer insertion) + sync() + reanalyze(),
-//   * wireload trial/undo loops (the gate-sizing access pattern),
-//   * level-parallel propagation vs. the serial sweep (TSan-clean).
+//   * wireload trial/undo loops (the gate-sizing access pattern).
 
 #include <gtest/gtest.h>
 
@@ -447,26 +445,6 @@ TEST(KernelEquivalence, GraphReuseAcrossOptionChanges) {
     SCOPED_TRACE(opt.corner.name + (opt.mode == mt::AnalysisMode::PathBased ? "/pba" : "/gba") +
                  (opt.with_si ? "/si" : "") + (opt.with_hold ? "/hold" : ""));
     expect_report_eq(graph.analyze(opt, &grid), reference_sta(*f.pl, f.clock, opt, &grid));
-  }
-}
-
-TEST(KernelEquivalence, BatchedCornersMatchPerCornerRuns) {
-  const auto f = make_fixture(41, 500);
-  const auto grid = make_routed(f, 41);
-  mt::StaOptions base;
-  base.mode = mt::AnalysisMode::PathBased;
-  base.with_si = true;
-  base.with_hold = true;
-  base.clock_period_ps = 650.0;
-  mt::TimingGraph graph(*f.pl, f.clock);
-  const auto& corners = mt::standard_corners();
-  const auto reports = graph.analyze_corners(base, corners, &grid);
-  ASSERT_EQ(reports.size(), corners.size());
-  for (std::size_t i = 0; i < corners.size(); ++i) {
-    SCOPED_TRACE(corners[i].name);
-    mt::StaOptions opt = base;
-    opt.corner = corners[i];
-    expect_report_eq(reports[i], reference_sta(*f.pl, f.clock, opt, &grid));
   }
 }
 

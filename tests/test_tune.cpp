@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -119,6 +120,21 @@ mt::TuneOracle crashing_oracle() {
     if (seed % 5 == 0) throw maestro::resil::InjectedCrash{"oracle"};
     return inner(t, seed);
   };
+}
+
+/// An rng_state_to_json-shaped array of the given words.
+maestro::util::Json rng_words(std::initializer_list<const char*> words) {
+  maestro::util::JsonArray a;
+  for (const char* w : words) a.push_back(maestro::util::Json{w});
+  return maestro::util::Json{std::move(a)};
+}
+
+/// A checkpoint with one field replaced.
+maestro::util::Json with_field(const maestro::util::Json& state, const char* key,
+                               maestro::util::Json value) {
+  maestro::util::JsonObject o = state.as_object();
+  o[key] = std::move(value);
+  return maestro::util::Json{std::move(o)};
 }
 
 }  // namespace
@@ -346,6 +362,46 @@ TEST(TuneResume, MismatchedOptionsStartFresh) {
   EXPECT_FALSE(fresh.resumed);
   EXPECT_EQ(fresh.total_runs, changed.rounds * changed.batch);
   EXPECT_EQ(fresh.samples.front().round, 0u);
+}
+
+TEST(TuneResume, ZeroOrNonDecimalRngCheckpointStartsFresh) {
+  // A checkpoint whose RNG words decode to the all-zero xoshiro state would
+  // make every draw 0, and below() and gauss() would never return; it is
+  // rejected like any other undecodable checkpoint and the campaign starts
+  // over.
+  Rng rng_fresh{99};
+  const auto fresh = mt::FlowTuner{base_options()}.run(area_oracle(), rng_fresh);
+
+  const std::string dir = temp_store("zero_rng");
+  ms::RunStore store(dir);
+  mt::TuneOptions half = base_options();
+  half.rounds = 5;
+  half.checkpoint = &store;
+  half.campaign_id = "zero-rng";
+  Rng rng_half{99};
+  (void)mt::FlowTuner{half}.run(area_oracle(), rng_half);
+  const auto saved = store.get_state("tune:zero-rng");
+  ASSERT_TRUE(saved.has_value());
+
+  mt::TuneOptions opt = base_options();
+  opt.checkpoint = &store;
+  opt.campaign_id = "zero-rng";
+  const mt::FlowTuner tuner{opt};
+  ASSERT_TRUE(tuner.resumes_from(*saved));
+  EXPECT_FALSE(tuner.resumes_from(with_field(*saved, "base_seed", maestro::util::Json{"abc"})));
+  EXPECT_FALSE(
+      tuner.resumes_from(with_field(*saved, "rng", rng_words({"1", "2", "3", "4", "1", "?"}))));
+  EXPECT_FALSE(tuner.resumes_from(
+      with_field(*saved, "distinct", maestro::util::Json{maestro::util::JsonArray{
+                                         maestro::util::Json{"12x"}}})));
+  const auto zero = with_field(*saved, "rng", rng_words({"0", "0", "0", "0", "0", "0"}));
+  EXPECT_FALSE(tuner.resumes_from(zero));
+
+  store.put_state("tune:zero-rng", zero);
+  Rng rng{99};
+  const auto cont = tuner.run(area_oracle(), rng);
+  EXPECT_FALSE(cont.resumed);
+  expect_same_tune_result(fresh, cont);
 }
 
 // ---------------------------------------------------------- METRICS warm start
