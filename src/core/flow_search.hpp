@@ -60,8 +60,8 @@ struct FlowSearchOptions {
   /// plus its flattened trajectory knobs and derived seed, so trajectories
   /// revisited by GWTW cloning, adaptive restarts or a repeated campaign
   /// against the same MAESTRO_STORE resolve from the cache instead of
-  /// dispatching (through exec::RunExecutor::submit_memo, with or without
-  /// a caller pool).
+  /// dispatching (exec::dispatch_round memoizes each run, with or without a
+  /// caller pool).
   store::FlowCache* cache = nullptr;
   /// Key template (design name + fixed context such as "target_ghz") for
   /// cached runs.

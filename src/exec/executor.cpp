@@ -108,11 +108,6 @@ void RunExecutor::timer_loop() {
   }
 }
 
-void RunExecutor::memo_erase(std::uint64_t fingerprint) {
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  memo_inflight_.erase(fingerprint);
-}
-
 std::size_t RunExecutor::licenses_in_use() const {
   std::lock_guard<std::mutex> lock(mu_);
   return license_total_ - licenses_free_;

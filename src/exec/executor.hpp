@@ -33,13 +33,15 @@
 //
 // Campaign rounds: MabScheduler, FlowTreeSearch, FlowTuner,
 // RobotEngineer::run_fleet and opt::go_with_the_winners all share
-// one dispatch path, dispatch_round(pool, jobs, resilience): submit a batch
-// of runs (through submit_memo when a job has a memo handle, else through
-// submit_resilient when ResilOptions are given, else submit), wait for all
-// of them, and return each run's value or error text in submission order.
+// one dispatch path, dispatch_round(pool, jobs, resilience): answer the
+// jobs with a memo handle from their cache where it can, run each remaining
+// fingerprint once (through submit_resilient when ResilOptions are given,
+// else submit), wait for all of them, and return each run's value or error
+// text in submission order.
 // A failed run never throws out of the round; each campaign folds a dead run
 // in its own way (a censored pull, a dead branch, a crashed robot).
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -49,13 +51,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <stop_token>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
-#include <typeindex>
 #include <unordered_map>
 #include <vector>
 
@@ -105,14 +107,9 @@ class RunExecutor {
 
   /// Submit one run. `fn` is invoked as fn(RunContext&) on a worker thread
   /// once a license is available; the returned future carries its result.
-  /// `on_abort`, if set, fires when the run is skipped without ever invoking
-  /// `fn` (cancelled or past its deadline while still queued) with the
-  /// terminal state and the exception the future will deliver — submit_memo
-  /// uses it to settle in-flight joiners that never see the body run.
   template <typename F>
   auto submit(std::string label, std::uint64_t seed, F fn, CancelToken cancel = {},
-              std::chrono::steady_clock::time_point deadline = {},
-              std::function<void(RunState, std::exception_ptr)> on_abort = {})
+              std::chrono::steady_clock::time_point deadline = {})
       -> std::future<std::invoke_result_t<F&, RunContext&>> {
     using R = std::invoke_result_t<F&, RunContext&>;
     static_assert(!std::is_void_v<R>, "pooled runs must return a result");
@@ -133,16 +130,13 @@ class RunExecutor {
     task.seed = seed;
     task.cancel = cancel;
     task.deadline = deadline;
-    task.body = [slot, fn = std::move(fn),
-                 on_abort = std::move(on_abort)](RunContext& ctx, bool run) mutable -> Outcome {
+    task.body = [slot, fn = std::move(fn)](RunContext& ctx, bool run) mutable -> Outcome {
       if (!run) {
         if (ctx.past_deadline()) {
           slot->error = std::make_exception_ptr(resil::RunTimedOut{});
-          if (on_abort) on_abort(RunState::TimedOut, slot->error);
           return {RunState::TimedOut, "deadline"};
         }
         slot->error = std::make_exception_ptr(RunCancelled{});
-        if (on_abort) on_abort(RunState::Cancelled, slot->error);
         return {RunState::Cancelled, {}};
       }
       try {
@@ -186,18 +180,10 @@ class RunExecutor {
   /// retries and fails the returned future with RunCancelled. The callback
   /// runs on the thread that requests cancellation (or here, when the token
   /// is already cancelled, in which case no attempt is submitted).
-  ///
-  /// `on_fail`, if set, fires exactly once if the logical run settles with
-  /// an exception — (Failed, exhausted retries' error), (TimedOut,
-  /// RunTimedOut) or (Cancelled, RunCancelled) — *before* the returned
-  /// future observes it, so any bookkeeping it does (submit_memo settles
-  /// in-flight joiners and releases cancelled fingerprints) is consistent
-  /// by the time the caller unblocks.
   template <typename F>
   auto submit_resilient(std::string label, std::uint64_t seed, F fn,
                         resil::ResilOptions opt = {},
-                        std::optional<CancelToken> cancel = std::nullopt,
-                        std::function<void(RunState, std::exception_ptr)> on_fail = {})
+                        std::optional<CancelToken> cancel = std::nullopt)
       -> std::future<std::invoke_result_t<F&, RunContext&>> {
     using R = std::invoke_result_t<F&, RunContext&>;
     static_assert(std::is_copy_constructible_v<R>,
@@ -212,8 +198,6 @@ class RunExecutor {
       std::string label;
       std::uint64_t base_seed = 0;
       Clock::time_point deadline{};
-      /// Invoked once, after the promise settles with an exception.
-      std::function<void(RunState, std::exception_ptr)> on_fail;
       /// Aborts the run when the caller's token is cancelled.
       std::optional<std::stop_callback<std::function<void()>>> on_cancel;
 
@@ -238,17 +222,15 @@ class RunExecutor {
         const CancelToken live = attempt;
         lk.unlock();
         live.request_cancel();
-        const auto err = s == RunState::TimedOut ? std::make_exception_ptr(resil::RunTimedOut{})
-                                                 : std::make_exception_ptr(RunCancelled{});
-        if (on_fail) on_fail(s, err);
-        promise.set_exception(err);
+        promise.set_exception(s == RunState::TimedOut
+                                  ? std::make_exception_ptr(resil::RunTimedOut{})
+                                  : std::make_exception_ptr(RunCancelled{}));
       }
     };
     auto st = std::make_shared<State>();
     st->opt = opt;
     st->label = std::move(label);
     st->base_seed = seed;
-    st->on_fail = std::move(on_fail);
     if (opt.deadline_ms > 0.0) st->deadline = Clock::now() + to_duration(opt.deadline_ms);
     std::future<R> fut = st->promise.get_future();
     if (cancel) {
@@ -319,7 +301,6 @@ class RunExecutor {
         // soon as the promise settles, so this worker settles outside the
         // handler, hands over its only reference, and journals the attempt
         // from the text it copied before.
-        if (st->on_fail) st->on_fail(RunState::Failed, exhausted_error);
         st->promise.set_exception(std::move(exhausted_error));
         throw std::runtime_error(exhausted_what);  // journal this attempt as Failed
       };
@@ -332,126 +313,6 @@ class RunExecutor {
       schedule_at(st->deadline, [st] { st->abort(RunState::TimedOut); });
     }
     return fut;
-  }
-
-  /// Cache-aware dispatch: consult a content-addressed result cache before
-  /// queueing. On a hit the future resolves immediately with the memoized
-  /// result — no license, no worker — and the journal records the run as
-  /// Completed with note "cache_hit" (zero wall time). On a miss the run
-  /// dispatches normally (with `deadline`, and under `resilience` via
-  /// submit_resilient when any of its knobs are set) and, unless it was
-  /// cancelled mid-run (partial results must not poison the cache),
-  /// memoizes its result on completion.
-  ///
-  /// Duplicate fingerprints submitted while the first is still in flight
-  /// join the first run (counter exec.inflight_joins) instead of burning a
-  /// license on a duplicate execution. A join returns a promise-backed
-  /// future (wait_for/wait_until behave normally) settled when the
-  /// underlying run resolves, and is journaled at that point with the run's
-  /// *terminal* state — Completed, Failed, TimedOut or Cancelled — under
-  /// note "inflight_join". The caller's token and the first run's
-  /// resilience policy both stay live: cancelling the first submission's
-  /// token settles joiners too. All submissions of one fingerprint must
-  /// share a result type (enforced: a mismatch throws std::logic_error). A
-  /// fingerprint whose resilient run exhausted its retries or timed out
-  /// keeps its settled entry, so later joiners observe the same error;
-  /// cancelled runs release the fingerprint for a later re-run.
-  ///
-  /// `Cache` is any copyable handle with
-  ///   std::optional<R> lookup(std::uint64_t) and
-  ///   void insert(std::uint64_t, const R&)
-  /// (e.g. store::KeyedRunCache). It is copied into the pooled task, so by-
-  /// value validity must outlast the run. The handle may itself be tiered:
-  /// wrapping a store::RemoteRunCache consults the fleet-wide CacheServer
-  /// before the local store, and its degradation ladder (remote → local →
-  /// in-memory) means a dead or partitioned server turns into ordinary
-  /// misses here — executions are re-done, results never change.
-  template <typename Cache, typename F>
-  auto submit_memo(std::string label, std::uint64_t seed, std::uint64_t fingerprint,
-                   Cache cache, F fn, CancelToken cancel = {},
-                   std::chrono::steady_clock::time_point deadline = {},
-                   resil::ResilOptions resilience = {})
-      -> std::future<std::invoke_result_t<F&, RunContext&>> {
-    using R = std::invoke_result_t<F&, RunContext&>;
-    if (auto hit = cache.lookup(fingerprint)) {
-      const std::uint64_t run_id = journal_.on_enqueue(std::move(label), seed);
-      journal_.on_finish(run_id, RunState::Completed, "cache_hit");
-      obs::Registry::global().counter("exec.cache_hits").add();
-      std::promise<R> ready;
-      ready.set_value(std::move(*hit));
-      return ready.get_future();
-    }
-    std::unique_lock<std::mutex> memo_lock(memo_mu_);
-    if (auto it = memo_inflight_.find(fingerprint); it != memo_inflight_.end()) {
-      if (it->second.type != std::type_index(typeid(R))) {
-        throw std::logic_error(
-            "submit_memo: fingerprint resubmitted with a different result type");
-      }
-      auto entry = std::static_pointer_cast<MemoEntry<R>>(it->second.entry);
-      memo_lock.unlock();
-      const std::uint64_t run_id = journal_.on_enqueue(std::move(label), seed);
-      obs::Registry::global().counter("exec.inflight_joins").add();
-      return entry->join(run_id, journal_);
-    }
-    auto entry = std::make_shared<MemoEntry<R>>();
-    memo_inflight_.emplace(fingerprint,
-                           MemoSlot{entry, std::type_index(typeid(R))});
-    memo_lock.unlock();
-
-    const bool single_shot = !resilience.enabled();
-    auto wrapped = [this, cache = std::move(cache), fingerprint, fn = std::move(fn),
-                    single_shot, entry](RunContext& ctx) mutable -> R {
-      try {
-        R result = fn(ctx);
-        if (!ctx.should_stop()) {
-          cache.insert(fingerprint, result);
-          entry->settle_value(RunState::Completed, result, this->journal_);
-          this->memo_erase(fingerprint);
-        } else if (single_shot) {
-          // Partial result: joiners receive it (same as the submitter) but
-          // the fingerprint is released so a later submission re-runs.
-          entry->settle_value(
-              ctx.past_deadline() ? RunState::TimedOut : RunState::Cancelled, result,
-              this->journal_);
-          this->memo_erase(fingerprint);
-        }
-        return result;
-      } catch (...) {
-        if (single_shot) {
-          entry->settle_error(RunState::Failed, std::current_exception(),
-                              this->journal_);
-          this->memo_erase(fingerprint);
-        }
-        throw;
-      }
-    };
-    if (!single_shot) {
-      if (deadline != std::chrono::steady_clock::time_point{} &&
-          resilience.deadline_ms <= 0.0) {
-        const double remaining = std::chrono::duration<double, std::milli>(
-                                     deadline - std::chrono::steady_clock::now())
-                                     .count();
-        resilience.deadline_ms = remaining > 0.0 ? remaining : 0.001;
-      }
-      // Terminal resilient failures (exhausted retries, deadline expiry,
-      // caller cancellation) settle joiners with the same exception. Only
-      // cancellation frees the fingerprint — Failed/TimedOut entries stay
-      // so later joiners share the error instead of re-crashing.
-      auto on_fail = [this, entry, fingerprint](RunState s, std::exception_ptr e) {
-        entry->settle_error(s, e, this->journal_);
-        if (s == RunState::Cancelled) this->memo_erase(fingerprint);
-      };
-      return submit_resilient(std::move(label), seed, std::move(wrapped), resilience,
-                              cancel, std::move(on_fail));
-    }
-    // Skipped-while-queued runs (cancel or deadline) never invoke `wrapped`,
-    // so the abort hook settles joiners and releases the fingerprint.
-    auto on_abort = [this, entry, fingerprint](RunState s, std::exception_ptr e) {
-      entry->settle_error(s, e, this->journal_);
-      this->memo_erase(fingerprint);
-    };
-    return submit(std::move(label), seed, std::move(wrapped), std::move(cancel), deadline,
-                  std::move(on_abort));
   }
 
   /// Run `fn` on the executor's timer thread at (or shortly after) `tp`.
@@ -480,88 +341,6 @@ class RunExecutor {
     std::function<void()> deliver;
   };
 
-  /// One in-flight memoized run. Joiners park a promise here; whichever
-  /// settle path resolves the run first (worker success, failure, skip
-  /// abort, resilient on_fail) fulfils every parked promise with the
-  /// terminal value/error and journals each joiner's row with the run's
-  /// real terminal state, note "inflight_join". Settling is idempotent —
-  /// the first settle wins, later calls are no-ops — and after `done` the
-  /// value/error/state fields are immutable, so post-settle joins read them
-  /// without re-locking hazards.
-  template <typename R>
-  struct MemoEntry {
-    struct Waiter {
-      std::promise<R> promise;
-      std::uint64_t run_id = 0;
-    };
-
-    std::mutex mu;
-    bool done = false;
-    RunState state = RunState::Completed;
-    std::optional<R> value;
-    std::exception_ptr error;
-    std::vector<Waiter> waiters;
-
-    void settle_value(RunState s, const R& v, RunJournal& journal) {
-      std::vector<Waiter> pending;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        if (done) return;
-        done = true;
-        state = s;
-        value = v;
-        pending.swap(waiters);
-      }
-      for (auto& w : pending) {
-        journal.on_finish(w.run_id, s, "inflight_join");
-        w.promise.set_value(*value);
-      }
-    }
-
-    void settle_error(RunState s, std::exception_ptr e, RunJournal& journal) {
-      std::vector<Waiter> pending;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        if (done) return;
-        done = true;
-        state = s;
-        error = e;
-        pending.swap(waiters);
-      }
-      for (auto& w : pending) {
-        journal.on_finish(w.run_id, s, "inflight_join");
-        w.promise.set_exception(error);
-      }
-    }
-
-    /// Promise-backed join: ready immediately when already settled, else
-    /// parked until a settle path fires.
-    std::future<R> join(std::uint64_t run_id, RunJournal& journal) {
-      std::unique_lock<std::mutex> lk(mu);
-      if (done) {
-        lk.unlock();
-        journal.on_finish(run_id, state, "inflight_join");
-        std::promise<R> ready;
-        if (error) ready.set_exception(error);
-        else ready.set_value(*value);
-        return ready.get_future();
-      }
-      Waiter w;
-      w.run_id = run_id;
-      std::future<R> fut = w.promise.get_future();
-      waiters.push_back(std::move(w));
-      return fut;
-    }
-  };
-
-  /// Type-erased MemoEntry<R> plus the R it was erased from, so a
-  /// fingerprint resubmitted with a different result type is detected
-  /// instead of being static-cast into undefined behavior.
-  struct MemoSlot {
-    std::shared_ptr<void> entry;
-    std::type_index type;
-  };
-
   static std::chrono::steady_clock::duration to_duration(double ms) {
     return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
         std::chrono::duration<double, std::milli>(ms));
@@ -572,7 +351,6 @@ class RunExecutor {
   void timer_loop();
   void acquire_license();
   void release_license();
-  void memo_erase(std::uint64_t fingerprint);
 
   ExecOptions opt_;
   RunJournal journal_;
@@ -589,11 +367,6 @@ class RunExecutor {
   bool stopping_ = false;
   bool timer_started_ = false;
 
-  std::mutex memo_mu_;
-  /// fingerprint -> typed MemoEntry<R> of the in-flight (or terminally
-  /// failed resilient) run.
-  std::unordered_map<std::uint64_t, MemoSlot> memo_inflight_;
-
   std::vector<std::thread> workers_;
   std::thread timer_;
 };
@@ -607,8 +380,8 @@ struct RoundJob {
   std::string label;
   std::uint64_t seed = 0;
   std::function<R(RunContext&)> body;
-  /// When set, the run goes through submit_memo keyed by memo->fingerprint()
-  /// (e.g. store::KeyedRunCache).
+  /// When set, the round memoizes the run under memo->fingerprint() (e.g.
+  /// store::KeyedRunCache; see dispatch_round).
   std::optional<Cache> memo;
   std::optional<CancelToken> cancel;  ///< the caller's token, if any
 };
@@ -622,33 +395,88 @@ struct RoundOutcome {
 
 /// Submit every job, wait for all of them, return their outcomes in
 /// submission order; never throws for a failed run. With `resilience` set,
-/// jobs without a memo handle go through submit_resilient even for default
-/// ResilOptions, whose attempt bodies consult the "exec.license" fault site.
+/// every job goes through submit_resilient, even for default ResilOptions,
+/// whose attempt bodies consult the "exec.license" fault site; without it,
+/// through submit.
+///
+/// Memoization: before anything is submitted, every job with a memo handle
+/// is looked up, in submission order. A hit settles at once, journaled
+/// Completed with note "cache_hit" and zero wall time (counter
+/// exec.cache_hits). A miss whose fingerprint matches an earlier miss of the
+/// round is not submitted: it takes that twin's outcome, journaled with the
+/// twin's terminal state and note "inflight_join" (counter
+/// exec.inflight_joins). Any other miss runs and inserts its result unless
+/// it was asked to stop: a cancelled or overdue run's partial result must
+/// not poison the cache. `Cache` is a copyable handle with
+///   std::uint64_t fingerprint(),
+///   std::optional<R> lookup(std::uint64_t) and
+///   void insert(std::uint64_t, const R&);
+/// it is copied into the pooled task, so by-value validity must outlast the
+/// run. A tiered handle (store::RemoteRunCache behind a KeyedRunCache) turns
+/// a dead cache server into ordinary misses: runs are redone, results never
+/// change.
 template <typename R, typename Cache>
 std::vector<RoundOutcome<R>> dispatch_round(
     RunExecutor& pool, std::vector<RoundJob<R, Cache>> jobs,
     const std::optional<resil::ResilOptions>& resilience = std::nullopt) {
-  std::vector<std::future<R>> futures;
-  futures.reserve(jobs.size());
-  for (auto& job : jobs) {
-    const CancelToken cancel = job.cancel.value_or(CancelToken{});
+  const std::size_t n = jobs.size();
+  std::vector<RoundOutcome<R>> outcomes(n);
+  // source[i]: the job whose run answers job i, i itself unless i joins an
+  // earlier miss. A hit's value is already in its outcome.
+  std::vector<std::size_t> source(n);
+  std::iota(source.begin(), source.end(), std::size_t{0});
+  if constexpr (!std::is_same_v<Cache, NoMemo>) {
+    std::unordered_map<std::uint64_t, std::size_t> first_miss;
+    for (std::size_t i = 0; i < n; ++i) {
+      auto& memo = jobs[i].memo;
+      if (!memo) continue;
+      const std::uint64_t fingerprint = memo->fingerprint();
+      if (auto hit = memo->lookup(fingerprint)) outcomes[i].value = std::move(*hit);
+      else source[i] = first_miss.try_emplace(fingerprint, i).first->second;
+    }
+  }
+
+  RunJournal& journal = pool.journal();
+  std::vector<std::future<R>> futures(n);
+  std::vector<std::uint64_t> join_rows(n);
+  // Set by a memoized run that was asked to stop: its value is a Cancelled
+  // run's partial result, which its joiners' rows must say.
+  std::vector<std::shared_ptr<std::atomic<bool>>> stopped(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    auto& job = jobs[i];
+    if (outcomes[i].value) {
+      journal.on_finish(journal.on_enqueue(std::move(job.label), job.seed),
+                        RunState::Completed, "cache_hit");
+      obs::Registry::global().counter("exec.cache_hits").add();
+      continue;
+    }
+    if (source[i] != i) {
+      join_rows[i] = journal.on_enqueue(std::move(job.label), job.seed);
+      obs::Registry::global().counter("exec.inflight_joins").add();
+      continue;
+    }
+    std::function<R(RunContext&)> body = std::move(job.body);
     if constexpr (!std::is_same_v<Cache, NoMemo>) {
       if (job.memo) {
-        const std::uint64_t fingerprint = job.memo->fingerprint();
-        futures.push_back(pool.submit_memo(std::move(job.label), job.seed, fingerprint,
-                                           std::move(*job.memo), std::move(job.body), cancel,
-                                           {}, resilience.value_or(resil::ResilOptions{})));
-        continue;
+        stopped[i] = std::make_shared<std::atomic<bool>>(false);
+        body = [body = std::move(body), memo = std::move(*job.memo),
+                stop = stopped[i]](RunContext& ctx) mutable -> R {
+          R result = body(ctx);
+          if (ctx.should_stop()) stop->store(true);
+          else memo.insert(memo.fingerprint(), result);
+          return result;
+        };
       }
     }
-    futures.push_back(resilience ? pool.submit_resilient(std::move(job.label), job.seed,
-                                                         std::move(job.body), *resilience,
-                                                         job.cancel)
-                                 : pool.submit(std::move(job.label), job.seed,
-                                               std::move(job.body), cancel));
+    futures[i] = resilience ? pool.submit_resilient(std::move(job.label), job.seed,
+                                                    std::move(body), *resilience, job.cancel)
+                            : pool.submit(std::move(job.label), job.seed, std::move(body),
+                                          job.cancel.value_or(CancelToken{}));
   }
-  std::vector<RoundOutcome<R>> outcomes(futures.size());
-  for (std::size_t i = 0; i < futures.size(); ++i) {
+
+  std::vector<RunState> states(n, RunState::Completed);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!futures[i].valid()) continue;
     // A shared_future holds the run's shared state, and the exception in it,
     // until the error text below is copied. The exception's last release is
     // then ordered by the state's shared_ptr count, which the thread
@@ -657,11 +485,21 @@ std::vector<RoundOutcome<R>> dispatch_round(
     const std::shared_future<R> result = futures[i].share();
     try {
       outcomes[i].value.emplace(result.get());
+      if (stopped[i] && stopped[i]->load()) states[i] = RunState::Cancelled;
     } catch (const std::exception& e) {
       outcomes[i].error = e.what();
+      states[i] = dynamic_cast<const resil::RunTimedOut*>(&e) ? RunState::TimedOut
+                  : dynamic_cast<const RunCancelled*>(&e)     ? RunState::Cancelled
+                                                              : RunState::Failed;
     } catch (...) {
       outcomes[i].error = "unknown error";
+      states[i] = RunState::Failed;
     }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (source[i] == i) continue;
+    outcomes[i] = outcomes[source[i]];
+    journal.on_finish(join_rows[i], states[source[i]], "inflight_join");
   }
   return outcomes;
 }

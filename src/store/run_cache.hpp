@@ -8,8 +8,8 @@
 // fingerprint index (RunStore::find_run), so a stored run is held in memory
 // once: lookups are O(1), inserts append to the store's WAL, and a second
 // campaign against the same MAESTRO_STORE answers duplicate runs without
-// dispatching them (exec::RunExecutor::submit_memo consults the cache before
-// queueing).
+// dispatching them (exec::dispatch_round consults the cache before
+// submitting a round).
 //
 // FlowCache is the seam the schedulers program against: RunCache is the
 // local, store-backed implementation; store::RemoteRunCache adds a shared
@@ -63,9 +63,10 @@ class RunCache : public FlowCache {
   RunStore* store_;
 };
 
-/// A cheap copyable handle binding one run's key to a cache — the shape
-/// RunExecutor::submit_memo consumes (it is copied into the pooled task, so
-/// it must stay valid by value; the FlowCache itself must outlive the pool).
+/// A cheap copyable handle binding one run's key to a cache — the memo
+/// handle exec::dispatch_round consumes (it is copied into the pooled task,
+/// so it must stay valid by value; the FlowCache itself must outlive the
+/// pool).
 class KeyedRunCache {
  public:
   KeyedRunCache(FlowCache& cache, RunKey key)

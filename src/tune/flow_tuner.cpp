@@ -465,8 +465,8 @@ TuneResult FlowTuner::run(const TuneOracle& oracle, util::Rng& rng,
 
     // Parallel: dispatch the batch as one round. Seeds (and so run-key
     // fingerprints) derive purely from (base_seed, choice indices) — a
-    // repeat trajectory is a repeat fingerprint, served by the cache or
-    // joined in flight.
+    // repeat trajectory is a repeat fingerprint, served by the cache or,
+    // within the batch, by its first copy's run.
     std::vector<exec::RoundJob<flow::FlowResult, store::KeyedRunCache>> jobs(options_.batch);
     std::vector<flow::FlowTrajectory> trajectories(options_.batch);
     std::vector<std::uint64_t> seeds(options_.batch);

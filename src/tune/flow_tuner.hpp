@@ -85,11 +85,11 @@ struct TuneOptions {
   /// Objective to maximize; default_objective when unset.
   std::function<double(const flow::FlowResult&)> objective;
 
-  /// Content-addressed memoization: every run dispatches through
-  /// exec::RunExecutor::submit_memo keyed by (design, trajectory knobs,
-  /// seed). Repeat trajectories — within a campaign once FIST freezes
-  /// dimensions, or across campaigns over the same MAESTRO_STORE — resolve
-  /// from the cache or join the in-flight twin instead of running.
+  /// Content-addressed memoization: every round's exec::dispatch_round
+  /// memoizes each run keyed by (design, trajectory knobs, seed). Repeat
+  /// trajectories — within a campaign once FIST freezes dimensions, or
+  /// across campaigns over the same MAESTRO_STORE — resolve from the cache,
+  /// or within one batch share the first copy's run, instead of running.
   store::FlowCache* cache = nullptr;
 
   /// Durable checkpointing under "tune:<campaign_id>": posteriors, the
@@ -129,7 +129,7 @@ struct TuneResult {
   std::size_t censored_runs = 0;  ///< runs that died without an observation
   /// Unique trajectory fingerprints dispatched. total_runs - distinct_runs
   /// of the campaign's dispatches were served from the memo layer (cache
-  /// hit or in-flight join) when a cache is configured.
+  /// hit, or a repeat within one batch) when a cache is configured.
   std::size_t distinct_runs = 0;
   std::size_t mined_rows = 0;  ///< warm-start rows mined from metrics history
 

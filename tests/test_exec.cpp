@@ -8,9 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +25,7 @@
 #include "core/mab_scheduler.hpp"
 #include "exec/executor.hpp"
 #include "metrics/server.hpp"
+#include "obs/registry.hpp"
 #include "opt/gwtw.hpp"
 #include "route/drv_sim.hpp"
 
@@ -107,6 +114,241 @@ TEST(DispatchRound, CollectsInSubmissionOrderAtAnyThreadCount) {
   }
   EXPECT_EQ(one.journal().count(mx::RunState::Completed), 32u);
   EXPECT_EQ(four.journal().count(mx::RunState::Completed), 32u);
+}
+
+// ------------------------------------------------------- memoized rounds
+
+namespace {
+
+/// Copyable memo handle over a shared map, bound to one fingerprint.
+struct MapMemo {
+  struct Map {
+    std::mutex mu;
+    std::map<std::uint64_t, int> values;
+  };
+  std::shared_ptr<Map> map;
+  std::uint64_t fp = 0;
+
+  std::uint64_t fingerprint() const { return fp; }
+  std::optional<int> lookup(std::uint64_t f) const {
+    const std::lock_guard<std::mutex> lock(map->mu);
+    const auto it = map->values.find(f);
+    if (it == map->values.end()) return std::nullopt;
+    return it->second;
+  }
+  void insert(std::uint64_t f, int v) const {
+    const std::lock_guard<std::mutex> lock(map->mu);
+    map->values[f] = v;
+  }
+};
+
+bool cached(const std::shared_ptr<MapMemo::Map>& map, std::uint64_t fp) {
+  return MapMemo{map, fp}.lookup(fp).has_value();
+}
+
+using MemoJob = mx::RoundJob<int, MapMemo>;
+
+MemoJob memo_job(const std::shared_ptr<MapMemo::Map>& map, std::uint64_t fp,
+                 std::function<int(mx::RunContext&)> body) {
+  MemoJob job;
+  job.label = "memo#" + std::to_string(fp);
+  job.seed = fp;
+  job.body = std::move(body);
+  job.memo = MapMemo{map, fp};
+  return job;
+}
+
+std::uint64_t counter(const char* name) {
+  return maestro::obs::Registry::global().counter(name).value();
+}
+
+/// The journal rows carrying `note`.
+std::vector<mx::RunRecord> rows_noted(const mx::RunExecutor& pool, const std::string& note) {
+  std::vector<mx::RunRecord> out;
+  for (const auto& rec : pool.journal().snapshot()) {
+    if (rec.note == note) out.push_back(rec);
+  }
+  return out;
+}
+
+/// Waits (bounded) until every submitted run of `pool` has a terminal row.
+void drain(const mx::RunExecutor& pool) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto settled = [&] {
+    for (const auto& rec : pool.journal().snapshot()) {
+      if (rec.state == mx::RunState::Queued || rec.state == mx::RunState::Running) return false;
+    }
+    return true;
+  };
+  while (!settled() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+}  // namespace
+
+TEST(MemoRound, InRoundDuplicateExecutesOnceAndJoins) {
+  mx::RunExecutor pool{{.threads = 4}};
+  const auto map = std::make_shared<MapMemo::Map>();
+  std::atomic<int> executions{0};
+  const auto body = [&](mx::RunContext&) {
+    executions.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return 5;
+  };
+  const std::uint64_t joins0 = counter("exec.inflight_joins");
+  std::vector<MemoJob> jobs{memo_job(map, 99, body), memo_job(map, 99, body)};
+  const auto out = mx::dispatch_round(pool, std::move(jobs));
+  ASSERT_TRUE(out[0].value && out[1].value);
+  EXPECT_EQ(*out[0].value, 5);
+  EXPECT_EQ(*out[1].value, 5);
+  EXPECT_EQ(executions.load(), 1);  // the duplicate joined, it did not re-run
+  EXPECT_EQ(counter("exec.inflight_joins") - joins0, 1u);
+  const auto joins = rows_noted(pool, "inflight_join");
+  ASSERT_EQ(joins.size(), 1u);
+  EXPECT_EQ(joins[0].state, mx::RunState::Completed);
+  EXPECT_EQ(joins[0].run_id, 2u);  // rows stay in submission order
+}
+
+TEST(MemoRound, DuplicateOfAThrowingRunSharesItsError) {
+  mx::RunExecutor pool{{.threads = 2}};
+  const auto map = std::make_shared<MapMemo::Map>();
+  std::atomic<int> executions{0};
+  const auto body = [&](mx::RunContext&) -> int {
+    executions.fetch_add(1);
+    throw std::runtime_error("boom");
+  };
+  std::vector<MemoJob> jobs{memo_job(map, 7, body), memo_job(map, 7, body)};
+  const auto out = mx::dispatch_round(pool, std::move(jobs));
+  EXPECT_FALSE(out[0].value);
+  EXPECT_FALSE(out[1].value);
+  EXPECT_EQ(out[0].error, "boom");
+  EXPECT_EQ(out[1].error, "boom");
+  EXPECT_EQ(executions.load(), 1);
+  EXPECT_FALSE(cached(map, 7));
+  // The join row carries the run's terminal state: both rows count Failed.
+  EXPECT_EQ(pool.journal().summarize().failed, 2u);
+  const auto joins = rows_noted(pool, "inflight_join");
+  ASSERT_EQ(joins.size(), 1u);
+  EXPECT_EQ(joins[0].state, mx::RunState::Failed);
+}
+
+TEST(MemoRound, SecondRoundIsServedFromTheCache) {
+  mx::RunExecutor pool{{.threads = 2}};
+  const auto map = std::make_shared<MapMemo::Map>();
+  std::atomic<int> executions{0};
+  const auto body = [&](mx::RunContext&) {
+    executions.fetch_add(1);
+    return 11;
+  };
+  const std::uint64_t hits0 = counter("exec.cache_hits");
+  const auto first = mx::dispatch_round(pool, std::vector<MemoJob>{memo_job(map, 3, body)});
+  const auto second = mx::dispatch_round(pool, std::vector<MemoJob>{memo_job(map, 3, body)});
+  ASSERT_TRUE(first[0].value && second[0].value);
+  EXPECT_EQ(*second[0].value, 11);
+  EXPECT_EQ(executions.load(), 1);
+  EXPECT_EQ(counter("exec.cache_hits") - hits0, 1u);
+  const auto hits = rows_noted(pool, "cache_hit");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].state, mx::RunState::Completed);
+  EXPECT_EQ(hits[0].wall_ms(), 0.0);
+}
+
+TEST(MemoRound, CancelledRunIsNeverInserted) {
+  mx::RunExecutor pool{{.threads = 2}};
+  const auto map = std::make_shared<MapMemo::Map>();
+  std::atomic<int> executions{0};
+  const auto body = [&](mx::RunContext& ctx) {
+    executions.fetch_add(1);
+    ctx.cancel.request_cancel();  // a guard killed this run mid-flight
+    return 4;                     // partial result
+  };
+  std::vector<MemoJob> jobs{memo_job(map, 21, body), memo_job(map, 21, body)};
+  jobs[0].cancel = mx::CancelToken{};
+  const auto out = mx::dispatch_round(pool, std::move(jobs));
+  // Both get the partial result, the join row says Cancelled, and nothing
+  // reached the cache.
+  ASSERT_TRUE(out[0].value && out[1].value);
+  EXPECT_EQ(*out[1].value, 4);
+  EXPECT_FALSE(cached(map, 21));
+  EXPECT_EQ(pool.journal().summarize().cancelled, 2u);
+  ASSERT_EQ(rows_noted(pool, "inflight_join").size(), 1u);
+  EXPECT_EQ(rows_noted(pool, "inflight_join")[0].state, mx::RunState::Cancelled);
+
+  // A later round runs the fingerprint again.
+  const auto again = mx::dispatch_round(
+      pool, std::vector<MemoJob>{memo_job(map, 21, [](mx::RunContext&) { return 6; })});
+  ASSERT_TRUE(again[0].value);
+  EXPECT_EQ(*again[0].value, 6);
+  EXPECT_TRUE(cached(map, 21));
+}
+
+TEST(MemoRound, ResilientDeadlineTimesOutAndIsNotInserted) {
+  mx::RunExecutor pool{{.threads = 2}};
+  const auto map = std::make_shared<MapMemo::Map>();
+  maestro::resil::ResilOptions resilience;
+  resilience.deadline_ms = 50.0;
+  std::vector<MemoJob> jobs{memo_job(map, 123, [](mx::RunContext& ctx) {
+    for (int i = 0; i < 10000 && !ctx.should_stop(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return 9;
+  })};
+  const auto out = mx::dispatch_round(pool, std::move(jobs), resilience);
+  EXPECT_FALSE(out[0].value);
+  EXPECT_EQ(out[0].error, maestro::resil::RunTimedOut{}.what());
+  // The overdue body yields after the round returns; once it has, its
+  // partial result must still be absent from the cache.
+  drain(pool);
+  EXPECT_EQ(pool.journal().summarize().timed_out, 1u);
+  EXPECT_FALSE(cached(map, 123));
+}
+
+TEST(MemoRound, OutcomesIdenticalAtOneAndEightThreads) {
+  // 24 jobs over 6 fingerprints, two of them cached beforehand and one that
+  // always throws: hits, joins, runs and errors all in one round.
+  const auto run = [](std::size_t threads) {
+    mx::RunExecutor pool{{.threads = threads}};
+    const auto map = std::make_shared<MapMemo::Map>();
+    MapMemo{map, 0}.insert(0, 100);
+    MapMemo{map, 4}.insert(4, 104);
+    std::vector<MemoJob> jobs;
+    for (std::uint64_t i = 0; i < 24; ++i) {
+      const std::uint64_t fp = (i * 5) % 6;
+      jobs.push_back(memo_job(map, fp, [fp](mx::RunContext& ctx) -> int {
+        if (fp == 3) throw std::runtime_error("fp3 crashed");
+        Rng rng{ctx.seed};
+        return static_cast<int>(fp) * 1000 + static_cast<int>(rng.below(1000));
+      }));
+    }
+    auto out = mx::dispatch_round(pool, std::move(jobs));
+    std::vector<std::string> rows;
+    for (const auto& rec : pool.journal().snapshot()) {
+      rows.push_back(rec.label + "/" + mx::to_string(rec.state) + "/" + rec.note);
+    }
+    return std::make_pair(std::move(out), std::move(rows));
+  };
+  const auto [serial, serial_rows] = run(1);
+  const auto [parallel, parallel_rows] = run(8);
+  ASSERT_EQ(serial.size(), 24u);
+  ASSERT_EQ(parallel.size(), 24u);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].value, parallel[i].value) << i;
+    EXPECT_EQ(serial[i].error, parallel[i].error) << i;
+  }
+  EXPECT_EQ(*serial[0].value, 100);
+  EXPECT_EQ(serial[3].error, "fp3 crashed");
+  // Hit vs join vs run is decided before anything runs, so even the journal
+  // is the same at any thread count: 8 hits, 4 runs, 12 joins.
+  EXPECT_EQ(serial_rows, parallel_rows);
+  const auto count = [&](const std::string& suffix) {
+    return std::count_if(serial_rows.begin(), serial_rows.end(), [&](const std::string& r) {
+      return r.size() >= suffix.size() && r.compare(r.size() - suffix.size(), suffix.size(),
+                                                    suffix) == 0;
+    });
+  };
+  EXPECT_EQ(count("/cache_hit"), 8);
+  EXPECT_EQ(count("/inflight_join"), 12);
 }
 
 TEST(RunExecutor, LicensesGateConcurrency) {

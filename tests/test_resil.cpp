@@ -16,10 +16,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <future>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -347,146 +343,6 @@ TEST(SubmitResilient, InjectedLicenseDropExercisesRetries) {
   EXPECT_THROW(fut.get(), resil::LicenseDropped);
   EXPECT_EQ(counter_value("exec.retries") - retries_before, 2u);
   EXPECT_TRUE(eventually([&] { return pool.journal().summarize().failed == 3; }));
-}
-
-// ---------------------------------------------------------------------------
-// submit_memo: in-flight dedup and threaded deadlines
-
-/// Minimal copyable cache handle for submit_memo.
-template <typename V>
-struct MapCacheT {
-  std::shared_ptr<std::mutex> mu = std::make_shared<std::mutex>();
-  std::shared_ptr<std::map<std::uint64_t, V>> m =
-      std::make_shared<std::map<std::uint64_t, V>>();
-
-  std::optional<V> lookup(std::uint64_t fp) {
-    const std::lock_guard<std::mutex> lock(*mu);
-    const auto it = m->find(fp);
-    if (it == m->end()) return std::nullopt;
-    return it->second;
-  }
-  void insert(std::uint64_t fp, const V& v) {
-    const std::lock_guard<std::mutex> lock(*mu);
-    (*m)[fp] = v;
-  }
-};
-using MapCache = MapCacheT<int>;
-
-TEST(SubmitMemo, DuplicateInflightFingerprintsExecuteOnce) {
-  exec::RunExecutor pool{{.threads = 4}};
-  MapCache cache;
-  std::atomic<int> executions{0};
-  const auto body = [&](exec::RunContext&) {
-    executions.fetch_add(1);
-    std::this_thread::sleep_for(50ms);
-    return 5;
-  };
-  const std::uint64_t joins_before = counter_value("exec.inflight_joins");
-  const std::uint64_t hits_before = counter_value("exec.cache_hits");
-  auto first = pool.submit_memo("memo#0", 1, /*fingerprint=*/99, cache, body);
-  auto second = pool.submit_memo("memo#1", 2, /*fingerprint=*/99, cache, body);
-  EXPECT_EQ(first.get(), 5);
-  EXPECT_EQ(second.get(), 5);
-  EXPECT_EQ(executions.load(), 1);  // the duplicate joined, not re-ran
-  EXPECT_EQ(counter_value("exec.inflight_joins") - joins_before, 1u);
-
-  // After completion the fingerprint answers from the cache, not in-flight.
-  auto third = pool.submit_memo("memo#2", 3, /*fingerprint=*/99, cache, body);
-  EXPECT_EQ(third.get(), 5);
-  EXPECT_EQ(executions.load(), 1);
-  EXPECT_EQ(counter_value("exec.cache_hits") - hits_before, 1u);
-}
-
-TEST(SubmitMemo, JoinerFutureIsPromiseBackedAndSeesTheRunsError) {
-  exec::RunExecutor pool{{.threads = 2}};
-  MapCache cache;
-  std::atomic<bool> release{false};
-  const auto body = [&](exec::RunContext&) -> int {
-    while (!release.load()) std::this_thread::sleep_for(1ms);
-    throw std::runtime_error("boom");
-  };
-  auto first = pool.submit_memo("err#0", 1, /*fingerprint=*/7, cache, body);
-  auto second = pool.submit_memo("err#1", 2, /*fingerprint=*/7, cache, body);
-  // The join is promise-backed: polling reports timeout, never deferred.
-  EXPECT_EQ(second.wait_for(0ms), std::future_status::timeout);
-  release.store(true);
-  EXPECT_THROW(first.get(), std::runtime_error);
-  ASSERT_EQ(second.wait_for(10s), std::future_status::ready);
-  EXPECT_THROW(second.get(), std::runtime_error);
-  // The join row is journaled with the run's *terminal* state, not a
-  // premature Completed: both rows count as Failed.
-  EXPECT_TRUE(eventually([&] { return pool.journal().summarize().failed == 2; }));
-  bool saw_join = false;
-  for (const auto& rec : pool.journal().snapshot()) {
-    if (rec.note == "inflight_join") {
-      saw_join = true;
-      EXPECT_EQ(rec.state, exec::RunState::Failed);
-    }
-  }
-  EXPECT_TRUE(saw_join);
-}
-
-TEST(SubmitMemo, MismatchedResultTypeForOneFingerprintThrows) {
-  exec::RunExecutor pool{{.threads = 2}};
-  MapCache int_cache;
-  MapCacheT<double> double_cache;
-  std::atomic<bool> release{false};
-  auto first = pool.submit_memo("typed#0", 1, /*fingerprint=*/55, int_cache,
-                                [&](exec::RunContext&) {
-                                  while (!release.load()) std::this_thread::sleep_for(1ms);
-                                  return 1;
-                                });
-  // Same fingerprint, different result type: detected, not undefined behavior.
-  EXPECT_THROW(pool.submit_memo("typed#1", 2, /*fingerprint=*/55, double_cache,
-                                [](exec::RunContext&) { return 2.5; }),
-               std::logic_error);
-  release.store(true);
-  EXPECT_EQ(first.get(), 1);
-}
-
-TEST(SubmitMemo, CallerTokenCancelsResilientMemoRun) {
-  exec::RunExecutor pool{{.threads = 2}};
-  MapCache cache;
-  resil::ResilOptions resilience;
-  resilience.retry.max_attempts = 2;
-  exec::CancelToken cancel;
-  auto fut = pool.submit_memo(
-      "memo_cancellable", 4, /*fingerprint=*/77, cache,
-      [](exec::RunContext& ctx) {
-        for (int i = 0; i < 10000 && !ctx.should_stop(); ++i) {
-          std::this_thread::sleep_for(1ms);
-        }
-        return 9;
-      },
-      cancel, std::chrono::steady_clock::time_point{}, resilience);
-  std::this_thread::sleep_for(20ms);
-  cancel.request_cancel();
-  EXPECT_THROW(fut.get(), exec::RunCancelled);
-  // The partial result never reached the cache and the fingerprint was
-  // released, so a fresh submission re-runs instead of joining a corpse.
-  EXPECT_FALSE(cache.lookup(77).has_value());
-  auto again = pool.submit_memo("memo_again", 5, /*fingerprint=*/77, cache,
-                                [](exec::RunContext&) { return 3; });
-  EXPECT_EQ(again.get(), 3);
-}
-
-TEST(SubmitMemo, ThreadsDeadlineThroughToResilientDispatch) {
-  exec::RunExecutor pool{{.threads = 2}};
-  MapCache cache;
-  resil::ResilOptions resilience;
-  resilience.deadline_ms = 50.0;
-  auto fut = pool.submit_memo(
-      "memo_deadline", 4, /*fingerprint=*/123, cache,
-      [](exec::RunContext& ctx) {
-        for (int i = 0; i < 10000 && !ctx.should_stop(); ++i) {
-          std::this_thread::sleep_for(1ms);
-        }
-        return 9;
-      },
-      exec::CancelToken{}, std::chrono::steady_clock::time_point{}, resilience);
-  EXPECT_THROW(fut.get(), resil::RunTimedOut);
-  // The timed-out partial result must not have been memoized.
-  EXPECT_FALSE(cache.lookup(123).has_value());
 }
 
 // ---------------------------------------------------------------------------

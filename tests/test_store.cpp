@@ -772,7 +772,21 @@ TEST(RunCache, FingerprintIndexRules) {
 
 // ----------------------------------------------------- executor memoization
 
-TEST(SubmitMemo, SecondSubmitResolvesFromCacheWithoutExecuting) {
+namespace {
+
+/// A one-job round memoized by `keyed`.
+std::vector<mx::RoundJob<mf::FlowResult, ms::KeyedRunCache>> memo_round(
+    const ms::KeyedRunCache& keyed, std::function<mf::FlowResult(mx::RunContext&)> body) {
+  std::vector<mx::RoundJob<mf::FlowResult, ms::KeyedRunCache>> jobs(1);
+  jobs[0].label = "memo";
+  jobs[0].body = std::move(body);
+  jobs[0].memo.emplace(keyed);
+  return jobs;
+}
+
+}  // namespace
+
+TEST(MemoRound, SecondRoundResolvesFromCacheWithoutExecuting) {
   const std::string dir = temp_store("memo");
   ms::RunStore store(dir);
   ms::RunCache cache(store);
@@ -789,10 +803,12 @@ TEST(SubmitMemo, SecondSubmitResolvesFromCacheWithoutExecuting) {
   };
 
   const std::uint64_t hits0 = counter("exec.cache_hits");
-  auto first = pool.submit_memo("memo", key.seed, keyed.fingerprint(), keyed, body);
-  EXPECT_DOUBLE_EQ(first.get().area_um2, 55.0);
-  auto second = pool.submit_memo("memo", key.seed, keyed.fingerprint(), keyed, body);
-  EXPECT_DOUBLE_EQ(second.get().area_um2, 55.0);
+  const auto first = mx::dispatch_round(pool, memo_round(keyed, body));
+  ASSERT_TRUE(first[0].value);
+  EXPECT_DOUBLE_EQ(first[0].value->area_um2, 55.0);
+  const auto second = mx::dispatch_round(pool, memo_round(keyed, body));
+  ASSERT_TRUE(second[0].value);
+  EXPECT_DOUBLE_EQ(second[0].value->area_um2, 55.0);
 
   EXPECT_EQ(executions.load(), 1);
   EXPECT_EQ(counter("exec.cache_hits"), hits0 + 1);
@@ -805,7 +821,7 @@ TEST(SubmitMemo, SecondSubmitResolvesFromCacheWithoutExecuting) {
   EXPECT_DOUBLE_EQ(records[1].wall_ms(), 0.0);
 }
 
-TEST(SubmitMemo, CancelledRunDoesNotPoisonTheCache) {
+TEST(MemoRound, CancelledRunDoesNotPoisonTheCache) {
   const std::string dir = temp_store("memo_cancel");
   ms::RunStore store(dir);
   ms::RunCache cache(store);
@@ -819,8 +835,8 @@ TEST(SubmitMemo, CancelledRunDoesNotPoisonTheCache) {
     ctx.cancel.request_cancel();  // a guard killed this run mid-flight
     return sample_result(1.0);    // partial result
   };
-  auto fut = pool.submit_memo("doomed", key.seed, keyed.fingerprint(), keyed, body);
-  (void)fut.get();
+  const auto outcomes = mx::dispatch_round(pool, memo_round(keyed, body));
+  EXPECT_TRUE(outcomes[0].value);  // the caller still gets the partial result
 
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(store.run_count(), 0u);
