@@ -1,6 +1,5 @@
 #include "metrics/record.hpp"
 
-#include <charconv>
 #include <cmath>
 
 namespace maestro::metrics {
@@ -24,20 +23,6 @@ double decode_value(const util::Json& j) {
     if (s == "-inf") return -HUGE_VAL;
   }
   return j.as_number();
-}
-
-/// A run id or seed: a number must be an exact unsigned integer
-/// (Json::as_uint), a string only decimal digits with a value below 2^64;
-/// otherwise the record is rejected. A missing (or non-number, non-string)
-/// field reads as 0.
-std::optional<std::uint64_t> decode_id(const util::Json& j) {
-  if (j.is_number()) return j.as_uint();
-  if (!j.is_string()) return 0;
-  const std::string& s = j.as_string();
-  std::uint64_t out = 0;
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  if (ec != std::errc{} || end != s.data() + s.size()) return std::nullopt;
-  return out;
 }
 
 }  // namespace
@@ -73,8 +58,8 @@ util::Json Record::to_json() const {
 
 std::optional<Record> Record::from_json(const util::Json& j) {
   if (!j.is_object()) return std::nullopt;
-  const auto run_id = decode_id(j.at("run_id"));
-  const auto seed = decode_id(j.at("seed"));
+  const auto run_id = util::id_from_json(j.at("run_id"));
+  const auto seed = util::id_from_json(j.at("seed"));
   if (!run_id || !seed) return std::nullopt;
   Record r;
   r.run_id = *run_id;

@@ -1,7 +1,6 @@
 #include "store/cache_server.hpp"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "metrics/frame.hpp"
 #include "obs/registry.hpp"
@@ -10,6 +9,10 @@
 namespace maestro::store {
 
 namespace {
+
+/// The reply to a request the server cannot serve: not a JSON object, an
+/// unknown type, or a fingerprint that is not a whole decimal uint64.
+constexpr const char* kErrorReply = R"({"type":"error"})";
 
 double steady_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -80,14 +83,8 @@ void CacheServer::serve_connection(int fd) {
 
     const auto doc = util::Json::parse(payload);
     bool close_conn = false;
-    std::string reply;
-    if (!doc || !doc->is_object()) {
-      util::JsonObject err;
-      err["type"] = util::Json{"error"};
-      reply = util::Json{std::move(err)}.dump();
-    } else {
-      reply = handle_request(*doc, &close_conn);
-    }
+    std::string reply =
+        doc && doc->is_object() ? handle_request(*doc, &close_conn) : kErrorReply;
     if (fault == resil::FaultKind::CorruptResult) {
       // Injected corruption: a framed reply whose payload is not JSON.
       server_counters().faults.add();
@@ -161,8 +158,8 @@ std::string CacheServer::handle_request(const util::Json& req, bool* close_conn)
   const std::string& type = req.at("type").as_string();
   util::JsonObject reply;
   if (type == "lookup") {
-    const std::uint64_t fp =
-        std::strtoull(req.at("fp").as_string().c_str(), nullptr, 10);
+    const auto fp = u64_from_json(req.at("fp"));
+    if (!fp) return kErrorReply;
     static const std::string kDefaultTenant = "default";
     const std::string& tenant =
         req.at("tenant").is_string() ? req.at("tenant").as_string() : kDefaultTenant;
@@ -170,20 +167,20 @@ std::string CacheServer::handle_request(const util::Json& req, bool* close_conn)
     // {"result":R,"type":"hit"} sort in this order, so the bytes are the
     // ones dumping that object would give.
     std::string hit = "{\"result\":";
-    if (cache_lookup(fp, tenant, hit)) {
+    if (cache_lookup(*fp, tenant, hit)) {
       hit += ",\"type\":\"hit\"}";
       return hit;
     }
     reply["type"] = util::Json{"miss"};
   } else if (type == "insert") {
-    const std::uint64_t fp =
-        std::strtoull(req.at("fp").as_string().c_str(), nullptr, 10);
+    const auto fp = u64_from_json(req.at("fp"));
+    if (!fp) return kErrorReply;
     // Residency only: the inserting client's local store is the durability
     // rung (in a shared directory its append already reached the WAL; a
     // write-through here would duplicate it). The LRU makes the result
     // visible to every other tenant immediately. The round trip through
     // FlowResult keeps the stored bytes canonical whatever the client sent.
-    cache_put(fp, flow_result_to_json(flow_result_from_json(req.at("result"))).dump());
+    cache_put(*fp, flow_result_to_json(flow_result_from_json(req.at("result"))).dump());
     inserts_.fetch_add(1, std::memory_order_relaxed);
     server_counters().inserts.add();
     reply["type"] = util::Json{"ok"};
@@ -206,7 +203,7 @@ std::string CacheServer::handle_request(const util::Json& req, bool* close_conn)
     *close_conn = true;
     reply["type"] = util::Json{"ack"};
   } else {
-    reply["type"] = util::Json{"error"};
+    return kErrorReply;
   }
   return util::Json{std::move(reply)}.dump();
 }

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,11 +78,13 @@ util::Json run_key_to_json(const RunKey& key) {
   return util::Json{std::move(o)};
 }
 
-RunKey run_key_from_json(const util::Json& j) {
+std::optional<RunKey> run_key_from_json(const util::Json& j) {
+  const auto seed = u64_from_json(j.at("seed"));
+  if (!seed) return std::nullopt;
   RunKey key;
   key.design = j.at("design").as_string();
   key.step = j.at("step").as_string();
-  key.seed = std::strtoull(j.at("seed").as_string().c_str(), nullptr, 10);
+  key.seed = *seed;
   for (const auto& [name, value] : j.at("knobs").as_object()) key.knobs[name] = value.as_string();
   return key;
 }
@@ -91,11 +92,7 @@ RunKey run_key_from_json(const util::Json& j) {
 util::Json u64_to_json(std::uint64_t v) { return util::Json{std::to_string(v)}; }
 
 std::optional<std::uint64_t> u64_from_json(const util::Json& j) {
-  const std::string& s = j.as_string();
-  std::uint64_t v = 0;
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (s.empty() || ec != std::errc{} || end != s.data() + s.size()) return std::nullopt;
-  return v;
+  return util::parse_u64(j.as_string());
 }
 
 util::Json rng_state_to_json(const util::Rng& rng) {
@@ -577,9 +574,10 @@ bool RunStore::ingest_locked(Shard& s, const util::Json& entry) {
   if (!entry.is_object()) return false;
   const std::string& t = entry.at("t").as_string();
   if (t == "run") {
-    s.runs.push_back(
-        mirror_run(std::strtoull(entry.at("fp").as_string().c_str(), nullptr, 10),
-                   run_key_from_json(entry.at("key")), flow_result_from_json(entry.at("result"))));
+    const auto fp = u64_from_json(entry.at("fp"));
+    const auto key = run_key_from_json(entry.at("key"));
+    if (!fp || !key) return false;
+    s.runs.push_back(mirror_run(*fp, *key, flow_result_from_json(entry.at("result"))));
     s.run_index.put(s.runs.size() - 1, s.runs, /*replace=*/false);  // replayed: first wins
     return true;
   }

@@ -81,7 +81,8 @@ struct StoredRun {
 util::Json flow_result_to_json(const flow::FlowResult& r);
 flow::FlowResult flow_result_from_json(const util::Json& j);
 util::Json run_key_to_json(const RunKey& key);
-RunKey run_key_from_json(const util::Json& j);
+/// nullopt when the seed is not a whole decimal uint64 string.
+std::optional<RunKey> run_key_from_json(const util::Json& j);
 /// uint64 <-> JSON as a decimal string (64-bit values do not survive a JSON
 /// double). The decoder accepts only a whole decimal uint64 string.
 util::Json u64_to_json(std::uint64_t v);

@@ -277,4 +277,17 @@ std::optional<Json> Json::parse(std::string_view text) {
   return v;
 }
 
+std::optional<std::uint64_t> parse_u64(std::string_view s) {
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (s.empty() || ec != std::errc{} || end != s.data() + s.size()) return std::nullopt;
+  return v;
+}
+
+std::optional<std::uint64_t> id_from_json(const Json& j) {
+  if (j.is_number()) return j.as_uint();
+  if (!j.is_string()) return 0;
+  return parse_u64(j.as_string());
+}
+
 }  // namespace maestro::util

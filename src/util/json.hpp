@@ -100,4 +100,14 @@ class Json {
 /// Escape a string for inclusion in JSON output (adds surrounding quotes).
 std::string json_escape(std::string_view s);
 
+/// A whole decimal uint64: nullopt for "", a sign, any non-digit and values
+/// of 2^64 or more. 64-bit ids and seeds travel in JSON as such strings,
+/// since a JSON double cannot hold them.
+std::optional<std::uint64_t> parse_u64(std::string_view s);
+
+/// A run id or seed field: a string must pass parse_u64, a number (as older
+/// writers stored them) must be an exact unsigned integer (Json::as_uint);
+/// otherwise nullopt. A missing (or non-number, non-string) field reads as 0.
+std::optional<std::uint64_t> id_from_json(const Json& j);
+
 }  // namespace maestro::util

@@ -1,5 +1,7 @@
 #include "util/log.hpp"
 
+#include <limits>
+
 namespace maestro::util {
 
 std::vector<double> ToolLog::series(const std::string& key, double fallback) const {
@@ -46,19 +48,22 @@ std::optional<ToolLog> ToolLog::from_json(const Json& j) {
   ToolLog log;
   log.tool = j.at("tool").as_string();
   log.design = j.at("design").as_string();
-  const auto& seed_field = j.at("seed");
-  if (seed_field.is_string()) {
-    log.seed = std::strtoull(seed_field.as_string().c_str(), nullptr, 10);
-  } else {
-    log.seed = static_cast<std::uint64_t>(seed_field.as_number());  // legacy files
-  }
+  const auto seed = id_from_json(j.at("seed"));  // legacy files hold a number
+  if (!seed) return std::nullopt;
+  log.seed = *seed;
   log.completed = j.at("completed").as_bool();
   for (const auto& [k, v] : j.at("metadata").as_object()) {
     log.metadata[k] = v.as_string();
   }
   for (const auto& rec : j.at("iterations").as_array()) {
     LogIteration it;
-    it.iteration = static_cast<int>(rec.at("iteration").as_number());
+    // Range-checked first: casting a NaN or out-of-range double is undefined.
+    const double iteration = rec.at("iteration").as_number();
+    if (!(iteration >= std::numeric_limits<int>::min() &&
+          iteration <= std::numeric_limits<int>::max())) {
+      return std::nullopt;
+    }
+    it.iteration = static_cast<int>(iteration);
     for (const auto& [k, v] : rec.at("values").as_object()) {
       it.values[k] = v.as_number();
     }

@@ -1451,6 +1451,96 @@ TEST(CacheServer, HitRepliesAreTheSerializedResultSpliced) {
   server.stop();
 }
 
+// --------------------------------------------- checked 64-bit decodes
+
+namespace {
+
+/// Decimal strings a checked uint64 decoder must refuse: trailing junk, a
+/// sign, nothing, and 2^64.
+const char* const kBadU64[] = {"12abc", "-1", "", "18446744073709551616"};
+
+}  // namespace
+
+TEST(RunKeyJson, RejectsMalformedSeeds) {
+  ms::RunKey key;
+  key.design = "unit";
+  key.seed = 18446744073709551615ull;
+  key.set("place.effort", "high");
+  const auto back = ms::run_key_from_json(ms::run_key_to_json(key));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->seed, key.seed);
+  EXPECT_EQ(back->fingerprint(), key.fingerprint());
+  for (const char* bad : kBadU64) {
+    maestro::util::Json j = ms::run_key_to_json(key);
+    j.as_object()["seed"] = maestro::util::Json{bad};
+    EXPECT_FALSE(ms::run_key_from_json(j).has_value()) << '"' << bad << '"';
+  }
+}
+
+TEST(RunStore, WalRunWithMalformedFingerprintOrSeedIsCorruptAndNotServed) {
+  const std::string dir = temp_store("bad_u64");
+  ms::RunStoreOptions one_shard;
+  one_shard.shards = 1;
+  {
+    ms::RunStore store(dir, one_shard);
+    store.append_run(sample_run(1, 100.0));
+  }
+  const auto run = sample_run(2, 200.0);
+  const auto entry = [&](maestro::util::Json fp, maestro::util::Json key) {
+    maestro::util::JsonObject o;
+    o["t"] = maestro::util::Json{"run"};
+    o["fp"] = std::move(fp);
+    o["key"] = std::move(key);
+    o["result"] = ms::flow_result_to_json(run.result);
+    return ms::wal_frame::encode(maestro::util::Json{std::move(o)}.dump());
+  };
+  {
+    std::ofstream wal(fs::path(dir) / "wal-00.jsonl", std::ios::app | std::ios::binary);
+    for (const char* bad : kBadU64) {
+      wal << entry(maestro::util::Json{bad}, ms::run_key_to_json(run.key));
+      maestro::util::Json key = ms::run_key_to_json(run.key);
+      key.as_object()["seed"] = maestro::util::Json{bad};
+      wal << entry(ms::u64_to_json(run.fingerprint), std::move(key));
+    }
+  }
+  // Every framed line is intact, so each bad value counts as one corrupt
+  // line; none of them is served, and the good entry survives.
+  ms::RunStore store(dir);
+  EXPECT_EQ(store.run_count(), 1u);
+  EXPECT_EQ(store.corrupt_lines(), 8u);
+  ms::RunCache cache(store);
+  EXPECT_FALSE(cache.lookup(run.fingerprint).has_value());
+  EXPECT_FALSE(cache.lookup(12).has_value());
+  EXPECT_FALSE(cache.lookup(18446744073709551615ull).has_value());
+}
+
+TEST(CacheServer, MalformedFingerprintsGetAnErrorReply) {
+  const std::string dir = temp_store("srv_bad_fp");
+  ms::RunStore store(dir);
+  ms::RunCache cache(store);
+  const std::string sock = temp_socket("bad_fp");
+  ms::CacheServer server(cache, {.socket_path = sock});
+  ASSERT_TRUE(server.start());
+  const int fd = mm::frame::connect_unix(sock);
+  ASSERT_GE(fd, 0);
+  const std::string result = ms::flow_result_to_json(sample_result(1.0)).dump();
+  for (const char* bad : kBadU64) {
+    const std::string fp = "\"fp\":\"" + std::string(bad) + "\"";
+    EXPECT_EQ(raw_request(fd, "{" + fp + ",\"type\":\"lookup\"}"), "{\"type\":\"error\"}")
+        << '"' << bad << '"';
+    EXPECT_EQ(raw_request(fd, "{" + fp + ",\"result\":" + result + ",\"type\":\"insert\"}"),
+              "{\"type\":\"error\"}")
+        << '"' << bad << '"';
+  }
+  // Nothing was cached under a wrapped or truncated value, and the
+  // connection still serves well-formed requests.
+  EXPECT_EQ(server.inserts(), 0u);
+  EXPECT_EQ(raw_request(fd, lookup_payload(12)), "{\"type\":\"miss\"}");
+  EXPECT_EQ(raw_request(fd, lookup_payload(18446744073709551615ull)), "{\"type\":\"miss\"}");
+  ::close(fd);
+  server.stop();
+}
+
 TEST(RemoteCache, DeadServerDegradesToLocalThenGivesUp) {
   const std::string dir = temp_store("remote_dead");
   ms::RunStore store(dir);

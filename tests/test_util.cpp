@@ -515,6 +515,38 @@ TEST(ToolLog, SeriesAndFinalValue) {
   EXPECT_FALSE(log.final_value("nope").has_value());
 }
 
+TEST(ToolLog, FromJsonRejectsMalformedSeedsAndIterations) {
+  mu::ToolLog log;
+  log.tool = "route";
+  log.seed = 18446744073709551615ull;
+  mu::LogIteration it;
+  it.iteration = 3;
+  log.iterations.push_back(it);
+  ASSERT_TRUE(mu::ToolLog::from_json(log.to_json()).has_value());
+  EXPECT_EQ(mu::ToolLog::from_json(log.to_json())->seed, log.seed);
+
+  const auto with_seed = [&](mu::Json seed) {
+    mu::Json j = log.to_json();
+    j.as_object()["seed"] = std::move(seed);
+    return mu::ToolLog::from_json(j);
+  };
+  for (const char* bad : {"12abc", "-1", "", "18446744073709551616"}) {
+    EXPECT_FALSE(with_seed(mu::Json{bad}).has_value()) << '"' << bad << '"';
+  }
+  // Legacy files store the seed as a number: it must be an exact uint64.
+  ASSERT_TRUE(with_seed(mu::Json{7.0}).has_value());
+  EXPECT_EQ(with_seed(mu::Json{7.0})->seed, 7u);
+  for (const double bad : {-1.0, 2.5, 1e30, 18446744073709551616.0}) {
+    EXPECT_FALSE(with_seed(mu::Json{bad}).has_value()) << bad;
+  }
+  // An iteration number outside int is refused, not cast.
+  for (const double bad : {1e300, -1e300, 2147483648.0}) {
+    mu::Json j = log.to_json();
+    j.as_object()["iterations"].as_array()[0].as_object()["iteration"] = mu::Json{bad};
+    EXPECT_FALSE(mu::ToolLog::from_json(j).has_value()) << bad;
+  }
+}
+
 TEST(ToolLog, JsonRoundTrip) {
   mu::ToolLog log;
   log.tool = "route";
