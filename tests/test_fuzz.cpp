@@ -18,25 +18,35 @@
 // The netlist and placement text readers (netlist::read_netlist,
 // place::read_placement) see byte-mutated writer output: they may reject it
 // with nullopt, and text they accept must write back to text that reads to
-// the same bytes again. No external fuzzer is needed; runs are reproducible from the seed. Build
+// the same bytes again. metrics::frame::read_frame, the reader behind both
+// socket services, sees hostile length headers (0, max_bytes, max_bytes+1,
+// 0xffffffff), payloads cut short by a close or by a peer gone quiet, and
+// random byte streams over a socketpair with a receive timeout: it returns
+// only 1, 0 or -1, never grows the payload past max_bytes, and never hangs.
+// No external fuzzer is needed; runs are reproducible from the seed. Build
 // with -DMAESTRO_SANITIZE=address,undefined,float-cast-overflow to turn
 // memory errors and UB (GCC's `undefined` group leaves out
 // float-cast-overflow) into failures.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
-#include <unistd.h>
 #include <utility>
 #include <vector>
 
 #include "core/flow_search.hpp"
 #include "core/mab_scheduler.hpp"
 #include "exec/executor.hpp"
+#include "metrics/frame.hpp"
 #include "metrics/record.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/io.hpp"
@@ -548,4 +558,150 @@ TEST(ReaderFuzz, MutatedPlacementTextNeverCrashesTheReader) {
         return mp::write_placement(*pl);
       },
       32);
+}
+
+// ------------------------------------------------------ frame transport
+
+namespace {
+
+/// One connected AF_UNIX stream pair; the reader side carries a receive
+/// timeout so a short frame from a peer that stays open cannot hang.
+struct SocketPair {
+  int reader = -1;
+  int writer = -1;
+
+  SocketPair() {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return;
+    reader = fds[0];
+    writer = fds[1];
+    mm::frame::set_io_timeout(reader, 50.0);
+  }
+  SocketPair(const SocketPair&) = delete;
+  SocketPair& operator=(const SocketPair&) = delete;
+  ~SocketPair() {
+    close_writer();
+    if (reader >= 0) ::close(reader);
+  }
+  void close_writer() {
+    if (writer >= 0) ::close(writer);
+    writer = -1;
+  }
+};
+
+std::string le32(std::uint32_t v) {
+  return {static_cast<char>(v), static_cast<char>(v >> 8), static_cast<char>(v >> 16),
+          static_cast<char>(v >> 24)};
+}
+
+/// Reads frames until one does not return 1 (bounded, since every frame
+/// consumes at least its 4-byte header). Every return must be 1, 0 or -1,
+/// and *payload must never exceed max_bytes. Returns the results in order.
+std::vector<int> read_all(int fd, std::size_t max_bytes, std::vector<std::string>* frames) {
+  std::vector<int> results;
+  std::string payload;
+  for (int n = 0; n < 1 << 16; ++n) {
+    const int r = mm::frame::read_frame(fd, max_bytes, &payload);
+    results.push_back(r);
+    EXPECT_TRUE(r == 1 || r == 0 || r == -1) << r;
+    EXPECT_LE(payload.size(), max_bytes);
+    if (r != 1) break;
+    frames->push_back(payload);
+  }
+  return results;
+}
+
+}  // namespace
+
+TEST(FrameFuzz, HostileHeadersAndShortPayloadsNeverHangOrOvergrow) {
+  constexpr std::size_t kMaxBytes[] = {0, 1, 16, 4096};
+  mu::Rng rng{41};
+  std::size_t whole = 0;
+  std::size_t refused = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::size_t max_bytes = kMaxBytes[rng.next() % std::size(kMaxBytes)];
+    const std::uint32_t lengths[] = {0, static_cast<std::uint32_t>(max_bytes),
+                                     static_cast<std::uint32_t>(max_bytes + 1), 0xffffffffu,
+                                     static_cast<std::uint32_t>(rng.next() % (2 * max_bytes + 2))};
+    const std::uint32_t len = lengths[rng.next() % std::size(lengths)];
+    // Send the whole payload, a prefix of it, or (for oversized headers)
+    // a few stray bytes; then close.
+    const std::size_t want = std::min<std::size_t>(len, 2 * max_bytes + 8);
+    const bool is_short = rng.next() % 2 == 0 && want > 0;
+    const std::size_t sent = is_short ? rng.next() % want : want;
+    std::string bytes = le32(len);
+    for (std::size_t b = 0; b < sent; ++b) bytes += pick_byte(rng);
+
+    SocketPair sp;
+    ASSERT_GE(sp.reader, 0);
+    ASSERT_TRUE(mm::frame::write_all(sp.writer, bytes.data(), bytes.size()));
+    sp.close_writer();
+    std::vector<std::string> frames;
+    const std::vector<int> results = read_all(sp.reader, max_bytes, &frames);
+    if (len > max_bytes || sent < len) {
+      // Oversized header, or a payload cut off by the close: one error.
+      EXPECT_EQ(results, std::vector<int>{-1}) << "len " << len << " sent " << sent;
+      ++refused;
+    } else {
+      // A whole frame, then a clean end of stream.
+      EXPECT_EQ(results, (std::vector<int>{1, 0})) << "len " << len;
+      ASSERT_EQ(frames.size(), 1u);
+      EXPECT_EQ(frames[0], bytes.substr(4));
+      ++whole;
+    }
+  }
+  EXPECT_GT(whole, 100u);
+  EXPECT_GT(refused, 100u);
+}
+
+TEST(FrameFuzz, TruncatedHeadersAndRandomStreamsEndCleanly) {
+  mu::Rng rng{42};
+  for (int i = 0; i < 2000; ++i) {
+    const std::size_t max_bytes = 1 + rng.next() % 64;
+    std::string bytes;
+    if (i % 4 == 0) {
+      bytes = le32(static_cast<std::uint32_t>(rng.next())).substr(0, 1 + rng.next() % 3);
+    } else {
+      // Random bytes: small length words often frame, large ones refuse.
+      const std::size_t n = rng.next() % 256;
+      for (std::size_t b = 0; b < n; ++b) {
+        bytes += rng.next() % 3 == 0 ? '\0' : static_cast<char>(rng.next() % 24);
+      }
+    }
+    SocketPair sp;
+    ASSERT_GE(sp.reader, 0);
+    ASSERT_TRUE(mm::frame::write_all(sp.writer, bytes.data(), bytes.size()));
+    sp.close_writer();
+    std::vector<std::string> frames;
+    const std::vector<int> results = read_all(sp.reader, max_bytes, &frames);
+    // The stream ends cleanly exactly when its frames used every byte; a
+    // header cut short is always an error, never a clean end.
+    std::size_t consumed = 0;
+    for (const auto& f : frames) consumed += 4 + f.size();
+    EXPECT_EQ(results.back() == 0, consumed == bytes.size()) << "i " << i;
+    if (i % 4 == 0) {
+      EXPECT_EQ(results, std::vector<int>{-1});
+    }
+  }
+}
+
+TEST(FrameFuzz, ShortFrameFromAnOpenPeerTimesOut) {
+  // The peer sends a header and part of its payload and then goes quiet
+  // without closing: the receive timeout turns the wait into an error.
+  for (const std::size_t sent : {0u, 3u}) {
+    SocketPair sp;
+    ASSERT_GE(sp.reader, 0);
+    const std::string bytes = le32(8) + std::string(sent, 'x');
+    ASSERT_TRUE(mm::frame::write_all(sp.writer, bytes.data(), bytes.size()));
+    std::string payload;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(mm::frame::read_frame(sp.reader, 16, &payload), -1);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+    EXPECT_LE(payload.size(), 16u);
+  }
+  // A peer that sends nothing at all also times out rather than blocking.
+  SocketPair quiet;
+  ASSERT_GE(quiet.reader, 0);
+  std::string payload;
+  EXPECT_EQ(mm::frame::read_frame(quiet.reader, 16, &payload), -1);
 }
