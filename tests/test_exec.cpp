@@ -1,6 +1,8 @@
 // Tests for maestro::exec — the concurrency layer: RunExecutor determinism
 // (serial == parallel, bitwise), license gating, cooperative cancellation
-// through the guard -> token -> flow chain, and the run journal.
+// through the guard -> token -> flow chain, memoized dispatch_round rounds
+// (cache hits, in-round joins, never caching a stopped run), and the run
+// journal.
 //
 // This file builds as its own binary (maestro_exec_tests) labeled "exec" so
 // it can run in isolation under -DMAESTRO_SANITIZE=thread:
@@ -302,6 +304,37 @@ TEST(MemoRound, ResilientDeadlineTimesOutAndIsNotInserted) {
   drain(pool);
   EXPECT_EQ(pool.journal().summarize().timed_out, 1u);
   EXPECT_FALSE(cached(map, 123));
+}
+
+TEST(MemoRound, CallerCancelledResilientRunIsNotInserted) {
+  mx::RunExecutor pool{{.threads = 2}};
+  const auto map = std::make_shared<MapMemo::Map>();
+  maestro::resil::ResilOptions resilience;
+  resilience.retry.max_attempts = 2;
+  const mx::CancelToken cancel;
+  std::vector<MemoJob> jobs{memo_job(map, 77, [](mx::RunContext& ctx) {
+    for (int i = 0; i < 10000 && !ctx.should_stop(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return 9;
+  })};
+  jobs[0].cancel = cancel;
+  std::thread canceller([cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    cancel.request_cancel();
+  });
+  const auto out = mx::dispatch_round(pool, std::move(jobs), resilience);
+  canceller.join();
+  EXPECT_FALSE(out[0].value);
+  EXPECT_EQ(out[0].error, mx::RunCancelled{}.what());
+  drain(pool);
+  EXPECT_FALSE(cached(map, 77));
+
+  // The fingerprint is free: a later round runs it again.
+  const auto again = mx::dispatch_round(
+      pool, std::vector<MemoJob>{memo_job(map, 77, [](mx::RunContext&) { return 3; })});
+  ASSERT_TRUE(again[0].value);
+  EXPECT_EQ(*again[0].value, 3);
 }
 
 TEST(MemoRound, OutcomesIdenticalAtOneAndEightThreads) {
